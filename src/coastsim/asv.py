@@ -10,12 +10,12 @@ and pitch are carried as inert zeros purely so logged records have the full
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntegrationFault, wrap_angle
+from .core import IntegrationFault, cos_sin, wrap_angle
 
 # indices into the 6-state array used by the integrator and the estimator
 IX, IY, IPSI, IU, IV, IR = range(6)
@@ -73,10 +73,12 @@ class VehicleState3DOF:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.u, self.v, self.r])
 
-    def with_array(self, arr: np.ndarray) -> "VehicleState3DOF":
-        return dataclasses.replace(
-            self, x=float(arr[IX]), y=float(arr[IY]), psi=wrap_angle(float(arr[IPSI])),
-            u=float(arr[IU]), v=float(arr[IV]), r=float(arr[IR]))
+    def with_array(self, arr) -> "VehicleState3DOF":
+        """This state with the six integrated DOFs read from a 6-sequence."""
+        return VehicleState3DOF(
+            float(arr[IX]), float(arr[IY]), wrap_angle(float(arr[IPSI])),
+            float(arr[IU]), float(arr[IV]), float(arr[IR]),
+            self.z, self.phi, self.theta, self.w, self.p, self.q)
 
     def speed(self) -> float:
         return float(np.hypot(self.u, self.v))
@@ -103,30 +105,56 @@ def asv_dynamics(state: np.ndarray, params: AsvParams, wrench: BodyWrench) -> np
     return np.array([udot, vdot, rdot])
 
 
-def asv_derivative(state: np.ndarray, params: AsvParams, wrench: BodyWrench) -> np.ndarray:
-    """Full 6-state derivative, shared by the integrator and the estimator."""
+def _derivative(state, params: AsvParams, wrench: BodyWrench) -> tuple:
     psi, u, v, r = state[IPSI], state[IU], state[IV], state[IR]
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([
+    c, s = cos_sin(psi)
+    return (
         u * c - v * s,
         u * s + v * c,
         r,
         (wrench.X + (params.m33 - params.m22) * r * v) / params.m11,
         (wrench.Y + (params.m11 - params.m33) * u * r) / params.m22,
         (wrench.N + (params.m22 - params.m11) * v * u) / params.m33,
-    ])
+    )
+
+
+def asv_derivative(state: np.ndarray, params: AsvParams, wrench: BodyWrench) -> np.ndarray:
+    """Full 6-state derivative; rk4_stages takes the same one on floats."""
+    return np.array(_derivative(state, params, wrench))
+
+
+def rk4_stages(state, params: AsvParams, wrench: BodyWrench,
+               dt: float) -> tuple[list, tuple]:
+    """One RK4 step of the vehicle model under a constant body wrench.
+
+    `state` is a 6-sequence of Python floats; the arithmetic stays on
+    Python floats, component by component in the order the array form
+    `x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)` evaluates, so the result is
+    bit-identical to it. Returns (next state, stage states): the four states
+    the stage derivatives were taken at, through which the estimator
+    chain-rules its transition Jacobian.
+    """
+    h = 0.5 * dt
+    x1 = state
+    k1 = _derivative(x1, params, wrench)
+    x2 = [a + h * b for a, b in zip(x1, k1)]
+    k2 = _derivative(x2, params, wrench)
+    x3 = [a + h * b for a, b in zip(x1, k2)]
+    k3 = _derivative(x3, params, wrench)
+    x4 = [a + dt * b for a, b in zip(x1, k3)]
+    k4 = _derivative(x4, params, wrench)
+    c = dt / 6.0
+    x_next = [a + c * (p + 2.0 * q + 2.0 * w + z)
+              for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
+    return x_next, (x1, x2, x3, x4)
 
 
 def asv_step(state: VehicleState3DOF, params: AsvParams, wrench: BodyWrench,
              dt: float, t: float = 0.0) -> VehicleState3DOF:
     """Advance the vehicle one RK4 step under a constant body wrench."""
-    x = state.as_array()
-    k1 = asv_derivative(x, params, wrench)
-    k2 = asv_derivative(x + 0.5 * dt * k1, params, wrench)
-    k3 = asv_derivative(x + 0.5 * dt * k2, params, wrench)
-    k4 = asv_derivative(x + dt * k3, params, wrench)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(x_next).all():
+    x = (state.x, state.y, state.psi, state.u, state.v, state.r)
+    x_next, _ = rk4_stages(x, params, wrench, dt)
+    if not all(map(math.isfinite, x_next)):
         raise IntegrationFault("surface vehicle state diverged", t)
     return state.with_array(x_next)
 

@@ -54,7 +54,8 @@ def pid_step(ctrl: PidController, error: float, dt: float) -> tuple[float, PidCo
     out = ctrl.kp * error + ctrl.ki * integral + ctrl.kd * deriv
     lo, hi = ctrl.output_limits
     out = min(max(out, lo), hi)
-    return out, dataclasses.replace(ctrl, integral=integral, prev_error=error)
+    return out, PidController(ctrl.kp, ctrl.ki, ctrl.kd, ctrl.output_limits,
+                              ctrl.integral_limits, integral, error)
 
 
 def pid_reset(ctrl: PidController) -> PidController:

@@ -9,12 +9,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 class IntegrationFault(RuntimeError):
@@ -27,24 +28,36 @@ class IntegrationFault(RuntimeError):
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]; -pi maps to +pi."""
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         raise ValueError(f"cannot wrap non-finite angle {theta!r}")
     w = theta % TWO_PI  # [0, 2*pi)
-    if w > np.pi:
+    if w > math.pi:
         w -= TWO_PI
     return w
 
 
-def rotate_body_to_nav(vec, psi: float) -> np.ndarray:
+def cos_sin(theta: float) -> tuple[float, float]:
+    """(cos, sin) of an angle as Python floats.
+
+    An infinite angle gives (nan, nan), as np.cos / np.sin do, where
+    math.cos and math.sin raise ValueError; a diverging state then reaches
+    its finite check instead of ending in a domain error.
+    """
+    if math.isinf(theta):
+        return math.nan, math.nan
+    return math.cos(theta), math.sin(theta)
+
+
+def rotate_body_to_nav(vec, psi: float) -> tuple[float, float]:
     """Rotate a body-frame 2-vector into the navigation frame."""
-    v = np.asarray(vec, dtype=float)
-    if not (np.isfinite(v).all() and np.isfinite(psi)):
+    a, b = float(vec[0]), float(vec[1])
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(psi)):
         raise ValueError("rotate_body_to_nav requires finite inputs")
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    c, s = math.cos(psi), math.sin(psi)
+    return c * a - s * b, s * a + c * b
 
 
-def rotate_nav_to_body(vec, psi: float) -> np.ndarray:
+def rotate_nav_to_body(vec, psi: float) -> tuple[float, float]:
     """Inverse of rotate_body_to_nav."""
     return rotate_body_to_nav(vec, -psi)
 
@@ -63,7 +76,7 @@ class Frame2D:
     def to_parent(self, local) -> np.ndarray:
         return self.origin + rotate_body_to_nav(local, self.heading)
 
-    def from_parent(self, point) -> np.ndarray:
+    def from_parent(self, point) -> tuple[float, float]:
         p = np.asarray(point, dtype=float)
         return rotate_nav_to_body(p - self.origin, self.heading)
 

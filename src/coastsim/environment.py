@@ -93,13 +93,14 @@ def disturbance_wrench(fld: DisturbanceField, state: VehicleState3DOF,
     X = Y = N = 0.0
     wind_speed = max(0.0, fld.mean_wind_speed + gust_value)
     if wind_speed > 0.0:
-        wind_nav = wind_speed * np.array(
-            [math.cos(fld.wind_direction), math.sin(fld.wind_direction)])
-        vel_nav = rotate_body_to_nav([state.u, state.v], state.psi)
-        rel = rotate_nav_to_body(wind_nav - vel_nav, state.psi)
-        mag = math.hypot(rel[0], rel[1])
-        X += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel[0]
-        Y += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel[1]
+        wind_x = wind_speed * math.cos(fld.wind_direction)
+        wind_y = wind_speed * math.sin(fld.wind_direction)
+        vel_x, vel_y = rotate_body_to_nav((state.u, state.v), state.psi)
+        rel_u, rel_v = rotate_nav_to_body((wind_x - vel_x, wind_y - vel_y),
+                                          state.psi)
+        mag = math.hypot(rel_u, rel_v)
+        X += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel_u
+        Y += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel_v
 
     if fld.wave_height > 0.0:
         phase = 2.0 * math.pi * t / fld.wave_period
@@ -124,9 +125,9 @@ def damping_wrench(state: VehicleState3DOF, coeffs: DampingCoeffs,
     """Damping on the water-relative velocity (current enters here)."""
     u_rel, v_rel = state.u, state.v
     if current_nav is not None:
-        cur_body = rotate_nav_to_body(current_nav, state.psi)
-        u_rel -= cur_body[0]
-        v_rel -= cur_body[1]
+        cur_u, cur_v = rotate_nav_to_body(current_nav, state.psi)
+        u_rel -= cur_u
+        v_rel -= cur_v
     return BodyWrench(-coeffs.d11 * u_rel, -coeffs.d22 * v_rel, -coeffs.d33 * state.r)
 
 

@@ -2,21 +2,29 @@
 
 The filter estimates the full 6-state (x, y, psi, u, v, r). Prediction runs
 one RK4 step of the rigid-body model under the realized control wrench, with
-the covariance propagated through the analytic Jacobian of that discrete map.
+the covariance propagated through the analytic Jacobian of that discrete map,
+chain-ruled through the same four RK4 stages the mean was computed from.
+
 Updates are sequential per reading (GPS position, compass heading, gyro yaw
-rate) with Mahalanobis gating; heading innovations are wrapped.
+rate) with Mahalanobis gating; heading innovations are wrapped. Compass and
+gyro each observe one state, so their updates are scalar (Bierman's
+sequential processing): the innovation variance is S = P[i, i] + sigma^2, the
+gain is column i of P over S, and no matrix is inverted. GPS observes two
+states and solves its 2x2 innovation covariance. Every update and prediction
+checks that the estimate is finite before wrapping its heading, so a
+diverging filter raises EstimatorDivergence.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .asv import AsvParams, BodyWrench, VehicleState3DOF, asv_derivative
-from .core import SeededRng, wrap_angle
+from .asv import AsvParams, BodyWrench, VehicleState3DOF, rk4_stages
+from .core import SeededRng, cos_sin, wrap_angle
 
 # sensor stream ids under the run's master seed
 STREAM_GPS = 1
@@ -118,64 +126,65 @@ def initial_estimate(state: VehicleState3DOF, pos_sigma: float = 2.0,
     return EstimatorState(state.as_array(), P0)
 
 
-def dynamics_jacobian(x: np.ndarray, params: AsvParams) -> np.ndarray:
+def dynamics_jacobian(x, params: AsvParams) -> np.ndarray:
     """Analytic d(state derivative)/d(state) for the 6-state model."""
     psi, u, v, r = x[2], x[3], x[4], x[5]
-    c, s = np.cos(psi), np.sin(psi)
-    A = np.zeros((6, 6))
-    A[0, 2] = -u * s - v * c
-    A[0, 3] = c
-    A[0, 4] = -s
-    A[1, 2] = u * c - v * s
-    A[1, 3] = s
-    A[1, 4] = c
-    A[2, 5] = 1.0
-    A[3, 4] = (params.m33 - params.m22) * r / params.m11
-    A[3, 5] = (params.m33 - params.m22) * v / params.m11
-    A[4, 3] = (params.m11 - params.m33) * r / params.m22
-    A[4, 5] = (params.m11 - params.m33) * u / params.m22
-    A[5, 3] = (params.m22 - params.m11) * v / params.m33
-    A[5, 4] = (params.m22 - params.m11) * u / params.m33
-    return A
+    c, s = cos_sin(psi)
+    return np.array([
+        [0.0, 0.0, -u * s - v * c, c, -s, 0.0],
+        [0.0, 0.0, u * c - v * s, s, c, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, (params.m33 - params.m22) * r / params.m11,
+         (params.m33 - params.m22) * v / params.m11],
+        [0.0, 0.0, 0.0, (params.m11 - params.m33) * r / params.m22, 0.0,
+         (params.m11 - params.m33) * u / params.m22],
+        [0.0, 0.0, 0.0, (params.m22 - params.m11) * v / params.m33,
+         (params.m22 - params.m11) * u / params.m33, 0.0],
+    ])
+
+
+def _stage_jacobian(stages, params: AsvParams, dt: float) -> np.ndarray:
+    """Jacobian of the RK4 map, chain-ruled through its four stage states."""
+    x1, x2, x3, x4 = stages
+    I6 = np.eye(6)
+    K1 = dynamics_jacobian(x1, params)
+    K2 = dynamics_jacobian(x2, params) @ (I6 + 0.5 * dt * K1)
+    K3 = dynamics_jacobian(x3, params) @ (I6 + 0.5 * dt * K2)
+    K4 = dynamics_jacobian(x4, params) @ (I6 + dt * K3)
+    return I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def predict_mean(x: np.ndarray, params: AsvParams, wrench: BodyWrench,
                  dt: float) -> np.ndarray:
     """The discrete mean map: one RK4 step of the vehicle model."""
-    k1 = asv_derivative(x, params, wrench)
-    k2 = asv_derivative(x + 0.5 * dt * k1, params, wrench)
-    k3 = asv_derivative(x + 0.5 * dt * k2, params, wrench)
-    k4 = asv_derivative(x + dt * k3, params, wrench)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_next, _ = rk4_stages(np.asarray(x, dtype=float).tolist(), params,
+                           wrench, dt)
+    return np.array(x_next)
 
 
 def discrete_jacobian(x: np.ndarray, params: AsvParams, wrench: BodyWrench,
                       dt: float) -> np.ndarray:
     """Analytic Jacobian of predict_mean, chain-ruled through the RK4 stages."""
-    I6 = np.eye(6)
-    k1 = asv_derivative(x, params, wrench)
-    K1 = dynamics_jacobian(x, params)
-    x2 = x + 0.5 * dt * k1
-    k2 = asv_derivative(x2, params, wrench)
-    K2 = dynamics_jacobian(x2, params) @ (I6 + 0.5 * dt * K1)
-    x3 = x + 0.5 * dt * k2
-    k3 = asv_derivative(x3, params, wrench)
-    K3 = dynamics_jacobian(x3, params) @ (I6 + 0.5 * dt * K2)
-    x4 = x + dt * k3
-    K4 = dynamics_jacobian(x4, params) @ (I6 + dt * K3)
-    return I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    _, stages = rk4_stages(np.asarray(x, dtype=float).tolist(), params,
+                           wrench, dt)
+    return _stage_jacobian(stages, params, dt)
+
+
+def _checked(x: np.ndarray, P: np.ndarray, what: str) -> EstimatorState:
+    """The estimate (x, P) with its heading wrapped, once both are finite."""
+    if not (np.isfinite(x).all() and np.isfinite(P).all()):
+        raise EstimatorDivergence(f"non-finite estimate after {what}")
+    x[2] = wrap_angle(x[2])
+    return EstimatorState(x, P)
 
 
 def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
                 wrench: BodyWrench, dt: float) -> EstimatorState:
-    x = predict_mean(est.x, params, wrench, dt)
-    x[2] = wrap_angle(x[2])
-    F = discrete_jacobian(est.x, params, wrench, dt)
+    x_next, stages = rk4_stages(est.x.tolist(), params, wrench, dt)
+    F = _stage_jacobian(stages, params, dt)
     P = F @ est.P @ F.T + ekf.q_discrete(dt)
     P = 0.5 * (P + P.T)
-    if not (np.isfinite(x).all() and np.isfinite(P).all()):
-        raise EstimatorDivergence("non-finite estimate after prediction")
-    return EstimatorState(x, P)
+    return _checked(np.array(x_next), P, "prediction")
 
 
 _H_GPS = np.zeros((2, 6)); _H_GPS[0, 0] = 1.0; _H_GPS[1, 1] = 1.0
@@ -208,26 +217,58 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
     rejected: the state is returned unchanged and accepted=False so the
     caller can log the rejection.
     """
-    z_hat, H = measurement_model(reading.kind, est.x)
+    kind = reading.kind
+    if kind == COMPASS:
+        return _scalar_update(est, kind, 2, float(reading.value[0]),
+                              ekf.compass_sigma, ekf.gate_sigma)
+    if kind == GYRO:
+        return _scalar_update(est, kind, 5, float(reading.value[0]),
+                              ekf.gyro_sigma, ekf.gate_sigma)
+
+    z_hat, H = measurement_model(kind, est.x)
     y = np.asarray(reading.value, dtype=float) - z_hat
-    if reading.kind == COMPASS:
-        y[0] = wrap_angle(y[0])
-    R = ekf.r_matrix(reading.kind)
+    R = ekf.r_matrix(kind)
     S = H @ est.P @ H.T + R
     try:
         S_inv_y = np.linalg.solve(S, y)
     except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"innovation covariance singular for {reading.kind}") from exc
+        raise SingularCovariance(f"innovation covariance singular for {kind}") from exc
     d2 = float(y @ S_inv_y)
     if d2 < 0.0 or not np.isfinite(d2):
-        raise SingularCovariance(f"innovation covariance not positive definite for {reading.kind}")
+        raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
     if d2 > ekf.gate_sigma ** 2:
         return UpdateResult(est, y, False)
     K = est.P @ H.T @ np.linalg.inv(S)
     x = est.x + K @ y
-    x[2] = wrap_angle(x[2])
     P = (np.eye(6) - K @ H) @ est.P
     P = 0.5 * (P + P.T)
-    if not (np.isfinite(x).all() and np.isfinite(P).all()):
-        raise EstimatorDivergence(f"non-finite estimate after {reading.kind} update")
-    return UpdateResult(EstimatorState(x, P), y, True)
+    return UpdateResult(_checked(x, P, f"{kind} update"), y, True)
+
+
+def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
+                   sigma: float, gate_sigma: float) -> UpdateResult:
+    """ekf_update for a reading of the single state i (H = e_i, R = sigma^2).
+
+    Each step is the dense form's arithmetic with the zeros of H dropped:
+    S = P[i, i] + sigma^2, solve(S, y) = y / S, inv(S) = 1 / S, K = P[:, i] / S
+    and I - K H is the identity with K subtracted from column i, so the
+    result is bit-identical to the dense update.
+    """
+    S = float(est.P[i, i]) + sigma ** 2
+    if not 0.0 < S < math.inf:
+        raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+    y = z - float(est.x[i])
+    if kind == COMPASS and math.isfinite(y):  # a non-finite y fails on d2
+        y = wrap_angle(y)
+    d2 = y * (y / S)
+    if not math.isfinite(d2):
+        raise SingularCovariance(f"non-finite innovation distance for {kind}")
+    if d2 > gate_sigma ** 2:
+        return UpdateResult(est, np.array([y]), False)
+    K = est.P[:, i] * (1.0 / S)
+    x = est.x + K * y
+    M = np.eye(6)
+    M[:, i] -= K
+    P = M @ est.P
+    P = 0.5 * (P + P.T)
+    return UpdateResult(_checked(x, P, f"{kind} update"), np.array([y]), True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
-from .control import LOITER, guidance_step, pid_step
+from .control import LOITER, PidController, guidance_step, pid_step
 from .core import (IntegrationFault, SeededRng, SimClock, rotate_body_to_nav,
                    rotate_nav_to_body, wrap_angle)
 from .environment import (GustProcess, OutOfBounds, damping_wrench,
@@ -40,8 +40,8 @@ from .nav import (COMPASS, GPS, GYRO, EstimatorDivergence, SingularCovariance,
                   ekf_predict, ekf_update, initial_estimate, sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
-from .tuv import (TowedBodyState, separation_rate, towline_tension, tuv_step,
-                  winch_set_length)
+from .tuv import (DegenerateGeometry, TowedBodyState, separation_rate,
+                  towline_tension, tuv_step, winch_set_length)
 
 STATES_FILE = "states.csv"
 EVENTS_FILE = "events.jsonl"
@@ -77,7 +77,7 @@ COLUMNS = (
 )
 
 _ABORTING = (IntegrationFault, EstimatorDivergence, SingularCovariance,
-             OutOfBounds)
+             OutOfBounds, DegenerateGeometry)
 
 
 def _freeze_integral_if_pinned(prev, nxt, error, command, lo, hi):
@@ -85,7 +85,8 @@ def _freeze_integral_if_pinned(prev, nxt, error, command, lo, hi):
     in the error's own direction, keep the old integral state (integrating
     further is pure windup the plant never sees)."""
     if (command >= hi and error > 0.0) or (command <= lo and error < 0.0):
-        return dataclasses.replace(nxt, integral=prev.integral)
+        return PidController(nxt.kp, nxt.ki, nxt.kd, nxt.output_limits,
+                             nxt.integral_limits, prev.integral, nxt.prev_error)
     return nxt
 
 
@@ -143,8 +144,8 @@ class Simulation:
         self.wp_index = 0
         self.sampler = EnvironmentalSampler(self.rng)
 
-        self._dp_integral = np.zeros(2)  # [N] nav frame
-        self._dp_point: np.ndarray | None = None
+        self._dp_integral = (0.0, 0.0)  # [N] nav frame
+        self._dp_point: tuple[float, float] | None = None
 
         self.rows: list = []
         self.events: list = []
@@ -176,7 +177,7 @@ class Simulation:
     # -- per-step pieces -------------------------------------------------------
 
     def _estimated_state(self) -> VehicleState3DOF:
-        return VehicleState3DOF().with_array(self.est.x)
+        return VehicleState3DOF().with_array(self.est.x.tolist())
 
     def _guidance(self, est_state: VehicleState3DOF):
         """(heading_error, speed_cmd, direct_surge) for the current phase.
@@ -210,20 +211,27 @@ class Simulation:
 
     def _station_keeping(self, point, est_state: VehicleState3DOF):
         """Hold a point with a position PID over nav-frame force."""
-        if self._dp_point is None or not np.array_equal(point, self._dp_point):
-            self._dp_integral = np.zeros(2)
-            self._dp_point = np.array(point, dtype=float)
-        err = self._dp_point - np.array([est_state.x, est_state.y])
-        v_nav = rotate_body_to_nav([est_state.u, est_state.v], est_state.psi)
-        self._dp_integral = np.clip(
-            self._dp_integral + DP_KI * err * self.scn.dt,
-            -DP_INTEGRAL_MAX, DP_INTEGRAL_MAX)
-        force = DP_KP * err - DP_KD * v_nav + self._dp_integral
-        magnitude = float(np.hypot(force[0], force[1]))
+        point = (float(point[0]), float(point[1]))
+        if point != self._dp_point:
+            self._dp_integral = (0.0, 0.0)
+            self._dp_point = point
+        err_x = point[0] - est_state.x
+        err_y = point[1] - est_state.y
+        v_x, v_y = rotate_body_to_nav((est_state.u, est_state.v), est_state.psi)
+        dt = self.scn.dt
+        int_x, int_y = self._dp_integral
+        int_x = min(max(int_x + DP_KI * err_x * dt, -DP_INTEGRAL_MAX),
+                    DP_INTEGRAL_MAX)
+        int_y = min(max(int_y + DP_KI * err_y * dt, -DP_INTEGRAL_MAX),
+                    DP_INTEGRAL_MAX)
+        self._dp_integral = (int_x, int_y)
+        force_x = DP_KP * err_x - DP_KD * v_x + int_x
+        force_y = DP_KP * err_y - DP_KD * v_y + int_y
+        magnitude = float(np.hypot(force_x, force_y))
         if magnitude < 1e-9:
             self._cmd_heading = est_state.psi
             return 0.0, 0.0, 0.0
-        desired = math.atan2(force[1], force[0])
+        desired = math.atan2(force_y, force_x)
         heading_error = wrap_angle(desired - est_state.psi)
         surge = magnitude
         if abs(heading_error) > 0.5 * math.pi:
@@ -395,21 +403,19 @@ class Simulation:
         tow_wrench = ZERO_WRENCH
         if self.tuv is not None:
             self.towline = winch_set_length(self.towline, self.winch_cmd, dt)
+            truth = self.truth
             x_a = scn.tow_attach_x
-            attach_xy = (np.array([self.truth.x, self.truth.y])
-                         + rotate_body_to_nav([x_a, 0.0], self.truth.psi))
-            attach = np.array([attach_xy[0], attach_xy[1], 0.0])
-            vel_nav = rotate_body_to_nav(
-                [self.truth.u, self.truth.v + self.truth.r * x_a],
-                self.truth.psi)
-            attach_vel = np.array([vel_nav[0], vel_nav[1], 0.0])
+            off_x, off_y = rotate_body_to_nav((x_a, 0.0), truth.psi)
+            attach = np.array([truth.x + off_x, truth.y + off_y, 0.0])
+            vel_x, vel_y = rotate_body_to_nav(
+                (truth.u, truth.v + truth.r * x_a), truth.psi)
+            attach_vel = np.array([vel_x, vel_y, 0.0])
             rate = separation_rate(attach, attach_vel, self.tuv.position,
                                    self.tuv.velocity)
             tension = towline_tension(attach, self.tuv.position, rate,
                                       self.towline)
-            reaction = rotate_nav_to_body(-tension[:2], self.truth.psi)
-            tow_wrench = BodyWrench(float(reaction[0]), float(reaction[1]),
-                                    x_a * float(reaction[1]))
+            reaction_x, reaction_y = rotate_nav_to_body(-tension[:2], truth.psi)
+            tow_wrench = BodyWrench(reaction_x, reaction_y, x_a * reaction_y)
 
         # log the step's state before integrating: one instant per row
         self._append_row(t, heading_error, speed_cmd, surge_cmd, yaw_cmd,
@@ -477,23 +483,23 @@ class Simulation:
 
     def _append_row(self, t, heading_error, speed_cmd, surge_cmd, yaw_cmd,
                     left, right, realized, disturbance, tension, innovations):
+        # every cell a plain Python value: _format_cell writes repr(), and a
+        # numpy scalar's repr is not a number read_run can parse
         truth, est = self.truth, self.est
         row = [t,
                truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
-               est.x[0], est.x[1], est.x[2], est.x[3], est.x[4], est.x[5],
-               est.P[0, 0], est.P[1, 1], est.P[2, 2],
-               est.P[3, 3], est.P[4, 4], est.P[5, 5],
+               *est.x.tolist(), *est.P.diagonal().tolist(),
                self._cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                left, right,
                realized.X, realized.Y, realized.N,
                disturbance.X, disturbance.Y, disturbance.N]
         if self.tuv is not None:
-            row += [*self.tuv.position, *self.tuv.velocity, *tension,
-                    self.towline.unstretched_length]
+            row += [*self.tuv.position.tolist(), *self.tuv.velocity.tolist(),
+                    *tension.tolist(), self.towline.unstretched_length]
         else:
             row += [None] * 10
         if self.hexapod is not None:
-            row += [1, self.hexapod.position[0], self.hexapod.position[1],
+            row += [1, *self.hexapod.position.tolist(),
                     self.hexapod.heading, self.hexapod.faults]
             for cfg in self.hexapod.legs:
                 row += [cfg.theta1, cfg.theta2, cfg.theta3]
@@ -510,9 +516,8 @@ class Simulation:
         gyro = innovations[GYRO]
         row.append(float(gyro[0]) if gyro is not None else None)
 
-        self.rows.append([float(v) if isinstance(v, (np.floating, np.integer))
-                          else v for v in row])
-        self.track.append(np.array([truth.x, truth.y]))
+        self.rows.append(row)
+        self.track.append((truth.x, truth.y))
 
     # -- driving ----------------------------------------------------------------
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF
+from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, asv_derivative
 from coastsim.core import SeededRng, wrap_angle
-from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorState,
-                          SensorConfig, SensorReading, SingularCovariance,
-                          discrete_jacobian, dynamics_jacobian, ekf_predict,
-                          ekf_update, initial_estimate, measurement_model,
-                          predict_mean, sample_sensors)
+from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
+                          EstimatorState, SensorConfig, SensorReading,
+                          SingularCovariance, discrete_jacobian,
+                          dynamics_jacobian, ekf_predict, ekf_update,
+                          initial_estimate, measurement_model, predict_mean,
+                          sample_sensors)
 
 
 @pytest.fixture
@@ -137,6 +138,52 @@ def test_predict_grows_and_symmetrizes_covariance(params):
     assert np.all(np.linalg.eigvalsh(est.P) > 0)
 
 
+def test_predict_matches_array_rk4_bit_for_bit(params):
+    # reference: the RK4 mean and its chain-ruled Jacobian in whole-array
+    # numpy arithmetic, each stage computed afresh
+    rng = np.random.default_rng(41)
+    ekf = EkfParams()
+    I6 = np.eye(6)
+    for _ in range(50):
+        x = rng.normal(size=6) * np.array([50, 50, 3, 2, 1, 0.5])
+        A = rng.normal(size=(6, 6))
+        P = A @ A.T + 0.1 * I6
+        wrench = BodyWrench(*rng.normal(size=3) * 20)
+        dt = float(rng.choice([0.01, 0.05, 0.1]))
+        k1 = asv_derivative(x, params, wrench)
+        x2 = x + 0.5 * dt * k1
+        k2 = asv_derivative(x2, params, wrench)
+        x3 = x + 0.5 * dt * k2
+        k3 = asv_derivative(x3, params, wrench)
+        x4 = x + dt * k3
+        k4 = asv_derivative(x4, params, wrench)
+        mean = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        K1 = dynamics_jacobian(x, params)
+        K2 = dynamics_jacobian(x2, params) @ (I6 + 0.5 * dt * K1)
+        K3 = dynamics_jacobian(x3, params) @ (I6 + 0.5 * dt * K2)
+        K4 = dynamics_jacobian(x4, params) @ (I6 + dt * K3)
+        F = I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        P_ref = F @ P @ F.T + ekf.q_discrete(dt)
+        P_ref = 0.5 * (P_ref + P_ref.T)
+
+        assert np.array_equal(predict_mean(x, params, wrench, dt), mean)
+        assert np.array_equal(discrete_jacobian(x, params, wrench, dt), F)
+        out = ekf_predict(EstimatorState(x.copy(), P.copy()), params, ekf,
+                          wrench, dt)
+        mean[2] = wrap_angle(mean[2])
+        assert np.array_equal(out.x, mean)
+        assert np.array_equal(out.P, P_ref)
+
+
+def test_predict_divergence_raises_before_heading_wrap(params):
+    # an overflowing state must surface as EstimatorDivergence, not as the
+    # ValueError wrap_angle raises on a non-finite heading
+    est = EstimatorState(np.array([0.0, 0.0, 0.0, 1e200, 1e200, 1e200]),
+                         np.eye(6))
+    with np.errstate(all="ignore"), pytest.raises(EstimatorDivergence):
+        ekf_predict(est, params, EkfParams(), BodyWrench(), 0.1)
+
+
 # --- EKF update ------------------------------------------------------------
 
 def test_update_scalar_textbook_case():
@@ -182,6 +229,74 @@ def test_update_matches_dense_kalman_oracle():
             assert np.max(np.abs(result.state.x - x_post)) < 1e-10
             assert np.max(np.abs(result.state.P - P_post)) < 1e-10
             assert np.max(np.abs(result.innovation - y)) < 1e-12
+
+
+def test_scalar_update_matches_dense_form_bit_for_bit():
+    # reference: the dense equations with H, R, solve and inv, as the
+    # scalar compass / gyro updates must reproduce them to the last bit
+    rng = np.random.default_rng(43)
+    ekf = EkfParams(gate_sigma=1e9)
+    for kind in (COMPASS, GYRO):
+        for _ in range(100):
+            A = rng.normal(size=(6, 6))
+            P = A @ A.T * rng.uniform(1e-4, 1.0) + 1e-3 * np.eye(6)
+            x = rng.normal(size=6)
+            x[2] = wrap_angle(x[2])
+            z = np.array([rng.normal()])
+            result = ekf_update(EstimatorState(x.copy(), P.copy()),
+                                SensorReading(kind, 0.0, z), ekf)
+
+            z_hat, H = measurement_model(kind, x)
+            y = z - z_hat
+            if kind == COMPASS:
+                y[0] = wrap_angle(y[0])
+            S = H @ P @ H.T + ekf.r_matrix(kind)
+            d2 = float(y @ np.linalg.solve(S, y))
+            K = P @ H.T @ np.linalg.inv(S)
+            x_post = x + K @ y
+            x_post[2] = wrap_angle(x_post[2])
+            P_post = (np.eye(6) - K @ H) @ P
+            P_post = 0.5 * (P_post + P_post.T)
+
+            assert d2 >= 0.0
+            assert np.array_equal(result.innovation, y)
+            assert np.array_equal(result.state.x, x_post)
+            assert np.array_equal(result.state.P, P_post)
+
+
+@pytest.mark.parametrize("kind", [COMPASS, GYRO])
+@pytest.mark.parametrize("p_ii, sigma, z", [
+    (0.0, 0.0, 0.1),  # zero innovation variance
+    (-1.0, 0.5, 0.0),  # negative variance, even with a zero innovation
+    (math.nan, 0.5, 0.1),
+    (math.inf, 0.5, 0.1),
+    (1.0, 0.5, math.nan),  # non-finite reading
+])
+def test_scalar_update_bad_statistics_raise_singular(kind, p_ii, sigma, z):
+    i = 2 if kind == COMPASS else 5
+    P = np.eye(6)
+    P[i, i] = p_ii
+    ekf = EkfParams(compass_sigma=sigma, gyro_sigma=sigma)
+    with pytest.raises(SingularCovariance):
+        ekf_update(EstimatorState(np.zeros(6), P),
+                   SensorReading(kind, 0.0, np.array([z])), ekf)
+
+
+def test_gyro_update_overflowing_distance_raises_singular():
+    est = EstimatorState(np.zeros(6), np.eye(6))
+    with pytest.raises(SingularCovariance):
+        ekf_update(est, SensorReading(GYRO, 0.0, np.array([1e300])),
+                   EkfParams(gyro_sigma=1.0))
+
+
+def test_update_divergence_raises_before_heading_wrap():
+    # finite inputs whose gain times innovation overflows the heading
+    P = np.eye(6)
+    P[2, 5] = P[5, 2] = 1e308
+    est = EstimatorState(np.zeros(6), P)
+    with np.errstate(all="ignore"), pytest.raises(EstimatorDivergence):
+        ekf_update(est, SensorReading(GYRO, 0.0, np.array([4.0])),
+                   EkfParams(gyro_sigma=1.0))
 
 
 def test_update_never_inflates_covariance():

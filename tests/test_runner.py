@@ -1,12 +1,17 @@
+import dataclasses
 import filecmp
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coastsim.runner import (COLUMNS, RunLog, emit_outputs, read_run,
-                             run_simulation)
-from coastsim.scenario import parse_scenario
+from coastsim.core import rotate_body_to_nav
+from coastsim.runner import (COLUMNS, RunLog, Simulation, emit_outputs,
+                             read_run, run_simulation)
+from coastsim.scenario import load_scenario, parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cruise_tree(duration=10.0, dt=0.01, tuv=True, **extra):
@@ -129,6 +134,22 @@ def test_read_run_requires_states(tmp_path):
         read_run(tmp_path)
 
 
+@pytest.mark.parametrize("name, duration", [
+    ("calm_cruise", 5.0), ("storm_loiter", 30.0),
+    ("calm_search", None),  # to the end: the crawler deploys and walks
+])
+def test_row_cells_are_plain_python_values(name, duration):
+    # type(), not isinstance(): np.float64 subclasses float, and its repr
+    # (np.float64(1.5)) would land in states.csv where read_run cannot parse it
+    scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    if duration is not None:
+        scn = dataclasses.replace(scn, duration=duration)
+    rows = Simulation(scn).run().rows
+    assert rows
+    kinds = {type(v) for row in rows for v in row}
+    assert kinds <= {float, int, str, type(None)}, kinds
+
+
 def test_csv_header_matches_columns(tmp_path):
     log = run_simulation(parse_scenario(cruise_tree(duration=0.05)))
     emit_outputs(log, tmp_path)
@@ -175,6 +196,20 @@ def test_numerical_blowup_aborts_with_partial_log(tmp_path):
     assert log.events[-1]["reason"] == "aborted"
     emit_outputs(log, tmp_path)
     assert read_run(tmp_path).metrics["aborted"] is True
+
+
+def test_towline_degenerate_geometry_aborts_with_partial_log():
+    # the tow body sitting on the attach point leaves the cable direction
+    # undefined: the run aborts instead of ending in a traceback
+    sim = Simulation(parse_scenario(cruise_tree(duration=1.0)))
+    truth, x_a = sim.truth, sim.scn.tow_attach_x
+    attach_xy = (np.array([truth.x, truth.y])
+                 + rotate_body_to_nav([x_a, 0.0], truth.psi))
+    sim.tuv.position = np.array([attach_xy[0], attach_xy[1], 0.0])
+    log = sim.run()
+    assert log.aborted is True
+    assert "DegenerateGeometry" in log.metrics["abort_reason"]
+    assert [e["event"] for e in log.events[-2:]] == ["abort", "run_end"]
 
 
 # --- mission end to end ----------------------------------------------------------
