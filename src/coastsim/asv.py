@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntegrationFault, cos_sin, wrap_angle
+from .core import (IntegrationFault, cos_sin, rk4_stages as _float_rk4,
+                   wrap_angle)
 
 # indices into the 6-state array used by the integrator and the estimator
 IX, IY, IPSI, IU, IV, IR = range(6)
@@ -127,26 +128,11 @@ def rk4_stages(state, params: AsvParams, wrench: BodyWrench,
                dt: float) -> tuple[list, tuple]:
     """One RK4 step of the vehicle model under a constant body wrench.
 
-    `state` is a 6-sequence of Python floats; the arithmetic stays on
-    Python floats, component by component in the order the array form
-    `x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)` evaluates, so the result is
-    bit-identical to it. Returns (next state, stage states): the four states
-    the stage derivatives were taken at, through which the estimator
-    chain-rules its transition Jacobian.
+    `state` is a 6-sequence of Python floats; see core.rk4_stages. Returns
+    (next state, stage states), through which the estimator chain-rules its
+    transition Jacobian.
     """
-    h = 0.5 * dt
-    x1 = state
-    k1 = _derivative(x1, params, wrench)
-    x2 = [a + h * b for a, b in zip(x1, k1)]
-    k2 = _derivative(x2, params, wrench)
-    x3 = [a + h * b for a, b in zip(x1, k2)]
-    k3 = _derivative(x3, params, wrench)
-    x4 = [a + dt * b for a, b in zip(x1, k3)]
-    k4 = _derivative(x4, params, wrench)
-    c = dt / 6.0
-    x_next = [a + c * (p + 2.0 * q + 2.0 * w + z)
-              for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
-    return x_next, (x1, x2, x3, x4)
+    return _float_rk4(_derivative, state, dt, params, wrench)
 
 
 def asv_step(state: VehicleState3DOF, params: AsvParams, wrench: BodyWrench,

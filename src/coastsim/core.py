@@ -121,6 +121,31 @@ class SeededRng:
         return self._streams[sid]
 
 
+def rk4_stages(f: Callable[..., tuple], state, dt: float,
+               *args) -> tuple[list, tuple]:
+    """One classical RK4 step of xdot = f(x, *args) on Python floats.
+
+    `state` is a sequence of floats and f returns a tuple of them. The
+    arithmetic runs component by component in the order the array form
+    `x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)` evaluates, so the result is
+    bit-identical to it. Returns (next state, stage states): the four states
+    the stage derivatives were taken at.
+    """
+    h = 0.5 * dt
+    x1 = state
+    k1 = f(x1, *args)
+    x2 = [a + h * b for a, b in zip(x1, k1)]
+    k2 = f(x2, *args)
+    x3 = [a + h * b for a, b in zip(x1, k2)]
+    k3 = f(x3, *args)
+    x4 = [a + dt * b for a, b in zip(x1, k3)]
+    k4 = f(x4, *args)
+    c = dt / 6.0
+    x_next = [a + c * (p + 2.0 * q + 2.0 * w + z)
+              for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
+    return x_next, (x1, x2, x3, x4)
+
+
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
              x: np.ndarray, dt: float) -> np.ndarray:
     """One classical Runge-Kutta 4 step of xdot = f(t, x)."""

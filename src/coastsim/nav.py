@@ -62,6 +62,12 @@ class SensorConfig:
                 f"sensor rate {rate} Hz does not divide the sim rate {1.0 / dt:g} Hz")
         return n
 
+    def periods(self, dt: float) -> tuple[int, int, int]:
+        """(gps, compass, gyro) steps between samples; see period_steps."""
+        return (self.period_steps(self.gps_rate, dt),
+                self.period_steps(self.compass_rate, dt),
+                self.period_steps(self.gyro_rate, dt))
+
 
 class SensorReading(NamedTuple):
     kind: str  # gps / compass / gyro
@@ -70,19 +76,27 @@ class SensorReading(NamedTuple):
 
 
 def sample_sensors(truth: VehicleState3DOF, step: int, dt: float,
-                   cfg: SensorConfig, rng: SeededRng) -> list[SensorReading]:
-    """Noisy readings due at this step (step 0 samples everything)."""
+                   cfg: SensorConfig, rng: SeededRng,
+                   periods: tuple[int, int, int] | None = None
+                   ) -> list[SensorReading]:
+    """Noisy readings due at this step (step 0 samples everything).
+
+    periods is cfg.periods(dt), computed here when not given; a loop over
+    many steps passes it to skip re-validating the rates every step.
+    """
+    gps_period, compass_period, gyro_period = (
+        cfg.periods(dt) if periods is None else periods)
     t = step * dt
     out: list[SensorReading] = []
-    if step % cfg.period_steps(cfg.gps_rate, dt) == 0:
+    if step % gps_period == 0:
         g = rng.stream(STREAM_GPS)
         pos = np.array([truth.x, truth.y]) + cfg.gps_sigma * g.standard_normal(2)
         out.append(SensorReading(GPS, t, pos))
-    if step % cfg.period_steps(cfg.compass_rate, dt) == 0:
+    if step % compass_period == 0:
         g = rng.stream(STREAM_COMPASS)
         psi = wrap_angle(truth.psi + cfg.compass_sigma * g.standard_normal())
         out.append(SensorReading(COMPASS, t, np.array([psi])))
-    if step % cfg.period_steps(cfg.gyro_rate, dt) == 0:
+    if step % gyro_period == 0:
         g = rng.stream(STREAM_GYRO)
         out.append(SensorReading(GYRO, t, np.array([truth.r + cfg.gyro_sigma * g.standard_normal()])))
     return out

@@ -40,8 +40,8 @@ from .nav import (COMPASS, GPS, GYRO, EstimatorDivergence, SingularCovariance,
                   ekf_predict, ekf_update, initial_estimate, sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
-from .tuv import (DegenerateGeometry, TowedBodyState, separation_rate,
-                  towline_tension, tuv_step, winch_set_length)
+from .tuv import (DegenerateGeometry, TowedBodyState, _separation_rate,
+                  _towline_tension, tuv_step, winch_set_length)
 
 STATES_FILE = "states.csv"
 EVENTS_FILE = "events.jsonl"
@@ -78,6 +78,14 @@ COLUMNS = (
 
 _ABORTING = (IntegrationFault, EstimatorDivergence, SingularCovariance,
              OutOfBounds, DegenerateGeometry)
+
+
+def _wrench_sum(a: BodyWrench, b: BodyWrench, c: BodyWrench,
+                d: BodyWrench) -> BodyWrench:
+    """a + b + c + d, summed per component left to right as chained `+`
+    does, without building a BodyWrench for each partial sum."""
+    return BodyWrench(a.X + b.X + c.X + d.X, a.Y + b.Y + c.Y + d.Y,
+                      a.N + b.N + c.N + d.N)
 
 
 def _freeze_integral_if_pinned(prev, nxt, error, command, lo, hi):
@@ -123,6 +131,10 @@ class Simulation:
         self.known_field = dataclasses.replace(scn.disturbances,
                                                wave_height=0.0,
                                                gust_fraction=0.0)
+        # water velocity, nav frame: constant over a run
+        self.current = tuple(scn.disturbances.current_nav().tolist())
+        self.current3 = (*self.current, 0.0)
+        self.sensor_periods = scn.sensors.periods(scn.dt)
 
         self.towline = scn.towline
         self.winch_cmd = scn.towline.unstretched_length
@@ -333,11 +345,11 @@ class Simulation:
         dt = scn.dt
         t = self.clock.t
         step_idx = self.clock.step_count
-        current = scn.disturbances.current_nav()
+        current = self.current
 
         # (1) sensors
         readings = sample_sensors(self.truth, step_idx, dt, scn.sensors,
-                                  self.rng)
+                                  self.rng, self.sensor_periods)
 
         # (2) navigation filter: propagate with the modeled (known) forces,
         # then absorb this step's measurements
@@ -347,10 +359,10 @@ class Simulation:
             # estimated state; gusts and waves stay unmodeled and must be
             # absorbed as process noise
             est_state = self._estimated_state()
-            model_wrench = (self.ctrl_wrench + self.tow_wrench
-                            + damping_wrench(est_state, scn.damping, current)
-                            + disturbance_wrench(self.known_field, est_state,
-                                                 t, 0.0))
+            model_wrench = _wrench_sum(
+                self.ctrl_wrench, self.tow_wrench,
+                damping_wrench(est_state, scn.damping, current),
+                disturbance_wrench(self.known_field, est_state, t, 0.0))
             self.est = ekf_predict(self.est, scn.asv_params, scn.ekf,
                                    model_wrench, dt)
         innovations = {GPS: None, COMPASS: None, GYRO: None}
@@ -399,22 +411,22 @@ class Simulation:
 
         # (5) towline coupling (tow point aft of the reference point, so the
         # cable pull also weathervanes the hull)
-        tension = np.zeros(3)
+        tension = None
         tow_wrench = ZERO_WRENCH
         if self.tuv is not None:
             self.towline = winch_set_length(self.towline, self.winch_cmd, dt)
             truth = self.truth
             x_a = scn.tow_attach_x
             off_x, off_y = rotate_body_to_nav((x_a, 0.0), truth.psi)
-            attach = np.array([truth.x + off_x, truth.y + off_y, 0.0])
+            attach = (truth.x + off_x, truth.y + off_y, 0.0)
             vel_x, vel_y = rotate_body_to_nav(
                 (truth.u, truth.v + truth.r * x_a), truth.psi)
-            attach_vel = np.array([vel_x, vel_y, 0.0])
-            rate = separation_rate(attach, attach_vel, self.tuv.position,
-                                   self.tuv.velocity)
-            tension = towline_tension(attach, self.tuv.position, rate,
-                                      self.towline)
-            reaction_x, reaction_y = rotate_nav_to_body(-tension[:2], truth.psi)
+            tuv_pos = self.tuv.position.tolist()
+            rate = _separation_rate(attach, (vel_x, vel_y, 0.0), tuv_pos,
+                                    self.tuv.velocity.tolist())
+            tension = _towline_tension(attach, tuv_pos, rate, self.towline)
+            reaction_x, reaction_y = rotate_nav_to_body(
+                (-tension[0], -tension[1]), truth.psi)
             tow_wrench = BodyWrench(reaction_x, reaction_y, x_a * reaction_y)
 
         # log the step's state before integrating: one instant per row
@@ -423,12 +435,11 @@ class Simulation:
                          innovations)
 
         # (6) integrate both hulls
-        total = realized + disturbance + damping + tow_wrench
+        total = _wrench_sum(realized, disturbance, damping, tow_wrench)
         self.truth = asv_step(self.truth, scn.asv_params, total, dt, t)
         if self.tuv is not None:
-            current3 = np.array([current[0], current[1], 0.0])
-            self.tuv = tuv_step(self.tuv, scn.tuv_params, tension, current3,
-                                dt, t)
+            self.tuv = tuv_step(self.tuv, scn.tuv_params, tension,
+                                self.current3, dt, t)
 
         # (7) hexapod advance (when deployed)
         confirmed = self._hexapod_phase(t, dt)
@@ -495,7 +506,7 @@ class Simulation:
                disturbance.X, disturbance.Y, disturbance.N]
         if self.tuv is not None:
             row += [*self.tuv.position.tolist(), *self.tuv.velocity.tolist(),
-                    *tension.tolist(), self.towline.unstretched_length]
+                    *tension, self.towline.unstretched_length]
         else:
             row += [None] * 10
         if self.hexapod is not None:
@@ -637,6 +648,10 @@ def _parse_cell(column: str, cell: str):
         return None
     if column == "phase":
         return cell
+    # int() rejects every string holding ".", "e" or "n" (a repr'd float,
+    # inf, nan), so those go straight to float() without raising first
+    if "." in cell or "e" in cell or "n" in cell:
+        return float(cell)
     try:
         return int(cell)
     except ValueError:

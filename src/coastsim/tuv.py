@@ -7,21 +7,34 @@ the flow-relative velocity: foil lift and drag on the reference area plus a
 bluff-body drag term, with lift fixed as a depressor (pushes the body deeper).
 The towline is a massless tension-only spring-damper; its reaction on the
 towing vehicle is exactly the negative of the force applied here.
+
+The body and the line run on Python floats, component by component, in the
+order numpy's 3-vector arithmetic evaluates them, so every result is
+bit-identical to the whole-array form; the public functions still take and
+return arrays. The one operation plain float arithmetic does not reproduce
+is a 3-vector dot product (and so a norm, the square root of one): np.dot
+of two float64 3-vectors, with the OpenBLAS kernel numpy 2.4 uses on x86-64
+(Haswell), evaluates fma(a2, b2, fma(a1, b1, a0 * b0)), rounding once per
+fused multiply-add, where a0*b0 + a1*b1 + a2*b2 rounds five times and
+differs in about one dot in three. `_dot3` computes that fused form itself,
+exactly, so the finite-valued tow dynamics no longer depend on which BLAS
+kernel numpy dispatches; the pinned output digests were made with it.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntegrationFault
+from .core import IntegrationFault, rk4_stages
 
 G = 9.81  # [m/s^2]
 MAX_CABLE_LENGTH = 30.0  # physical cable on the winch drum [m]
 
-Z_HAT = np.array([0.0, 0.0, 1.0])  # down
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a 53-bit significand
+_TINY = 2.0 ** -968  # below this a product's rounding error can underflow
 
 
 class DegenerateGeometry(ValueError):
@@ -84,6 +97,72 @@ class TowedBodyState:
         self.velocity = np.asarray(self.velocity, dtype=float)
 
 
+def _floats(vec) -> list:
+    """An array-like as a list of Python floats."""
+    return np.asarray(vec, dtype=float).tolist()
+
+
+def _dot3(a0, a1, a2, b0, b1, b2) -> float:
+    """The dot product of two 3-vectors given as floats, as np.dot rounds it.
+
+    That is fma(a2, b2, fma(a1, b1, a0 * b0)) with the sum started at +0.0.
+    Each fused multiply-add is emulated exactly: TwoProduct (Dekker, with a
+    Veltkamp split) gives p + e == a * b with no rounding, and math.fsum
+    rounds p + e + c once. That holds for finite inputs whose nonzero
+    products are at least _TINY and whose result is finite; anywhere else
+    (inf, nan, inf - inf, overflow, such tiny products) the value is np.dot's
+    own, computed without raising.
+    """
+    p0 = a0 * b0
+    p1 = a1 * b1
+    p2 = a2 * b2
+    if not (0.0 < abs(p0) < _TINY or 0.0 < abs(p1) < _TINY
+            or 0.0 < abs(p2) < _TINY):
+        try:
+            t = _SPLIT * a1
+            ah = t - (t - a1)
+            t = _SPLIT * b1
+            bh = t - (t - b1)
+            al, bl = a1 - ah, b1 - bh
+            s = math.fsum((p1, ((ah * bh - p1) + ah * bl + al * bh) + al * bl,
+                           p0 + 0.0))
+            t = _SPLIT * a2
+            ah = t - (t - a2)
+            t = _SPLIT * b2
+            bh = t - (t - b2)
+            al, bl = a2 - ah, b2 - bh
+            s = math.fsum((p2, ((ah * bh - p2) + ah * bl + al * bh) + al * bl,
+                           s))
+        except (OverflowError, ValueError):  # fsum: overflow, inf - inf
+            s = math.nan
+        if math.isfinite(s):
+            return s
+    with np.errstate(all="ignore"):
+        return float(np.dot(np.array((a0, a1, a2)), np.array((b0, b1, b2))))
+
+
+def _norm3(x, y, z) -> float:
+    """np.linalg.norm of a 3-vector given as floats: sqrt of its dot."""
+    return math.sqrt(_dot3(x, y, z, x, y, z))
+
+
+def _towline_tension(asv_attach, tuv_attach, separation_rate: float,
+                     line: Towline) -> tuple[float, float, float]:
+    """towline_tension on 3-sequences of floats; returns a float 3-tuple."""
+    ox = asv_attach[0] - tuv_attach[0]
+    oy = asv_attach[1] - tuv_attach[1]
+    oz = asv_attach[2] - tuv_attach[2]
+    s = _norm3(ox, oy, oz)
+    if s == 0.0:
+        raise DegenerateGeometry("towline endpoints coincide")
+    if s <= line.unstretched_length:
+        return 0.0, 0.0, 0.0
+    magnitude = line.stiffness * (s - line.unstretched_length) \
+        + line.damping * max(0.0, separation_rate)
+    g = magnitude / s
+    return g * ox, g * oy, g * oz
+
+
 def towline_tension(asv_attach: np.ndarray, tuv_attach: np.ndarray,
                     separation_rate: float, line: Towline) -> np.ndarray:
     """Force the line exerts on the towed body (pulls toward the tow point).
@@ -92,25 +171,49 @@ def towline_tension(asv_attach: np.ndarray, tuv_attach: np.ndarray,
     the damping term only ever adds tension, and a slack line (separation at
     or below the unstretched length) carries none: a cable cannot push.
     """
-    offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
-    s = float(np.linalg.norm(offset))
+    return np.array(_towline_tension(_floats(asv_attach), _floats(tuv_attach),
+                                     separation_rate, line))
+
+
+def _separation_rate(asv_attach, asv_attach_vel, tuv_attach,
+                     tuv_attach_vel) -> float:
+    """separation_rate on 3-sequences of floats."""
+    ox = asv_attach[0] - tuv_attach[0]
+    oy = asv_attach[1] - tuv_attach[1]
+    oz = asv_attach[2] - tuv_attach[2]
+    s = _norm3(ox, oy, oz)
     if s == 0.0:
-        raise DegenerateGeometry("towline endpoints coincide")
-    if s <= line.unstretched_length:
-        return np.zeros(3)
-    magnitude = line.stiffness * (s - line.unstretched_length) \
-        + line.damping * max(0.0, separation_rate)
-    return (magnitude / s) * offset
+        return 0.0
+    return _dot3(ox, oy, oz, asv_attach_vel[0] - tuv_attach_vel[0],
+                 asv_attach_vel[1] - tuv_attach_vel[1],
+                 asv_attach_vel[2] - tuv_attach_vel[2]) / s
 
 
 def separation_rate(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel) -> float:
     """Rate of change of the attachment separation (positive = stretching)."""
-    offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
-    s = float(np.linalg.norm(offset))
-    if s == 0.0:
-        return 0.0
-    rel_vel = np.asarray(asv_attach_vel, dtype=float) - np.asarray(tuv_attach_vel, dtype=float)
-    return float(offset @ rel_vel) / s
+    return _separation_rate(_floats(asv_attach), _floats(asv_attach_vel),
+                            _floats(tuv_attach), _floats(tuv_attach_vel))
+
+
+def _hydrofoil(vx: float, vy: float, vz: float, params: TuvParams) -> tuple:
+    """hydrofoil_forces on floats, flow speed first:
+    (speed, lift, drag, force x, force y, force z)."""
+    speed = _norm3(vx, vy, vz)
+    if speed == 0.0:
+        return speed, 0.0, 0.0, 0.0, 0.0, 0.0
+    q = 0.5 * params.rho * speed ** 2 * params.foil_area
+    lift = q * params.c_lift
+    drag = q * params.c_drag
+    ex, ey, ez = vx / speed, vy / speed, vz / speed
+    fx, fy, fz = -drag * ex, -drag * ey, -drag * ez
+    # projection of 'down' (0, 0, 1) off the flow; its dot with e is ez
+    lx, ly, lz = 0.0 - ez * ex, 0.0 - ez * ey, 1.0 - ez * ez
+    norm = _norm3(lx, ly, lz)
+    if norm > 1e-12:
+        fx = fx + lift * (lx / norm)
+        fy = fy + lift * (ly / norm)
+        fz = fz + lift * (lz / norm)
+    return speed, lift, drag, fx, fy, fz
 
 
 def hydrofoil_forces(v_rel: np.ndarray, params: TuvParams
@@ -122,64 +225,64 @@ def hydrofoil_forces(v_rel: np.ndarray, params: TuvParams
     signed downward (depressor). Purely vertical flow leaves the lift
     direction undefined, so lift is zero there.
     """
-    v = np.asarray(v_rel, dtype=float)
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        return 0.0, 0.0, np.zeros(3)
-    q = 0.5 * params.rho * speed ** 2 * params.foil_area
-    lift = q * params.c_lift
-    drag = q * params.c_drag
-    e_v = v / speed
-    force = -drag * e_v
-    lift_dir = Z_HAT - (Z_HAT @ e_v) * e_v  # projection of 'down' off the flow
-    norm = float(np.linalg.norm(lift_dir))
-    if norm > 1e-12:
-        force = force + lift * (lift_dir / norm)
-    return lift, drag, force
+    _, lift, drag, fx, fy, fz = _hydrofoil(*_floats(v_rel), params)
+    return lift, drag, np.array((fx, fy, fz))
+
+
+def _derivative(x, params: TuvParams, tension, current) -> tuple:
+    """tuv_derivative on floats: x a 6-sequence, tension and current
+    3-sequences; returns a 6-tuple."""
+    vx, vy, vz = x[3], x[4], x[5]
+    rx, ry, rz = vx - current[0], vy - current[1], vz - current[2]
+    speed, _, _, fx, fy, fz = _hydrofoil(rx, ry, rz, params)
+    k = -0.5 * params.rho * params.bluff_cda * speed
+    w = params.net_weight
+    m = params.total_mass
+    # + net_weight * (0, 0, 1): x and y gain w * 0.0, a signed zero
+    return (vx, vy, vz,
+            (fx + k * rx + tension[0] + w * 0.0) / m,
+            (fy + k * ry + tension[1] + w * 0.0) / m,
+            (fz + k * rz + tension[2] + w) / m)
 
 
 def tuv_derivative(state_vec: np.ndarray, params: TuvParams, tension: np.ndarray,
                    current: np.ndarray) -> np.ndarray:
     """Derivative of the stacked (position, velocity) 6-vector."""
-    vel = state_vec[3:6]
-    v_rel = vel - current
-    _, _, foil = hydrofoil_forces(v_rel, params)
-    rel_speed = float(np.linalg.norm(v_rel))
-    bluff = -0.5 * params.rho * params.bluff_cda * rel_speed * v_rel
-    force = foil + bluff + tension + params.net_weight * Z_HAT
-    return np.concatenate([vel, force / params.total_mass])
+    return np.array(_derivative(_floats(state_vec), params, _floats(tension),
+                                _floats(current)))
 
 
 def tuv_step(state: TowedBodyState, params: TuvParams, tension: np.ndarray,
              current: np.ndarray, dt: float, t: float = 0.0) -> TowedBodyState:
     """One RK4 step with the tension held constant over the step.
 
-    The surface (z = 0) is a hard ceiling: the body is clamped to it and any
+    tension and current are 3-vectors: arrays or sequences of floats. The
+    surface (z = 0) is a hard ceiling: the body is clamped to it and any
     upward velocity there is zeroed.
     """
-    x = np.concatenate([state.position, state.velocity])
-    k1 = tuv_derivative(x, params, tension, current)
-    k2 = tuv_derivative(x + 0.5 * dt * k1, params, tension, current)
-    k3 = tuv_derivative(x + 0.5 * dt * k2, params, tension, current)
-    k4 = tuv_derivative(x + dt * k3, params, tension, current)
-    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(x).all():
+    x = _floats(state.position) + _floats(state.velocity)
+    x, _ = rk4_stages(_derivative, x, dt, params, _floats(tension),
+                      _floats(current))
+    if not all(map(math.isfinite, x)):
         raise IntegrationFault("towed body state diverged", t)
-    pos, vel = x[0:3].copy(), x[3:6].copy()
-    if pos[2] < 0.0:
-        pos[2] = 0.0
-        vel[2] = max(vel[2], 0.0)
-    return TowedBodyState(pos, vel)
+    if x[2] < 0.0:
+        x[2] = 0.0
+        x[5] = max(x[5], 0.0)
+    return TowedBodyState(np.array(x[0:3]), np.array(x[3:6]))
 
 
 def winch_set_length(line: Towline, commanded_length: float, dt: float) -> Towline:
     """Slew the unstretched length toward a commanded value.
 
     The winch moves at most max_slew_rate * dt per step; commands outside the
-    physical cable range (0, 30] m are errors.
+    physical cable range (0, 30] m are errors. A line already at the
+    commanded length comes back as it is.
     """
     _check_cable_length(commanded_length)
     step = line.max_slew_rate * dt
     delta = commanded_length - line.unstretched_length
     delta = min(max(delta, -step), step)
-    return dataclasses.replace(line, unstretched_length=line.unstretched_length + delta)
+    if delta == 0.0:
+        return line
+    return Towline(line.unstretched_length + delta, line.stiffness,
+                   line.damping, line.max_slew_rate)

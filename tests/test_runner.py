@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastsim.core import rotate_body_to_nav
-from coastsim.runner import (COLUMNS, RunLog, Simulation, emit_outputs,
-                             read_run, run_simulation)
+from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_cell,
+                             emit_outputs, read_run, run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -132,6 +134,39 @@ def test_emit_format_subsets(tmp_path):
 def test_read_run_requires_states(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_run(tmp_path)
+
+
+def parse_cell_int_first(column: str, cell: str):
+    # reference: the parser that tried int() on every cell first
+    if cell == "":
+        return None
+    if column == "phase":
+        return cell
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+numeric_text = st.from_regex(
+    r"\s?[-+]?[0-9_]{0,4}\.?[0-9_]{0,4}([eE][-+]?[0-9]{1,3})?\s?",
+    fullmatch=True)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(column=st.sampled_from(["t", "hex_faults", "phase"]),
+       cell=st.text() | numeric_text | st.floats().map(repr)
+       | st.integers().map(str)
+       | st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1E5",
+                          "1_000", " 7 ", "1e", ".", "-", "0x1f", "\u0661"]))
+def test_parse_cell_matches_int_first_parser(column, cell):
+    def outcome(parse):
+        try:
+            value = parse(column, cell)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return type(value), repr(value)
+    assert outcome(_parse_cell) == outcome(parse_cell_int_first)
 
 
 @pytest.mark.parametrize("name, duration", [

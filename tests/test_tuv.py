@@ -1,10 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coastsim.core import IntegrationFault
 from coastsim.tuv import (MAX_CABLE_LENGTH, DegenerateGeometry, TowedBodyState,
-                          Towline, TuvParams, hydrofoil_forces,
+                          Towline, TuvParams, _dot3, hydrofoil_forces,
                           separation_rate, towline_tension, tuv_derivative,
                           tuv_step, winch_set_length)
 
@@ -199,3 +203,229 @@ def test_params_validation():
         TuvParams(buoyancy_fraction=-0.1)
     with pytest.raises(ValueError):
         Towline(stiffness=0.0)
+
+
+# --- float implementation against the whole-array reference ---------------
+#
+# The towed body and the line run on Python floats. The reference below is
+# the whole-array numpy form they replaced; outputs must match it bit for
+# bit, signed zeros included, since states.csv writes every bit.
+
+Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def ref_towline_tension(asv_attach, tuv_attach, separation_rate, line):
+    offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
+    s = float(np.linalg.norm(offset))
+    if s == 0.0:
+        raise DegenerateGeometry("towline endpoints coincide")
+    if s <= line.unstretched_length:
+        return np.zeros(3)
+    magnitude = line.stiffness * (s - line.unstretched_length) \
+        + line.damping * max(0.0, separation_rate)
+    return (magnitude / s) * offset
+
+
+def ref_separation_rate(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel):
+    offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
+    s = float(np.linalg.norm(offset))
+    if s == 0.0:
+        return 0.0
+    rel_vel = np.asarray(asv_attach_vel, dtype=float) - np.asarray(tuv_attach_vel, dtype=float)
+    return float(offset @ rel_vel) / s
+
+
+def ref_hydrofoil_forces(v_rel, params):
+    v = np.asarray(v_rel, dtype=float)
+    speed = float(np.linalg.norm(v))
+    if speed == 0.0:
+        return 0.0, 0.0, np.zeros(3)
+    q = 0.5 * params.rho * speed ** 2 * params.foil_area
+    lift = q * params.c_lift
+    drag = q * params.c_drag
+    e_v = v / speed
+    force = -drag * e_v
+    lift_dir = Z_HAT - (Z_HAT @ e_v) * e_v
+    norm = float(np.linalg.norm(lift_dir))
+    if norm > 1e-12:
+        force = force + lift * (lift_dir / norm)
+    return lift, drag, force
+
+
+def ref_tuv_derivative(state_vec, params, tension, current):
+    vel = state_vec[3:6]
+    v_rel = vel - current
+    _, _, foil = ref_hydrofoil_forces(v_rel, params)
+    rel_speed = float(np.linalg.norm(v_rel))
+    bluff = -0.5 * params.rho * params.bluff_cda * rel_speed * v_rel
+    force = foil + bluff + tension + params.net_weight * Z_HAT
+    return np.concatenate([vel, force / params.total_mass])
+
+
+def ref_tuv_step(state, params, tension, current, dt, t=0.0):
+    x = np.concatenate([state.position, state.velocity])
+    k1 = ref_tuv_derivative(x, params, tension, current)
+    k2 = ref_tuv_derivative(x + 0.5 * dt * k1, params, tension, current)
+    k3 = ref_tuv_derivative(x + 0.5 * dt * k2, params, tension, current)
+    k4 = ref_tuv_derivative(x + dt * k3, params, tension, current)
+    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(x).all():
+        raise IntegrationFault("towed body state diverged", t)
+    pos, vel = x[0:3].copy(), x[3:6].copy()
+    if pos[2] < 0.0:
+        pos[2] = 0.0
+        vel[2] = max(vel[2], 0.0)
+    return TowedBodyState(pos, vel)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+coord = st.floats(-60.0, 60.0)
+speed = st.floats(-4.0, 4.0)
+vec3 = st.tuples(coord, coord, st.floats(0.0, 40.0))
+vel3 = st.tuples(speed, speed, speed)
+current3 = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                     st.just(0.0))
+lines = st.builds(Towline, unstretched_length=st.floats(1.0, MAX_CABLE_LENGTH),
+                  stiffness=st.floats(1.0, 2000.0),
+                  damping=st.floats(0.0, 100.0))
+tuv_params = st.builds(TuvParams, buoyancy_fraction=st.floats(0.0, 1.2),
+                       c_lift=st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(asv=vec3, asv_vel=vel3, tuv=vec3, tuv_vel=vel3, line=lines)
+@example(asv=(0.0, 0.0, 0.0), asv_vel=(1.0, 0.0, 0.0), tuv=(-3.0, 0.0, 2.0),
+         tuv_vel=(0.0, 0.0, 0.0), line=Towline(unstretched_length=30.0))
+@example(asv=(5.0, 1.0, 0.0), asv_vel=(0.0, 0.0, 0.0), tuv=(5.0, 1.0, 0.0),
+         tuv_vel=(0.0, 0.0, 0.0), line=Towline())
+def test_towline_matches_array_reference_bit_for_bit(asv, asv_vel, tuv,
+                                                     tuv_vel, line):
+    rate = separation_rate(np.array(asv), np.array(asv_vel), np.array(tuv),
+                           np.array(tuv_vel))
+    ref_rate = ref_separation_rate(asv, asv_vel, tuv, tuv_vel)
+    assert same_bits(rate, ref_rate) and type(rate) is float
+    try:
+        ref = ref_towline_tension(asv, tuv, rate, line)
+    except DegenerateGeometry:  # coincident, or closer than the norm resolves
+        with pytest.raises(DegenerateGeometry):
+            towline_tension(np.array(asv), np.array(tuv), rate, line)
+        return
+    # both a taut and a slack line (first example: 3.6 m inside 30 m)
+    assert same_bits(towline_tension(np.array(asv), np.array(tuv), rate, line),
+                     ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vel=vel3, current=current3, params=tuv_params)
+@example(vel=(0.3, -0.2, 0.0), current=(0.3, -0.2, 0.0), params=TuvParams())
+@example(vel=(0.3, -0.2, 1.5), current=(0.3, -0.2, 0.0), params=TuvParams())
+@example(vel=(0.0, 0.0, -2.0), current=(0.0, 0.0, 0.0), params=TuvParams())
+@example(vel=(-0.0, 0.0, -0.0), current=(0.0, -0.0, 0.0), params=TuvParams())
+def test_foil_matches_array_reference_bit_for_bit(vel, current, params):
+    # the examples: zero relative flow, purely vertical flow (down and up),
+    # and signed zeros
+    v_rel = np.array(vel) - np.array(current)
+    lift, drag, force = hydrofoil_forces(v_rel, params)
+    ref_lift, ref_drag, ref_force = ref_hydrofoil_forces(v_rel, params)
+    assert same_bits((lift, drag), (ref_lift, ref_drag))
+    assert same_bits(force, ref_force)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=vec3, vel=vel3, tension=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+       current=current3, params=tuv_params,
+       dt=st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+@example(pos=(0.0, 0.0, 0.05), vel=(0.0, 0.0, -2.0), tension=(0.0, 0.0, 0.0),
+         current=(0.0, 0.0, 0.0), params=TuvParams(), dt=0.1)
+@example(pos=(-28.0, 0.0, 2.0), vel=(0.5, 0.1, 0.0), tension=(0.0, 0.0, 0.0),
+         current=(0.5, 0.1, 0.0), params=TuvParams(), dt=0.01)
+@example(pos=(1.0, 2.0, 0.0), vel=(0.2, 0.0, -0.0), tension=(0.0, 0.0, -50.0),
+         current=(0.2, 0.0, 0.0), params=TuvParams(), dt=0.05)
+@example(pos=(3.0, -4.0, 10.0), vel=(0.0, 0.5, 0.0), tension=(-0.0, 0.0, 0.0),
+         current=(0.0, 0.0, 0.0), params=TuvParams(c_lift=-0.2), dt=0.05)
+def test_step_matches_array_reference_bit_for_bit(pos, vel, tension, current,
+                                                  params, dt):
+    # the examples: the surface clamp, zero relative flow on a slack line,
+    # purely vertical flow pulled through the surface, and a force sum of
+    # -0.0 that the weight term's x component (+0.0) turns into +0.0
+    state = TowedBodyState(np.array(pos), np.array(vel))
+    x = np.concatenate([state.position, state.velocity])
+    tension, current = np.array(tension), np.array(current)
+    assert same_bits(tuv_derivative(x, params, tension, current),
+                     ref_tuv_derivative(x, params, tension, current))
+    out = tuv_step(state, params, tension, current, dt, 1.0)
+    ref = ref_tuv_step(state, params, tension, current, dt, 1.0)
+    assert same_bits(out.position, ref.position)
+    assert same_bits(out.velocity, ref.velocity)
+    # the runner's call: tension and current as float tuples
+    out = tuv_step(state, params, tuple(tension.tolist()),
+                   tuple(current.tolist()), dt, 1.0)
+    assert same_bits(out.position, ref.position)
+    assert same_bits(out.velocity, ref.velocity)
+
+
+def test_step_divergence_raises_like_reference():
+    # the flow speed overflows to inf inside the norm, and the state to nan
+    state = TowedBodyState(np.array([0.0, 0.0, 5.0]), np.array([1e200, 0.0, 0.0]))
+    params = TuvParams()
+    for step in (tuv_step, ref_tuv_step):
+        with pytest.raises(IntegrationFault), np.errstate(all="ignore"):
+            step(state, params, np.zeros(3), np.zeros(3), 0.1)
+
+
+# --- the fused 3-vector dot ------------------------------------------------
+
+def np_dot(a, b) -> float:
+    with np.errstate(all="ignore"):
+        return float(np.dot(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
+def same_float(x: float, y: float) -> bool:
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def test_fused_dot_matches_numpy_on_random_vectors():
+    rng = np.random.default_rng(17)
+    scale = rng.choice([1e-3, 1.0, 1e3, 1e150], size=(20000, 1))
+    A = rng.normal(size=(20000, 3)) * scale
+    B = rng.normal(size=(20000, 3)) * scale
+    plain = 0
+    for a, b in zip(A.tolist(), B.tolist()):
+        d = _dot3(*a, *b)
+        assert same_float(d, np_dot(a, b))
+        assert same_float(math.sqrt(_dot3(*a, *a)), float(np.linalg.norm(a)))
+        plain += a[0] * b[0] + a[1] * b[1] + a[2] * b[2] != d
+    assert plain > 1000  # the unfused sum is not what numpy computes
+
+
+SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-160, 1e-155, 3e-100, 1e154,
+           1e300, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("a, b", [
+    ((math.inf, 1.0, 0.0), (1.0, 1.0, 1.0)),
+    ((math.inf, -math.inf, 0.0), (1.0, 1.0, 1.0)),  # inf - inf
+    ((math.inf, 0.0, 0.0), (0.0, 1.0, 1.0)),  # inf * 0
+    ((math.nan, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    ((1e308, 1e308, 0.0), (10.0, -10.0, 0.0)),  # overflow, then cancel
+    ((1.7e308, 1.7e308, 1.7e308), (1.0, 1.0, 1.0)),  # fsum overflow
+    ((1e200, 1e200, 1e200), (1e200, 1e200, 1e200)),  # split overflow
+    ((1e-160, 3e-160, -2e-160), (1e-160, 1e-160, 1e-160)),  # tiny products
+    ((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),  # all products -0
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+])
+def test_fused_dot_special_values(a, b):
+    assert same_float(_dot3(*a, *b), np_dot(a, b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.tuples(*[st.floats() | st.sampled_from(SPECIAL)] * 3),
+       b=st.tuples(*[st.floats() | st.sampled_from(SPECIAL)] * 3))
+def test_fused_dot_matches_numpy_on_any_floats(a, b):
+    assert same_float(_dot3(*a, *b), np_dot(a, b))
