@@ -10,11 +10,18 @@ below the body have negative z.
 Body motion is kinematic: commanded terrain speed is achieved exactly and the
 gait trajectories exist so the walk is joint-consistent, with stance feet
 drifting backward through the body frame while the body advances.
+
+The gait runs on Python floats. One core (`_swing_velocity`, `_foot_position`)
+evaluates each foot coordinate with the operations numpy applies to the
+whole-array expressions (`p0 + v_stance * (t - t_start)`, ...), in the same
+order, so every coordinate, signed zeros included, is bit-identical to the
+array form. `closed_gait_phase` and `gait_foot_position` are thin array
+wrappers over that core, and `body_advance` passes its float foot targets
+straight to `leg_ik`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import warnings
@@ -29,6 +36,8 @@ log = logging.getLogger(__name__)
 PI = math.pi
 TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left
 TRIPOD_B = (1, 3, 5)
+# per leg: phase offset of its tripod's cycle, as a fraction of the period
+_PHASE_OFFSET = tuple(0.0 if leg in TRIPOD_A else 0.5 for leg in range(6))
 
 STANCE = "stance"
 SWING = "swing"
@@ -154,13 +163,46 @@ class GaitPhase:
         return self.t_start + self.duty_factor * self.period
 
 
+def _swing_velocity(v_stance, duty_factor: float) -> tuple[float, float, float]:
+    """Swing velocity that closes the cycle back onto p0, on floats."""
+    return (-v_stance[0] * duty_factor / (1.0 - duty_factor),
+            -v_stance[1] * duty_factor / (1.0 - duty_factor),
+            -v_stance[2] * duty_factor / (1.0 - duty_factor))
+
+
+def _foot_position(p0, v_stance, v_swing, t_start: float, period: float,
+                   duty_factor: float, t: float,
+                   h_lift: float) -> tuple[float, float, float]:
+    """gait_foot_position on float 3-sequences; returns a float 3-tuple.
+
+    The swing branch adds (0.0, 0.0, lift) like the array form did, so x
+    and y still get + 0.0 and a -0.0 comes out as 0.0 there too.
+    """
+    if not t_start <= t <= t_start + period:
+        raise GaitPhaseError(
+            f"t={t:.6f} outside cycle [{t_start:.6f}, "
+            f"{t_start + period:.6f}]")
+    t_end = t_start + duty_factor * period
+    if t <= t_end:
+        dt = t - t_start
+        return (p0[0] + v_stance[0] * dt, p0[1] + v_stance[1] * dt,
+                p0[2] + v_stance[2] * dt)
+    stance = t_end - t_start
+    dt = t - t_end
+    s = dt / (period * (1.0 - duty_factor))
+    lift = h_lift * 4.0 * s * (1.0 - s)
+    return (p0[0] + v_stance[0] * stance + v_swing[0] * dt + 0.0,
+            p0[1] + v_stance[1] * stance + v_swing[1] * dt + 0.0,
+            p0[2] + v_stance[2] * stance + v_swing[2] * dt + lift)
+
+
 def closed_gait_phase(leg: int, p0, v_stance, t_start: float, period: float,
                       duty_factor: float) -> GaitPhase:
     """GaitPhase whose swing velocity closes the cycle back onto p0."""
     if not 0.0 < duty_factor < 1.0:
         raise ValueError("gait phase needs period > 0 and duty in (0, 1)")
     v_st = np.asarray(v_stance, dtype=float)
-    v_sw = -v_st * duty_factor / (1.0 - duty_factor)
+    v_sw = _swing_velocity(v_st.tolist(), duty_factor)
     return GaitPhase(leg, p0, v_st, v_sw, t_start, period, duty_factor)
 
 
@@ -171,17 +213,9 @@ def gait_foot_position(phase: GaitPhase, t: float, h_lift: float = 0.03) -> np.n
     at the swing velocity plus a parabolic vertical clearance of height h_lift
     (zero at both swing endpoints; pass h_lift=0 for the flat-ground form).
     """
-    if not phase.t_start <= t <= phase.t_start + phase.period:
-        raise GaitPhaseError(
-            f"t={t:.6f} outside cycle [{phase.t_start:.6f}, "
-            f"{phase.t_start + phase.period:.6f}]")
-    if t <= phase.t_end:
-        return phase.p0 + phase.v_stance * (t - phase.t_start)
-    stance_end = phase.p0 + phase.v_stance * (phase.t_end - phase.t_start)
-    p = stance_end + phase.v_swing * (t - phase.t_end)
-    swing_time = phase.period * (1.0 - phase.duty_factor)
-    s = (t - phase.t_end) / swing_time
-    return p + np.array([0.0, 0.0, h_lift * 4.0 * s * (1.0 - s)])
+    return np.array(_foot_position(
+        phase.p0.tolist(), phase.v_stance.tolist(), phase.v_swing.tolist(),
+        phase.t_start, phase.period, phase.duty_factor, t, h_lift))
 
 
 def tripod_schedule(t: float, period: float, duty_factor: float = 0.5) -> list[str]:
@@ -193,8 +227,7 @@ def tripod_schedule(t: float, period: float, duty_factor: float = 0.5) -> list[s
             StaticStabilityWarning, stacklevel=2)
     out = []
     for leg in range(6):
-        offset = 0.0 if leg in TRIPOD_A else 0.5
-        tau = (t / period + offset) % 1.0
+        tau = (t / period + _PHASE_OFFSET[leg]) % 1.0
         out.append(STANCE if tau < duty_factor else SWING)
     return out
 
@@ -208,6 +241,8 @@ MOUNTS = (
     Frame2D(np.array([-0.12, 0.09]), math.radians(135.0)),  # 4 rear-left
     Frame2D(np.array([-0.12, -0.09]), math.radians(-135.0)),  # 5 rear-right
 )
+# per leg: (cos, sin) of the mount yaw
+_MOUNT_COS_SIN = tuple((math.cos(m.heading), math.sin(m.heading)) for m in MOUNTS)
 
 DEFAULT_TERRAIN_SPEEDS = {"sand": 0.2, "rock": 0.1, "mud": 0.15}  # [m/s]
 
@@ -252,19 +287,22 @@ def stand_legs(params: HexapodParams) -> tuple:
 
 
 def _leg_foot_target(params: HexapodParams, leg: int, gait_t: float,
-                     period: float, speed: float) -> np.ndarray:
+                     period: float, speed: float) -> tuple[float, float, float]:
     """Leg-frame foot target for the current instant of the gait cycle."""
-    offset = 0.0 if leg in TRIPOD_A else 0.5
-    tau = (gait_t / period + offset) % 1.0
+    tau = (gait_t / period + _PHASE_OFFSET[leg]) % 1.0
+    duty = params.duty_factor
+    if period <= 0.0 or not 0.0 < duty < 1.0:
+        raise ValueError("gait phase needs period > 0 and duty in (0, 1)")
     # stance feet sweep backward through the body at -speed along body x,
     # rotated into this leg's frame; the sweep is centred on the home point
-    yaw = MOUNTS[leg].heading
-    v_st = np.array([-speed * math.cos(yaw), speed * math.sin(yaw), 0.0])
-    home = np.array([params.home_radius, 0.0, params.home_height])
-    p0 = home - v_st * (0.5 * params.duty_factor * period)
-    phase = closed_gait_phase(leg, p0, v_st, t_start=gait_t - tau * period,
-                              period=period, duty_factor=params.duty_factor)
-    return gait_foot_position(phase, gait_t, h_lift=params.h_lift)
+    c, s = _MOUNT_COS_SIN[leg]
+    v_st = (-speed * c, speed * s, 0.0)
+    half = 0.5 * duty * period
+    p0 = (params.home_radius - v_st[0] * half, 0.0 - v_st[1] * half,
+          params.home_height - v_st[2] * half)
+    return _foot_position(p0, v_st, _swing_velocity(v_st, duty),
+                          gait_t - tau * period, period, duty, gait_t,
+                          params.h_lift)
 
 
 def body_advance(state: HexapodState, heading_cmd: float, dt: float,
@@ -294,12 +332,14 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
             legs.append(leg_ik(target, params.geometry))
     except (WorkspaceViolation, JointLimitError) as exc:
         log.warning("gait halted: leg %d target unreachable (%s)", leg, exc)
-        return dataclasses.replace(state, faults=state.faults + 1)
+        return HexapodState(state.position, state.heading, state.terrain,
+                            state.gait_t, state.legs, state.faults + 1)
 
     step = speed * dt
-    position = state.position + step * np.array([math.cos(heading), math.sin(heading)])
-    return dataclasses.replace(state, position=position, heading=heading,
-                               gait_t=gait_t, legs=tuple(legs))
+    x, y = state.position.tolist()
+    position = (x + step * math.cos(heading), y + step * math.sin(heading))
+    return HexapodState(position, heading, state.terrain, gait_t,
+                        tuple(legs), state.faults)
 
 
 def foot_in_body_frame(params: HexapodParams, leg: int, cfg: LegConfiguration) -> np.ndarray:

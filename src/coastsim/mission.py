@@ -324,26 +324,21 @@ class EnvironmentalSampler:
             salinity=self.salinity_base + float(self.salinity_gradient @ pos) + noise[2])
 
 
-def coverage_report(track: np.ndarray, swath: float, active_time: float,
-                    detections: int = 0, confirmations: int = 0) -> dict:
-    """Swept-area metrics for a ground track.
+# the coverage grid tests up to _COVER_CHUNK consecutive segments together,
+# with at most _COVER_ELEMENTS (segment, cell) pairs per temporary array
+_COVER_CHUNK = 32
+_COVER_ELEMENTS = 8192
 
-    The searched area is the union of swath-wide corridors around the track
-    segments, measured on a 0.25 m occupancy grid (cell centres within half a
-    swath of any segment count). Raises on an empty track.
+
+def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
+                  half: float) -> np.ndarray:
+    """Occupancy grid of the track's swept corridor (see coverage_report).
+
+    lengths are the segment lengths, np.linalg.norm(pts[1:] - pts[:-1],
+    axis=1); half is half the swath. Cell (i, j) has its centre at
+    (x_min + (i + 0.5) * cell, y_min + (j + 0.5) * cell), where x_min and
+    y_min are the track's least coordinates less half.
     """
-    pts = np.asarray(track, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("empty run log: no track points to report on")
-    if swath <= 0.0 or active_time <= 0.0:
-        raise ValueError("swath and active_time must be positive")
-
-    seg_a = pts[:-1]
-    seg_b = pts[1:]
-    lengths = np.linalg.norm(seg_b - seg_a, axis=1)
-    distance = float(lengths.sum())
-
-    half = 0.5 * swath
     cell = COVERAGE_CELL
     x_min = pts[:, 0].min() - half
     x_max = pts[:, 0].max() + half
@@ -354,26 +349,92 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
     covered = np.zeros((nx, ny), dtype=bool)
 
     keep = lengths > 1e-12
-    segments = list(zip(seg_a[keep], seg_b[keep], lengths[keep]))
-    if not segments:
-        segments = [(pts[0], pts[0] + 1e-9, 1e-9)]
-    for a, b, length in segments:
-        lo_x = max(0, int((min(a[0], b[0]) - half - x_min) / cell) - 1)
-        hi_x = min(nx, int((max(a[0], b[0]) + half - x_min) / cell) + 2)
-        lo_y = max(0, int((min(a[1], b[1]) - half - y_min) / cell) - 1)
-        hi_y = min(ny, int((max(a[1], b[1]) + half - y_min) / cell) + 2)
-        if lo_x >= hi_x or lo_y >= hi_y:
-            continue
-        xs = x_min + (np.arange(lo_x, hi_x) + 0.5) * cell
-        ys = y_min + (np.arange(lo_y, hi_y) + 0.5) * cell
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        d = b - a
-        tpar = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / (length * length)
-        tpar = np.clip(tpar, 0.0, 1.0)
-        dist2 = (gx - (a[0] + tpar * d[0])) ** 2 + (gy - (a[1] + tpar * d[1])) ** 2
-        covered[lo_x:hi_x, lo_y:hi_y] |= dist2 <= half * half
+    if keep.any():
+        a, b, length = pts[:-1][keep], pts[1:][keep], lengths[keep]
+    else:  # a stationary track sweeps the disc around its point
+        a, b, length = pts[:1], pts[:1] + 1e-9, np.array([1e-9])
+    d = b - a
+    # each segment's own box: cells within half a swath of it, plus a
+    # margin of one cell below and two above
+    lo_x = np.maximum(0, ((np.minimum(a[:, 0], b[:, 0]) - half - x_min)
+                          / cell).astype(np.int64) - 1)
+    hi_x = np.minimum(nx, ((np.maximum(a[:, 0], b[:, 0]) + half - x_min)
+                           / cell).astype(np.int64) + 2)
+    lo_y = np.maximum(0, ((np.minimum(a[:, 1], b[:, 1]) - half - y_min)
+                          / cell).astype(np.int64) - 1)
+    hi_y = np.minimum(ny, ((np.maximum(a[:, 1], b[:, 1]) + half - y_min)
+                           / cell).astype(np.int64) + 2)
+    area = (hi_x - lo_x) * (hi_y - lo_y)  # never empty: lo < nx, hi > lo
+    # per-segment operands as columns, to broadcast against a row of cells
+    ax, ay = a[:, 0:1], a[:, 1:2]
+    dx, dy = d[:, 0:1], d[:, 1:2]
+    l2 = (length * length)[:, None]
+    hh = half * half
 
-    area = float(covered.sum()) * cell * cell
+    chunks = [(j, min(j + _COVER_CHUNK, len(a)))
+              for j in range(0, len(a), _COVER_CHUNK)]
+    while chunks:
+        j, k = chunks.pop()
+        x0, x1 = lo_x[j:k].min(), hi_x[j:k].max()
+        y0, y1 = lo_y[j:k].min(), hi_y[j:k].max()
+        if k - j > 1 and (k - j) * (x1 - x0) * (y1 - y0) > 2 * area[j:k].sum():
+            # spread-out segments (long ones, or a sparse track): testing
+            # each on the whole union box would cost more than twice testing
+            # each on its own box, so split the run in two
+            m = (j + k) // 2
+            chunks += [(j, m), (m, k)]
+            continue
+        view = covered[x0:x1, y0:y1]
+        ix, iy = np.nonzero(~view)
+        xs = x_min + (np.arange(x0, x1) + 0.5) * cell
+        ys = y_min + (np.arange(y0, y1) + 0.5) * cell
+        sax, say, sdx, sdy, sl2 = ax[j:k], ay[j:k], dx[j:k], dy[j:k], l2[j:k]
+        batch = max(1, _COVER_ELEMENTS // (k - j))
+        for c in range(0, len(ix), batch):
+            cx, cy = ix[c:c + batch], iy[c:c + batch]
+            gx, gy = xs[cx], ys[cy]
+            tpar = ((gx - sax) * sdx + (gy - say) * sdy) / sl2
+            np.clip(tpar, 0.0, 1.0, out=tpar)
+            dist2 = (gx - (sax + tpar * sdx)) ** 2 + (gy - (say + tpar * sdy)) ** 2
+            hit = (dist2 <= hh).any(axis=0)
+            view[cx[hit], cy[hit]] = True
+    return covered
+
+
+def coverage_report(track: np.ndarray, swath: float, active_time: float,
+                    detections: int = 0, confirmations: int = 0) -> dict:
+    """Swept-area metrics for a ground track.
+
+    The searched area is the union of swath-wide corridors around the track
+    segments, measured on a 0.25 m occupancy grid (cell centres within half a
+    swath of any segment count). Raises on an empty or non-finite track.
+
+    The grid is filled a chunk of consecutive segments at a time: each
+    chunk tests every still-uncovered cell of the union of its segments'
+    boxes against all of them, with the per-segment expression (projection
+    parameter clipped to [0, 1], squared distance <= half^2). That gives the
+    grid that testing each segment on its own box gives, cell for cell: a
+    segment's box reaches one cell below and two above its swath, so the
+    centre of a cell outside it lies at least a cell and a half beyond the
+    swath and the test cannot hit it (for coordinates whose float spacing is
+    far below a cell, i.e. below about 1e12 m); and skipping a covered cell
+    cannot change an OR.
+    """
+    pts = np.asarray(track, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError("empty run log: no track points to report on")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite track point {i}: {pts[i].tolist()}")
+    if swath <= 0.0 or active_time <= 0.0:
+        raise ValueError("swath and active_time must be positive")
+
+    lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    distance = float(lengths.sum())
+    covered = _covered_grid(pts, lengths, 0.5 * swath)
+
+    area = float(covered.sum()) * COVERAGE_CELL * COVERAGE_CELL
     return {
         "area_searched": area,  # [m^2]
         "area_per_hour": area * 3600.0 / active_time,  # [m^2/h]

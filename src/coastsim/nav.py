@@ -157,15 +157,19 @@ def dynamics_jacobian(x, params: AsvParams) -> np.ndarray:
     ])
 
 
+# the 6x6 identity, read-only: copy it before writing into it
+_I6 = np.eye(6)
+_I6.flags.writeable = False
+
+
 def _stage_jacobian(stages, params: AsvParams, dt: float) -> np.ndarray:
     """Jacobian of the RK4 map, chain-ruled through its four stage states."""
     x1, x2, x3, x4 = stages
-    I6 = np.eye(6)
     K1 = dynamics_jacobian(x1, params)
-    K2 = dynamics_jacobian(x2, params) @ (I6 + 0.5 * dt * K1)
-    K3 = dynamics_jacobian(x3, params) @ (I6 + 0.5 * dt * K2)
-    K4 = dynamics_jacobian(x4, params) @ (I6 + dt * K3)
-    return I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    K2 = dynamics_jacobian(x2, params) @ (_I6 + 0.5 * dt * K1)
+    K3 = dynamics_jacobian(x3, params) @ (_I6 + 0.5 * dt * K2)
+    K4 = dynamics_jacobian(x4, params) @ (_I6 + dt * K3)
+    return _I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def predict_mean(x: np.ndarray, params: AsvParams, wrench: BodyWrench,
@@ -254,7 +258,7 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
         return UpdateResult(est, y, False)
     K = est.P @ H.T @ np.linalg.inv(S)
     x = est.x + K @ y
-    P = (np.eye(6) - K @ H) @ est.P
+    P = (_I6 - K @ H) @ est.P
     P = 0.5 * (P + P.T)
     return UpdateResult(_checked(x, P, f"{kind} update"), y, True)
 
@@ -281,7 +285,7 @@ def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
         return UpdateResult(est, np.array([y]), False)
     K = est.P[:, i] * (1.0 / S)
     x = est.x + K * y
-    M = np.eye(6)
+    M = _I6.copy()
     M[:, i] -= K
     P = M @ est.P
     P = 0.5 * (P + P.T)

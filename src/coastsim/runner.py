@@ -40,8 +40,8 @@ from .nav import (COMPASS, GPS, GYRO, EstimatorDivergence, SingularCovariance,
                   ekf_predict, ekf_update, initial_estimate, sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
-from .tuv import (DegenerateGeometry, TowedBodyState, _separation_rate,
-                  _towline_tension, tuv_step, winch_set_length)
+from .tuv import (DegenerateGeometry, TowedBodyState, _coupling_tension,
+                  tuv_step, winch_set_length)
 
 STATES_FILE = "states.csv"
 EVENTS_FILE = "events.jsonl"
@@ -421,10 +421,10 @@ class Simulation:
             attach = (truth.x + off_x, truth.y + off_y, 0.0)
             vel_x, vel_y = rotate_body_to_nav(
                 (truth.u, truth.v + truth.r * x_a), truth.psi)
-            tuv_pos = self.tuv.position.tolist()
-            rate = _separation_rate(attach, (vel_x, vel_y, 0.0), tuv_pos,
-                                    self.tuv.velocity.tolist())
-            tension = _towline_tension(attach, tuv_pos, rate, self.towline)
+            tension = _coupling_tension(attach, (vel_x, vel_y, 0.0),
+                                        self.tuv.position.tolist(),
+                                        self.tuv.velocity.tolist(),
+                                        self.towline)
             reaction_x, reaction_y = rotate_nav_to_body(
                 (-tension[0], -tension[1]), truth.psi)
             tow_wrench = BodyWrench(reaction_x, reaction_y, x_a * reaction_y)
@@ -448,9 +448,10 @@ class Simulation:
         new_detections = []
         if (self.sweep is not None
                 and self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH):
-            platform = (self.tuv.position[:2] if self.tuv is not None
-                        else np.array([self.truth.x, self.truth.y]))
-            self.coverage_track.append(np.array(platform, dtype=float))
+            platform = (tuple(self.tuv.position[:2].tolist())
+                        if self.tuv is not None
+                        else (self.truth.x, self.truth.y))
+            self.coverage_track.append(platform)
             self.search_time += dt
             new_detections = self.sweep.sweep(platform, t)
             for ev in new_detections:

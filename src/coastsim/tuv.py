@@ -146,13 +146,17 @@ def _norm3(x, y, z) -> float:
     return math.sqrt(_dot3(x, y, z, x, y, z))
 
 
-def _towline_tension(asv_attach, tuv_attach, separation_rate: float,
-                     line: Towline) -> tuple[float, float, float]:
-    """towline_tension on 3-sequences of floats; returns a float 3-tuple."""
+def _offset(asv_attach, tuv_attach) -> tuple[float, float, float, float]:
+    """The attach offset asv - tuv on 3-sequences of floats, and its norm."""
     ox = asv_attach[0] - tuv_attach[0]
     oy = asv_attach[1] - tuv_attach[1]
     oz = asv_attach[2] - tuv_attach[2]
-    s = _norm3(ox, oy, oz)
+    return ox, oy, oz, _norm3(ox, oy, oz)
+
+
+def _tension(ox: float, oy: float, oz: float, s: float,
+             separation_rate: float, line: Towline) -> tuple[float, float, float]:
+    """towline_tension from the attach offset and its norm s."""
     if s == 0.0:
         raise DegenerateGeometry("towline endpoints coincide")
     if s <= line.unstretched_length:
@@ -163,6 +167,25 @@ def _towline_tension(asv_attach, tuv_attach, separation_rate: float,
     return g * ox, g * oy, g * oz
 
 
+def _rate(ox: float, oy: float, oz: float, s: float, asv_attach_vel,
+          tuv_attach_vel) -> float:
+    """separation_rate from the attach offset and its norm s."""
+    if s == 0.0:
+        return 0.0
+    return _dot3(ox, oy, oz, asv_attach_vel[0] - tuv_attach_vel[0],
+                 asv_attach_vel[1] - tuv_attach_vel[1],
+                 asv_attach_vel[2] - tuv_attach_vel[2]) / s
+
+
+def _coupling_tension(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel,
+                      line: Towline) -> tuple[float, float, float]:
+    """towline_tension at the current separation_rate, on 3-sequences of
+    floats: the offset and its norm are computed once for both."""
+    offset = _offset(asv_attach, tuv_attach)
+    return _tension(*offset, _rate(*offset, asv_attach_vel, tuv_attach_vel),
+                    line)
+
+
 def towline_tension(asv_attach: np.ndarray, tuv_attach: np.ndarray,
                     separation_rate: float, line: Towline) -> np.ndarray:
     """Force the line exerts on the towed body (pulls toward the tow point).
@@ -171,28 +194,14 @@ def towline_tension(asv_attach: np.ndarray, tuv_attach: np.ndarray,
     the damping term only ever adds tension, and a slack line (separation at
     or below the unstretched length) carries none: a cable cannot push.
     """
-    return np.array(_towline_tension(_floats(asv_attach), _floats(tuv_attach),
-                                     separation_rate, line))
-
-
-def _separation_rate(asv_attach, asv_attach_vel, tuv_attach,
-                     tuv_attach_vel) -> float:
-    """separation_rate on 3-sequences of floats."""
-    ox = asv_attach[0] - tuv_attach[0]
-    oy = asv_attach[1] - tuv_attach[1]
-    oz = asv_attach[2] - tuv_attach[2]
-    s = _norm3(ox, oy, oz)
-    if s == 0.0:
-        return 0.0
-    return _dot3(ox, oy, oz, asv_attach_vel[0] - tuv_attach_vel[0],
-                 asv_attach_vel[1] - tuv_attach_vel[1],
-                 asv_attach_vel[2] - tuv_attach_vel[2]) / s
+    return np.array(_tension(*_offset(_floats(asv_attach), _floats(tuv_attach)),
+                             separation_rate, line))
 
 
 def separation_rate(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel) -> float:
     """Rate of change of the attachment separation (positive = stretching)."""
-    return _separation_rate(_floats(asv_attach), _floats(asv_attach_vel),
-                            _floats(tuv_attach), _floats(tuv_attach_vel))
+    return _rate(*_offset(_floats(asv_attach), _floats(tuv_attach)),
+                 _floats(asv_attach_vel), _floats(tuv_attach_vel))
 
 
 def _hydrofoil(vx: float, vy: float, vz: float, params: TuvParams) -> tuple:

@@ -10,10 +10,15 @@ last bit.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coastsim.environment import load_terrain
+from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
+from coastsim.mission import coverage_report
 from coastsim.runner import emit_outputs, run_simulation
 from coastsim.scenario import load_scenario
 
@@ -46,3 +51,52 @@ def test_shipped_scenario_digests(name, tmp_path):
     digests = tuple(hashlib.sha256(Path(written[kind]).read_bytes()).hexdigest()
                     for kind in ("states", "events", "metrics"))
     assert digests == GOLDEN[name]
+
+
+# A library-level crawler walk: body_advance over the cove toward fixed
+# waypoints (terrain looked up every step, sand and rock both crossed, turns
+# slewed at the rate limit), then the coverage report of its track. The
+# shipped scenarios reach the crawler only in calm_search's short deploy.
+COVE = SCENARIO_DIR / "cove.terrain"
+WALK_DT = 0.1
+WALK_STEPS = 3000
+WALK_START = (-32.0, 8.0)
+WALK_HEADING = 2.0  # [rad], far off the first bearing
+WALK_WAYPOINTS = ((-23.0, 11.0), (-22.0, 17.0), (-29.0, 16.0), (-28.0, 9.0))
+WALK_ARRIVAL = 1.0  # [m]
+WALK_SWATH = 1.0  # [m]
+WALK_DIGEST = "8dfe9e1485820b8fce0ea7439670e593a079f3eee25eeda6aaa33eb4ee6b1be0"
+
+
+def _crawler_walk_bytes() -> bytes:
+    params = HexapodParams()
+    terrain = load_terrain(COVE)
+    start = np.array(WALK_START)
+    state = HexapodState(start, heading=WALK_HEADING,
+                         terrain=terrain.terrain_at(start)[0],
+                         legs=stand_legs(params))
+    target = 0
+    rows, track = [], [state.position.copy()]
+    for k in range(WALK_STEPS):
+        goal = WALK_WAYPOINTS[target % len(WALK_WAYPOINTS)]
+        vec = (goal[0] - state.position[0], goal[1] - state.position[1])
+        if math.hypot(*vec) <= WALK_ARRIVAL:
+            target += 1
+            goal = WALK_WAYPOINTS[target % len(WALK_WAYPOINTS)]
+            vec = (goal[0] - state.position[0], goal[1] - state.position[1])
+        state.terrain = terrain.terrain_at(state.position)[0]
+        state = body_advance(state, math.atan2(vec[1], vec[0]), WALK_DT, params)
+        row = [k, state.terrain, *state.position.tolist(), state.heading,
+               state.gait_t, state.faults, target]
+        for cfg in state.legs:
+            row += [cfg.theta1, cfg.theta2, cfg.theta3]
+        rows.append(repr(row))
+        track.append(state.position.copy())
+    report = coverage_report(np.array(track), WALK_SWATH,
+                             active_time=WALK_STEPS * WALK_DT)
+    rows.append(repr(sorted(report.items())))
+    return "\n".join(rows).encode()
+
+
+def test_crawler_walk_digest():
+    assert hashlib.sha256(_crawler_walk_bytes()).hexdigest() == WALK_DIGEST

@@ -1,15 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coastsim.core import wrap_angle
 from coastsim.hexapod import (MOUNTS, STANCE, SWING, TRIPOD_A, TRIPOD_B,
-                              GaitPhaseError, HexapodParams, HexapodState,
+                              GaitPhase, GaitPhaseError, HexapodParams,
+                              HexapodState,
                               JointLimitError, LegConfiguration, LegGeometry,
                               StaticStabilityWarning, WorkspaceViolation,
-                              body_advance, closed_gait_phase,
-                              foot_in_body_frame, gait_foot_position, leg_fk,
-                              leg_ik, stand_legs, tripod_schedule)
+                              _leg_foot_target, body_advance,
+                              closed_gait_phase, foot_in_body_frame,
+                              gait_foot_position, leg_fk, leg_ik, stand_legs,
+                              tripod_schedule)
 
 # limits opened up so the whole geometric annulus is legal; the workspace
 # tests are about reach, joint limits get their own tests
@@ -346,3 +352,189 @@ def test_foot_in_body_frame_uses_mount_pose():
     p_ml = foot_in_body_frame(params, 3, cfg)
     assert np.allclose(p_ml, [0.0, 0.27, -0.06], atol=1e-12)
     assert len(MOUNTS) == 6
+
+
+# --- float gait against the whole-array reference ----------------------------
+#
+# The gait runs on Python floats. The reference below is the numpy form it
+# replaced (a GaitPhase of arrays per leg per step, dataclasses.replace for
+# the new state); foot targets, joint angles and body states must match it
+# bit for bit, signed zeros included, since states.csv writes every bit.
+
+def ref_closed_gait_phase(leg, p0, v_stance, t_start, period, duty_factor):
+    if not 0.0 < duty_factor < 1.0:
+        raise ValueError("gait phase needs period > 0 and duty in (0, 1)")
+    v_st = np.asarray(v_stance, dtype=float)
+    v_sw = -v_st * duty_factor / (1.0 - duty_factor)
+    return GaitPhase(leg, p0, v_st, v_sw, t_start, period, duty_factor)
+
+
+def ref_gait_foot_position(phase, t, h_lift=0.03):
+    if not phase.t_start <= t <= phase.t_start + phase.period:
+        raise GaitPhaseError(
+            f"t={t:.6f} outside cycle [{phase.t_start:.6f}, "
+            f"{phase.t_start + phase.period:.6f}]")
+    if t <= phase.t_end:
+        return phase.p0 + phase.v_stance * (t - phase.t_start)
+    stance_end = phase.p0 + phase.v_stance * (phase.t_end - phase.t_start)
+    p = stance_end + phase.v_swing * (t - phase.t_end)
+    swing_time = phase.period * (1.0 - phase.duty_factor)
+    s = (t - phase.t_end) / swing_time
+    return p + np.array([0.0, 0.0, h_lift * 4.0 * s * (1.0 - s)])
+
+
+def ref_leg_foot_target(params, leg, gait_t, period, speed):
+    offset = 0.0 if leg in TRIPOD_A else 0.5
+    tau = (gait_t / period + offset) % 1.0
+    yaw = MOUNTS[leg].heading
+    v_st = np.array([-speed * math.cos(yaw), speed * math.sin(yaw), 0.0])
+    home = np.array([params.home_radius, 0.0, params.home_height])
+    p0 = home - v_st * (0.5 * params.duty_factor * period)
+    phase = ref_closed_gait_phase(leg, p0, v_st, t_start=gait_t - tau * period,
+                                  period=period, duty_factor=params.duty_factor)
+    return ref_gait_foot_position(phase, gait_t, h_lift=params.h_lift)
+
+
+def ref_body_advance(state, heading_cmd, dt, params, speed=None):
+    if speed is None:
+        speed = params.speed_for(state.terrain)
+    if speed <= 0.0:
+        raise ValueError(f"walking speed must be positive, got {speed}")
+    period = params.stride / speed
+    heading_err = wrap_angle(heading_cmd - state.heading)
+    max_step = params.max_turn_rate * dt
+    heading = wrap_angle(state.heading + min(max(heading_err, -max_step), max_step))
+    gait_t = state.gait_t + dt
+    legs = []
+    try:
+        for leg in range(6):
+            target = ref_leg_foot_target(params, leg, gait_t, period, speed)
+            legs.append(leg_ik(target, params.geometry))
+    except (WorkspaceViolation, JointLimitError):
+        return dataclasses.replace(state, faults=state.faults + 1)
+    step = speed * dt
+    position = state.position + step * np.array([math.cos(heading), math.sin(heading)])
+    return dataclasses.replace(state, position=position, heading=heading,
+                               gait_t=gait_t, legs=tuple(legs))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_foot_target(leg, gait_t, speed, duty, h_lift):
+    params = HexapodParams(duty_factor=duty, h_lift=h_lift)
+    period = params.stride / speed
+    try:
+        ref = ref_leg_foot_target(params, leg, gait_t, period, speed)
+    except GaitPhaseError as exc:  # rounding can put gait_t past the window
+        with pytest.raises(GaitPhaseError) as info:
+            _leg_foot_target(params, leg, gait_t, period, speed)
+        assert str(info.value) == str(exc)
+        return
+    target = _leg_foot_target(params, leg, gait_t, period, speed)
+    assert type(target) is tuple and all(type(v) is float for v in target)
+    assert same_bits(target, ref)
+
+
+@pytest.mark.parametrize("leg, gait_t, speed, duty, edge", [
+    (1, 0.0, 0.2, 0.5, "stance_end"),
+    (0, 0.6, 0.2, 0.5, "stance_end"),
+    (0, 1.28, 0.1, 0.6, "stance_end"),
+    (3, 0.6666666666666666, 0.15, 0.75, "stance_end"),
+    (0, 1.5999999999999996, 0.2, 0.5, "cycle_end"),
+])
+def test_foot_target_on_window_edges_matches_reference(leg, gait_t, speed,
+                                                       duty, edge):
+    # gait_t lands exactly on t_end (last stance instant) or on
+    # t_start + period (last swing instant) of the leg's current cycle
+    period = HexapodParams().stride / speed
+    tau = (gait_t / period + (0.0 if leg in TRIPOD_A else 0.5)) % 1.0
+    t_start = gait_t - tau * period
+    edges = {"stance_end": t_start + duty * period,
+             "cycle_end": t_start + period}
+    assert gait_t == edges[edge]
+    for h_lift in (0.0, 0.03):
+        _check_foot_target(leg, gait_t, speed, duty, h_lift)
+
+
+@settings(max_examples=1000)
+@given(leg=st.integers(0, 5), gait_t=st.floats(0.0, 5000.0),
+       speed=st.floats(0.01, 1.0), duty=st.floats(0.05, 0.95),
+       h_lift=st.floats(0.0, 0.1))
+def test_foot_target_matches_array_reference_bit_for_bit(leg, gait_t, speed,
+                                                         duty, h_lift):
+    _check_foot_target(leg, gait_t, speed, duty, h_lift)
+
+
+vec3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=300)
+@given(p0=vec3, v_stance=vec3, t_start=st.floats(-100.0, 100.0),
+       period=st.floats(0.01, 10.0), duty=st.floats(0.01, 0.99),
+       frac=st.floats(0.0, 1.0), h_lift=st.floats(0.0, 0.1))
+@example(p0=(0.0, 0.0, 0.0), v_stance=(-0.1, 0.0, 0.0), t_start=0.0,
+         period=0.4, duty=0.5, frac=0.5, h_lift=0.03)
+@example(p0=(0.0, -0.0, 0.0), v_stance=(0.0, -0.0, -0.0), t_start=1.2,
+         period=0.4, duty=0.5, frac=0.75, h_lift=0.0)
+def test_gait_wrappers_match_array_reference_bit_for_bit(p0, v_stance, t_start,
+                                                         period, duty, frac,
+                                                         h_lift):
+    phase = closed_gait_phase(2, p0, v_stance, t_start, period, duty)
+    ref = ref_closed_gait_phase(2, p0, v_stance, t_start, period, duty)
+    for name in ("p0", "v_stance", "v_swing"):
+        got = getattr(phase, name)
+        assert isinstance(got, np.ndarray) and same_bits(got, getattr(ref, name))
+    # the stance end, the cycle end and a point drawn inside the window
+    for t in (phase.t_end, phase.t_start + phase.period, t_start + frac * period):
+        try:
+            expected = ref_gait_foot_position(ref, t, h_lift)
+        except GaitPhaseError as exc:
+            with pytest.raises(GaitPhaseError) as info:
+                gait_foot_position(phase, t, h_lift)
+            assert str(info.value) == str(exc)
+            continue
+        got = gait_foot_position(phase, t, h_lift)
+        assert isinstance(got, np.ndarray) and same_bits(got, expected)
+    for t in (t_start - 1.0, t_start + period + 1.0):
+        with pytest.raises(GaitPhaseError):
+            gait_foot_position(phase, t, h_lift)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("h_lift", [0.0, 0.03])
+def test_foot_position_signed_zeros_match_reference(t, h_lift):
+    # an open (not closed) phase of all negative zeros: stance keeps -0.0,
+    # swing adds (0.0, 0.0, lift) and comes out +0.0 in x and y
+    z = (-0.0, -0.0, -0.0)
+    phase = GaitPhase(0, z, z, z, t_start=0.0, period=1.0, duty_factor=0.5)
+    assert same_bits(gait_foot_position(phase, t, h_lift),
+                     ref_gait_foot_position(phase, t, h_lift))
+
+
+def _state_key(state):
+    return (state.position.tobytes(), repr(state.heading), repr(state.gait_t),
+            repr(state.legs), state.faults, state.terrain)
+
+
+def test_body_advance_matches_reference_walk_bit_for_bit():
+    # 2000 steps: turns in both directions through +-pi, all three terrains,
+    # an explicit speed, and one step whose oversized stride faults the gait
+    params = HexapodParams()
+    faulty = HexapodParams(stride=0.8)
+    state = ref = HexapodState(np.array([3.0, -2.0]), heading=2.5,
+                               terrain="sand", legs=stand_legs(params))
+    faults_seen = 0
+    for k in range(2000):
+        terrain = ("sand", "rock", "mud")[(k // 300) % 3]
+        state.terrain = ref.terrain = terrain
+        cmd = 3.5 * math.sin(0.004 * k) + (math.pi if k > 1200 else 0.0)
+        step_params = faulty if k == 777 else params
+        speed = 0.25 if 1500 <= k < 1600 else None
+        state = body_advance(state, cmd, 0.1, step_params, speed=speed)
+        ref = ref_body_advance(ref, cmd, 0.1, step_params, speed=speed)
+        assert _state_key(state) == _state_key(ref), k
+        faults_seen = state.faults
+    assert faults_seen == 1

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastsim.core import SeededRng
 from coastsim.mission import (COVERAGE_CELL, DetectionEvent,
                               EnvironmentalSampler, IllegalTransition,
                               MissionPhase, MissionState, PlantedObject,
                               SearchArea, SweepSensor, WorldEvents,
-                              coverage_report, generate_lawnmower,
-                              mission_step, transition)
+                              _covered_grid, coverage_report,
+                              generate_lawnmower, mission_step, transition)
 
 
 # --- lawnmower pattern -------------------------------------------------------
@@ -368,3 +370,135 @@ def test_coverage_report_validation():
         coverage_report(np.array([[0.0, 0.0]]), swath=0.0, active_time=1.0)
     with pytest.raises(ValueError):
         coverage_report(np.array([[0.0, 0.0]]), swath=1.0, active_time=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), (-1, 0)])
+def test_coverage_report_rejects_non_finite_track(bad, where):
+    track = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [3.0, 1.5]])
+    track[where] = bad
+    with pytest.raises(ValueError, match="non-finite track point"):
+        coverage_report(track, swath=1.0, active_time=1.0)
+
+
+# --- chunked coverage grid against the per-segment reference ----------------
+#
+# The grid is filled a chunk of segments at a time. The reference below is
+# the per-segment loop it replaced (one meshgrid over each segment's own
+# box); the grid must match it cell for cell, not only in area.
+
+def ref_coverage_report(track, swath, active_time, detections=0,
+                        confirmations=0):
+    """The per-segment coverage_report; returns (grid, report)."""
+    pts = np.asarray(track, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError("empty run log: no track points to report on")
+    if swath <= 0.0 or active_time <= 0.0:
+        raise ValueError("swath and active_time must be positive")
+
+    seg_a = pts[:-1]
+    seg_b = pts[1:]
+    lengths = np.linalg.norm(seg_b - seg_a, axis=1)
+    distance = float(lengths.sum())
+
+    half = 0.5 * swath
+    cell = COVERAGE_CELL
+    x_min = pts[:, 0].min() - half
+    x_max = pts[:, 0].max() + half
+    y_min = pts[:, 1].min() - half
+    y_max = pts[:, 1].max() + half
+    nx = max(1, int(math.ceil((x_max - x_min) / cell)))
+    ny = max(1, int(math.ceil((y_max - y_min) / cell)))
+    covered = np.zeros((nx, ny), dtype=bool)
+
+    keep = lengths > 1e-12
+    segments = list(zip(seg_a[keep], seg_b[keep], lengths[keep]))
+    if not segments:
+        segments = [(pts[0], pts[0] + 1e-9, 1e-9)]
+    for a, b, length in segments:
+        lo_x = max(0, int((min(a[0], b[0]) - half - x_min) / cell) - 1)
+        hi_x = min(nx, int((max(a[0], b[0]) + half - x_min) / cell) + 2)
+        lo_y = max(0, int((min(a[1], b[1]) - half - y_min) / cell) - 1)
+        hi_y = min(ny, int((max(a[1], b[1]) + half - y_min) / cell) + 2)
+        if lo_x >= hi_x or lo_y >= hi_y:
+            continue
+        xs = x_min + (np.arange(lo_x, hi_x) + 0.5) * cell
+        ys = y_min + (np.arange(lo_y, hi_y) + 0.5) * cell
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        d = b - a
+        tpar = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / (length * length)
+        tpar = np.clip(tpar, 0.0, 1.0)
+        dist2 = (gx - (a[0] + tpar * d[0])) ** 2 + (gy - (a[1] + tpar * d[1])) ** 2
+        covered[lo_x:hi_x, lo_y:hi_y] |= dist2 <= half * half
+
+    area = float(covered.sum()) * cell * cell
+    return covered, {
+        "area_searched": area,
+        "area_per_hour": area * 3600.0 / active_time,
+        "distance_traveled": distance,
+        "detections": detections,
+        "confirmations": confirmations,
+    }
+
+
+def _walk(start, steps, step_len, seed):
+    """A dense track: one point per step, heading a slow random walk."""
+    gen = np.random.default_rng(seed)
+    heading = np.cumsum(gen.normal(0.0, 0.15, steps))
+    moves = step_len * np.column_stack([np.cos(heading), np.sin(heading)])
+    return np.vstack([start, start + np.cumsum(moves, axis=0)])
+
+
+def _densify(waypoints, step_len):
+    pieces = [np.array(waypoints[:1])]
+    for a, b in zip(waypoints, waypoints[1:]):
+        n = max(1, int(np.linalg.norm(b - a) / step_len))
+        pieces.append(a + np.outer(np.arange(1, n + 1) / n, b - a))
+    return np.vstack(pieces)
+
+
+_LAWNMOWER = generate_lawnmower(SearchArea(-10.0, 5.0, 60.0, 40.0), 10.0).waypoints
+
+COVERAGE_TRACKS = {
+    "dense_walk_swath1": (_walk(np.array([2.0, 3.0]), 3000, 0.02, 1), 1.0),
+    "dense_walk_swath10": (_walk(np.array([2.0, 3.0]), 3000, 0.1, 2), 10.0),
+    "dense_lawnmower": (_densify(_LAWNMOWER, 0.1), 10.0),
+    "lawnmower_vertices": (np.array(_LAWNMOWER), 10.0),
+    "repeated_points": (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0],
+                                  [1.0, 0.0], [1.0, 0.0], [1.0, 2.0],
+                                  [1.0, 2.0], [1.0 + 1e-13, 2.0],
+                                  [0.5, 1.0]]), 1.5),
+    "stationary": (np.full((5, 2), 7.25), 2.0),
+    "single_point": (np.array([[3.0, 4.0]]), 2.0),
+    "negative_coordinates": (_walk(np.array([-523.3, -871.9]), 2000, 0.05, 3), 3.0),
+    "far_offset": (_walk(np.array([1.0e6, -2.0e6]), 1000, 0.1, 4), 4.0),
+    "sparse_long_jumps": (np.random.default_rng(5).uniform(-150.0, 150.0, (30, 2)), 5.0),
+    "tiny_swath": (_walk(np.array([0.0, 0.0]), 500, 0.05, 6), 0.01),
+    # a row of cell centres lies exactly half a swath (0.5625 m) from the
+    # track: the test is <=, so the row counts
+    "edge_on_cell_centres": (np.array([[0.0, 0.0], [10.0, 0.0]]), 1.125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_TRACKS))
+def test_coverage_grid_matches_per_segment_reference(name):
+    track, swath = COVERAGE_TRACKS[name]
+    ref_grid, ref_report = ref_coverage_report(track, swath, active_time=60.0)
+    pts = np.asarray(track, dtype=float)
+    lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    grid = _covered_grid(pts, lengths, 0.5 * swath)
+    assert grid.shape == ref_grid.shape and np.array_equal(grid, ref_grid)
+    assert ref_grid.any()
+    assert coverage_report(track, swath, active_time=60.0) == ref_report
+
+
+@settings(max_examples=300)
+@given(points=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                       min_size=1, max_size=60),
+       swath=st.floats(0.05, 20.0))
+def test_coverage_grid_matches_reference_on_any_track(points, swath):
+    track = np.array(points)
+    ref_grid, ref_report = ref_coverage_report(track, swath, active_time=1.0)
+    lengths = np.linalg.norm(track[1:] - track[:-1], axis=1)
+    assert np.array_equal(_covered_grid(track, lengths, 0.5 * swath), ref_grid)
+    assert coverage_report(track, swath, active_time=1.0) == ref_report

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from coastsim.core import IntegrationFault
 from coastsim.tuv import (MAX_CABLE_LENGTH, DegenerateGeometry, TowedBodyState,
-                          Towline, TuvParams, _dot3, hydrofoil_forces,
-                          separation_rate, towline_tension, tuv_derivative,
-                          tuv_step, winch_set_length)
+                          Towline, TuvParams, _coupling_tension, _dot3,
+                          hydrofoil_forces, separation_rate, towline_tension,
+                          tuv_derivative, tuv_step, winch_set_length)
 
 
 # --- towline ---------------------------------------------------------------
@@ -317,6 +317,27 @@ def test_towline_matches_array_reference_bit_for_bit(asv, asv_vel, tuv,
     # both a taut and a slack line (first example: 3.6 m inside 30 m)
     assert same_bits(towline_tension(np.array(asv), np.array(tuv), rate, line),
                      ref)
+
+
+@settings(max_examples=300)
+@given(asv=vec3, asv_vel=vel3, tuv=vec3, tuv_vel=vel3, line=lines)
+@example(asv=(0.0, 0.0, 0.0), asv_vel=(1.0, 0.0, 0.0), tuv=(-3.0, 0.0, 2.0),
+         tuv_vel=(0.0, 0.0, 0.0), line=Towline(unstretched_length=30.0))
+@example(asv=(5.0, 1.0, 0.0), asv_vel=(0.0, 0.0, 0.0), tuv=(5.0, 1.0, 0.0),
+         tuv_vel=(0.0, 0.0, 0.0), line=Towline())
+def test_coupling_tension_matches_array_reference_bit_for_bit(asv, asv_vel, tuv,
+                                                              tuv_vel, line):
+    # the runner's tension: separation rate and tension from one offset
+    rate = ref_separation_rate(asv, asv_vel, tuv, tuv_vel)
+    try:
+        ref = ref_towline_tension(asv, tuv, rate, line)
+    except DegenerateGeometry:
+        with pytest.raises(DegenerateGeometry):
+            _coupling_tension(asv, asv_vel, tuv, tuv_vel, line)
+        return
+    tension = _coupling_tension(asv, asv_vel, tuv, tuv_vel, line)
+    assert type(tension) is tuple and all(type(v) is float for v in tension)
+    assert same_bits(tension, ref)
 
 
 @settings(max_examples=300, deadline=None)
