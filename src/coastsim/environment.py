@@ -156,6 +156,8 @@ class TerrainMap:
         self.grid = grid
         self.cell_size = float(cell_size)
         self.origin = np.asarray(origin, dtype=float)
+        # the origin as floats, for terrain_at
+        self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
         self.depths = {SAND: 5.0, ROCK: 6.0, MUD: 4.0}
         if depths:
             self.depths.update(depths)
@@ -170,13 +172,14 @@ class TerrainMap:
 
     def terrain_at(self, point) -> tuple[str, float]:
         """(terrain class, depth) at a navigation-frame point."""
-        p = np.asarray(point, dtype=float)
-        col = math.floor((p[0] - self.origin[0]) / self.cell_size)
-        row_from_south = math.floor((p[1] - self.origin[1]) / self.cell_size)
+        x, y = float(point[0]), float(point[1])
+        x0, y0 = self._origin_xy
+        col = math.floor((x - x0) / self.cell_size)
+        row_from_south = math.floor((y - y0) / self.cell_size)
         row = self.n_rows - 1 - row_from_south
         if not (0 <= col < self.n_cols and 0 <= row < self.n_rows):
             raise OutOfBounds(
-                f"point ({p[0]:.3f}, {p[1]:.3f}) outside terrain map")
+                f"point ({x:.3f}, {y:.3f}) outside terrain map")
         cls = self.grid[row][col]
         return cls, self.depths[cls]
 

@@ -16,8 +16,18 @@ evaluates each foot coordinate with the operations numpy applies to the
 whole-array expressions (`p0 + v_stance * (t - t_start)`, ...), in the same
 order, so every coordinate, signed zeros included, is bit-identical to the
 array form. `closed_gait_phase` and `gait_foot_position` are thin array
-wrappers over that core, and `body_advance` passes its float foot targets
-straight to `leg_ik`.
+wrappers over that core.
+
+The inverse kinematics run on floats too: `_leg_ik` takes a target's three
+coordinates plus the law-of-cosines terms l1**2, l2**2 and 2*l1*l2, which
+`body_advance` computes once per step for all six legs (`leg_ik` is its
+public wrapper for one point). The reach test keeps the evaluation order
+(d*d + z*z - l1**2) - l2**2, the three joint-limit checks run in order
+theta1, theta2, theta3, and the frozen `LegConfiguration` gets its fields
+without going through its constructor. `body_advance` hands its foot
+targets straight to that core and builds the new `HexapodState` (position
+still an ndarray) without the constructor's `np.asarray` and heading wrap,
+which would give back the same bits.
 """
 
 from __future__ import annotations
@@ -96,11 +106,6 @@ class LegConfiguration:
     theta3: float  # base pitch of the first link [rad]
 
 
-def _check_limit(name: str, value: float, limits: tuple[float, float]):
-    if not limits[0] <= value <= limits[1]:
-        raise JointLimitError(name, value, limits)
-
-
 def leg_fk(cfg: LegConfiguration, geom: LegGeometry) -> np.ndarray:
     """Foot position in the leg frame from joint angles."""
     reach = geom.l1 * math.cos(cfg.theta3) \
@@ -111,6 +116,51 @@ def leg_fk(cfg: LegConfiguration, geom: LegGeometry) -> np.ndarray:
                      reach * math.sin(cfg.theta1), z])
 
 
+def _link_constants(geom: LegGeometry) -> tuple[float, float, float]:
+    """(l1 ** 2, l2 ** 2, 2 * l1 * l2): the law-of-cosines terms of _leg_ik."""
+    return geom.l1 ** 2, geom.l2 ** 2, 2.0 * geom.l1 * geom.l2
+
+
+def _leg_ik(x: float, y: float, z: float, geom: LegGeometry,
+            links: tuple[float, float, float]) -> LegConfiguration:
+    """leg_ik of the leg-frame point (x, y, z), with `links` from
+    _link_constants(geom)."""
+    l1sq, l2sq, two_l1l2 = links
+    d = math.hypot(x, y)
+    # (d^2 + z^2 - l1^2) - l2^2, as written: l1^2 + l2^2 in one term rounds
+    # differently
+    arg = (d * d + z * z - l1sq - l2sq) / two_l1l2
+    if arg > 1.0 + _REACH_TOL or arg < -1.0 - _REACH_TOL:
+        r = math.hypot(d, z)
+        raise WorkspaceViolation(
+            f"target radius {r:.9f} m outside [{geom.reach_min:.9f}, "
+            f"{geom.reach_max:.9f}] m", radius=r)
+    arg = min(max(arg, -1.0), 1.0)
+    theta1 = math.atan2(y, x)
+    theta2 = math.acos(arg)
+    l1, l2 = geom.l1, geom.l2
+    theta3 = wrap_angle(math.atan2(z, d)
+                        - math.atan2(l2 * math.sin(theta2),
+                                     l1 + l2 * math.cos(theta2)))
+    limits = geom.theta1_limits
+    if not limits[0] <= theta1 <= limits[1]:
+        raise JointLimitError("theta1", theta1, limits)
+    limits = geom.theta2_limits
+    if not limits[0] <= theta2 <= limits[1]:
+        raise JointLimitError("theta2", theta2, limits)
+    limits = geom.theta3_limits
+    if not limits[0] <= theta3 <= limits[1]:
+        raise JointLimitError("theta3", theta3, limits)
+    # the fields a frozen LegConfiguration's __init__ would set, without
+    # its three object.__setattr__ calls
+    cfg = object.__new__(LegConfiguration)
+    fields = cfg.__dict__
+    fields["theta1"] = theta1
+    fields["theta2"] = theta2
+    fields["theta3"] = theta3
+    return cfg
+
+
 def leg_ik(p, geom: LegGeometry) -> LegConfiguration:
     """Joint angles reaching a leg-frame point, elbow branch from the
     principal acos value.
@@ -118,24 +168,8 @@ def leg_ik(p, geom: LegGeometry) -> LegConfiguration:
     Raises WorkspaceViolation outside the reachable annulus and
     JointLimitError when the solution breaches a configured limit.
     """
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    d = math.hypot(x, y)
-    r = math.hypot(d, z)
-    arg = (d * d + z * z - geom.l1 ** 2 - geom.l2 ** 2) / (2.0 * geom.l1 * geom.l2)
-    if arg > 1.0 + _REACH_TOL or arg < -1.0 - _REACH_TOL:
-        raise WorkspaceViolation(
-            f"target radius {r:.9f} m outside [{geom.reach_min:.9f}, "
-            f"{geom.reach_max:.9f}] m", radius=r)
-    arg = min(max(arg, -1.0), 1.0)
-    theta1 = math.atan2(y, x)
-    theta2 = math.acos(arg)
-    theta3 = wrap_angle(math.atan2(z, d)
-                        - math.atan2(geom.l2 * math.sin(theta2),
-                                     geom.l1 + geom.l2 * math.cos(theta2)))
-    _check_limit("theta1", theta1, geom.theta1_limits)
-    _check_limit("theta2", theta2, geom.theta2_limits)
-    _check_limit("theta3", theta3, geom.theta3_limits)
-    return LegConfiguration(theta1, theta2, theta3)
+    return _leg_ik(float(p[0]), float(p[1]), float(p[2]), geom,
+                   _link_constants(geom))
 
 
 @dataclass(frozen=True)
@@ -325,11 +359,13 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
     heading = wrap_angle(state.heading + min(max(heading_err, -max_step), max_step))
 
     gait_t = state.gait_t + dt
+    geom = params.geometry
+    links = _link_constants(geom)
     legs = []
     try:
         for leg in range(6):
-            target = _leg_foot_target(params, leg, gait_t, period, speed)
-            legs.append(leg_ik(target, params.geometry))
+            legs.append(_leg_ik(*_leg_foot_target(params, leg, gait_t, period,
+                                                  speed), geom, links))
     except (WorkspaceViolation, JointLimitError) as exc:
         log.warning("gait halted: leg %d target unreachable (%s)", leg, exc)
         return HexapodState(state.position, state.heading, state.terrain,
@@ -337,9 +373,18 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
 
     step = speed * dt
     x, y = state.position.tolist()
-    position = (x + step * math.cos(heading), y + step * math.sin(heading))
-    return HexapodState(position, heading, state.terrain, gait_t,
-                        tuple(legs), state.faults)
+    # the fields __init__ would set, without __post_init__'s round trip:
+    # np.array of two floats is already the float array np.asarray makes,
+    # and wrap_angle returns its own outputs unchanged
+    new = object.__new__(HexapodState)
+    new.position = np.array((x + step * math.cos(heading),
+                             y + step * math.sin(heading)))
+    new.heading = heading
+    new.terrain = state.terrain
+    new.gait_t = gait_t
+    new.legs = tuple(legs)
+    new.faults = state.faults
+    return new
 
 
 def foot_in_body_frame(params: HexapodParams, leg: int, cfg: LegConfiguration) -> np.ndarray:

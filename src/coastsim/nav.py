@@ -197,10 +197,15 @@ def _checked(x: np.ndarray, P: np.ndarray, what: str) -> EstimatorState:
 
 
 def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
-                wrench: BodyWrench, dt: float) -> EstimatorState:
+                wrench: BodyWrench, dt: float,
+                q: np.ndarray | None = None) -> EstimatorState:
+    """Propagate the estimate one step; q is ekf.q_discrete(dt), computed
+    here unless a caller that steps at one dt passes it in."""
+    if q is None:
+        q = ekf.q_discrete(dt)
     x_next, stages = rk4_stages(est.x.tolist(), params, wrench, dt)
     F = _stage_jacobian(stages, params, dt)
-    P = F @ est.P @ F.T + ekf.q_discrete(dt)
+    P = F @ est.P @ F.T + q
     P = 0.5 * (P + P.T)
     return _checked(np.array(x_next), P, "prediction")
 

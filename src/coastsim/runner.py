@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,8 +42,8 @@ from .nav import (COMPASS, GPS, GYRO, EstimatorDivergence, SingularCovariance,
                   ekf_predict, ekf_update, initial_estimate, sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
-from .tuv import (DegenerateGeometry, TowedBodyState, _coupling_tension,
-                  tuv_step, winch_set_length)
+from .tuv import (DegenerateGeometry, _coupling_tension, _step as _tuv_step,
+                  winch_set_length)
 
 STATES_FILE = "states.csv"
 EVENTS_FILE = "events.jsonl"
@@ -135,9 +137,11 @@ class Simulation:
         self.current = tuple(scn.disturbances.current_nav().tolist())
         self.current3 = (*self.current, 0.0)
         self.sensor_periods = scn.sensors.periods(scn.dt)
+        self.q_discrete = scn.ekf.q_discrete(scn.dt)  # process noise per step
 
         self.towline = scn.towline
         self.winch_cmd = scn.towline.unstretched_length
+        # towed body (x, y, z, vx, vy, vz), nav frame with z down
         self.tuv = self._initial_tuv_state() if scn.tuv_enabled else None
 
         self.hexapod: HexapodState | None = None  # set while deployed
@@ -170,16 +174,15 @@ class Simulation:
 
     # -- construction helpers -------------------------------------------------
 
-    def _initial_tuv_state(self) -> TowedBodyState:
+    def _initial_tuv_state(self) -> list:
         # start just taut: depth 2 m, trailing so the separation equals the
         # unstretched length (no startup jerk)
         scn = self.scn
         depth = min(2.0, 0.5 * scn.towline.unstretched_length)
         back = math.sqrt(scn.towline.unstretched_length ** 2 - depth ** 2)
-        heading = np.array([math.cos(scn.asv_initial.psi),
-                            math.sin(scn.asv_initial.psi)])
-        xy = np.array([scn.asv_initial.x, scn.asv_initial.y]) - back * heading
-        return TowedBodyState(np.array([xy[0], xy[1], depth]), np.zeros(3))
+        start = scn.asv_initial
+        return [start.x - back * math.cos(start.psi),
+                start.y - back * math.sin(start.psi), depth, 0.0, 0.0, 0.0]
 
     def _log_event(self, t: float, event: str, **fields):
         record = {"t": round(t, 9), "event": event}
@@ -364,7 +367,7 @@ class Simulation:
                 damping_wrench(est_state, scn.damping, current),
                 disturbance_wrench(self.known_field, est_state, t, 0.0))
             self.est = ekf_predict(self.est, scn.asv_params, scn.ekf,
-                                   model_wrench, dt)
+                                   model_wrench, dt, self.q_discrete)
         innovations = {GPS: None, COMPASS: None, GYRO: None}
         for reading in readings:
             result = ekf_update(self.est, reading, scn.ekf)
@@ -422,8 +425,7 @@ class Simulation:
             vel_x, vel_y = rotate_body_to_nav(
                 (truth.u, truth.v + truth.r * x_a), truth.psi)
             tension = _coupling_tension(attach, (vel_x, vel_y, 0.0),
-                                        self.tuv.position.tolist(),
-                                        self.tuv.velocity.tolist(),
+                                        self.tuv[0:3], self.tuv[3:6],
                                         self.towline)
             reaction_x, reaction_y = rotate_nav_to_body(
                 (-tension[0], -tension[1]), truth.psi)
@@ -438,8 +440,8 @@ class Simulation:
         total = _wrench_sum(realized, disturbance, damping, tow_wrench)
         self.truth = asv_step(self.truth, scn.asv_params, total, dt, t)
         if self.tuv is not None:
-            self.tuv = tuv_step(self.tuv, scn.tuv_params, tension,
-                                self.current3, dt, t)
+            self.tuv = _tuv_step(self.tuv, scn.tuv_params, tension,
+                                 self.current3, dt, t)
 
         # (7) hexapod advance (when deployed)
         confirmed = self._hexapod_phase(t, dt)
@@ -448,8 +450,7 @@ class Simulation:
         new_detections = []
         if (self.sweep is not None
                 and self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH):
-            platform = (tuple(self.tuv.position[:2].tolist())
-                        if self.tuv is not None
+            platform = ((self.tuv[0], self.tuv[1]) if self.tuv is not None
                         else (self.truth.x, self.truth.y))
             self.coverage_track.append(platform)
             self.search_time += dt
@@ -506,8 +507,7 @@ class Simulation:
                realized.X, realized.Y, realized.N,
                disturbance.X, disturbance.Y, disturbance.N]
         if self.tuv is not None:
-            row += [*self.tuv.position.tolist(), *self.tuv.velocity.tolist(),
-                    *tension, self.towline.unstretched_length]
+            row += [*self.tuv, *tension, self.towline.unstretched_length]
         else:
             row += [None] * 10
         if self.hexapod is not None:
@@ -607,6 +607,11 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
 # -- serialization -------------------------------------------------------------
 
+# rows of states.csv per write: a few kB, about what the file object buffers
+# anyway, so the writer streams without a memory peak of its own
+_CHUNK_ROWS = 8
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -617,18 +622,51 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _quoted_line(cells: list) -> str:
+    """One record as csv.writer(lineterminator="\n") writes it, without
+    the terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
+def _csv_lines(columns, rows):
+    """Each record of states.csv, header first, as csv.writer writes it.
+
+    A record is its cells joined with commas, a float cell (the common
+    case) going straight to repr(). csv.writer itself writes the records
+    that need its quoting rules: a cell holding a comma (the line then has
+    more commas than cell boundaries), a quote, a line break, and the empty
+    line (a lone empty cell is written "").
+    """
+    yield _quoted_line(columns)
+    for row in rows:
+        cells = [repr(v) if type(v) is float else "" if v is None
+                 else _format_cell(v) for v in row]
+        line = ",".join(cells)
+        if (not line or line.count(",") != len(cells) - 1 or '"' in line
+                or "\n" in line or "\r" in line):
+            line = _quoted_line(cells)
+        yield line
+
+
 def emit_outputs(log: RunLog, out_dir, formats=("csv", "json")) -> dict:
-    """Write the log to a run directory; returns {kind: path}."""
+    """Write the log to a run directory; returns {kind: path}.
+
+    states.csv holds the bytes Python's csv module writes (excel dialect,
+    "\n" line ends) for the cells: None empty, a bool 0 or 1, a float its
+    repr(), anything else its str().
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
     if "csv" in formats:
         path = out / STATES_FILE
+        lines = _csv_lines(log.columns, log.rows)
         with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(log.columns)
-            for row in log.rows:
-                writer.writerow([_format_cell(v) for v in row])
+            while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+                chunk.append("")
+                fh.write("\n".join(chunk))
         written["states"] = path
     if "json" in formats:
         events_path = out / EVENTS_FILE

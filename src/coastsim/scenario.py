@@ -23,7 +23,7 @@ from .control import (LOITER, PATH_FOLLOW, WAYPOINT, GuidanceSetpoint,
                       PidController)
 from .environment import (TERRAIN_CLASSES, DampingCoeffs, DisturbanceField,
                           TerrainMap, load_terrain)
-from .hexapod import HexapodParams, LegGeometry
+from .hexapod import HexapodParams, LegGeometry, stand_legs
 from .mission import PlantedObject, SearchArea
 from .nav import EkfParams, SensorConfig
 from .tuv import Towline, TuvParams
@@ -335,8 +335,12 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
         if key not in TERRAIN_CLASSES:
             raise _err(f"{sec.path}.terrain_speeds.{key}",
                        f"unknown terrain class; expected {sorted(TERRAIN_CLASSES)}")
-        speeds[key] = _quantity(value, f"{sec.path}.terrain_speeds.{key}",
-                                SPEED_UNITS)
+        speed = _quantity(value, f"{sec.path}.terrain_speeds.{key}",
+                          SPEED_UNITS)
+        if not 0.0 < speed < math.inf:
+            raise _err(f"{sec.path}.terrain_speeds.{key}",
+                       f"must be a positive finite speed, got {speed}")
+        speeds[key] = speed
     params = HexapodParams(
         geometry=geometry,
         terrain_speeds=speeds,
@@ -349,6 +353,16 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
                                positive=True),
         home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS))
     sec.finish()
+    # the crawler stands up at deploy: its home foot point must be reachable
+    # (WorkspaceViolation, JointLimitError, or a non-finite angle)
+    try:
+        stand_legs(params)
+    except ValueError as exc:
+        raise _err(f"{sec.path}.home_radius",
+                   f"the stand pose (home_radius {params.home_radius} m, "
+                   f"home_height {params.home_height} m) is out of reach of "
+                   f"legs with l1 {geometry.l1} m, l2 {geometry.l2} m: "
+                   f"{exc}") from None
     return params
 
 

@@ -269,15 +269,22 @@ def tuv_step(state: TowedBodyState, params: TuvParams, tension: np.ndarray,
     surface (z = 0) is a hard ceiling: the body is clamped to it and any
     upward velocity there is zeroed.
     """
-    x = _floats(state.position) + _floats(state.velocity)
-    x, _ = rk4_stages(_derivative, x, dt, params, _floats(tension),
-                      _floats(current))
+    x = _step(_floats(state.position) + _floats(state.velocity), params,
+              _floats(tension), _floats(current), dt, t)
+    return TowedBodyState(np.array(x[0:3]), np.array(x[3:6]))
+
+
+def _step(x, params: TuvParams, tension, current, dt: float,
+          t: float) -> list:
+    """tuv_step on floats: x the stacked (position, velocity) 6-sequence,
+    tension and current 3-sequences; returns the new 6-list."""
+    x, _ = rk4_stages(_derivative, x, dt, params, tension, current)
     if not all(map(math.isfinite, x)):
         raise IntegrationFault("towed body state diverged", t)
     if x[2] < 0.0:
         x[2] = 0.0
         x[5] = max(x[5], 0.0)
-    return TowedBodyState(np.array(x[0:3]), np.array(x[3:6]))
+    return x
 
 
 def winch_set_length(line: Towline, commanded_length: float, dt: float) -> Towline:

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from coastsim.cli import OUT_DIR_ENV, main
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 CRUISE_YAML = """\
 run: {seed: 9, dt: 0.01, duration: 1.0}
@@ -125,6 +129,29 @@ def test_validate_bad_scenario_exits_1(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error: scenario.run.dt" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("hexapod, field", [
+    ({"terrain_speeds": {"sand": 0}}, "scenario.hexapod.terrain_speeds.sand"),
+    ({"home_radius": 0.5}, "scenario.hexapod.home_radius"),
+])
+def test_unrunnable_crawler_exits_1_with_field_path(hexapod, field, command,
+                                                    tmp_path, capsys):
+    # calm_search deploys the crawler; these two once passed validate and
+    # then ended simulate in a traceback at deploy
+    tree = yaml.safe_load((SCENARIO_DIR / "calm_search.yaml").read_text())
+    tree["hexapod"] = hexapod
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- report ---------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastsim.core import (Frame2D, IntegrationFault, SeededRng, SimClock,
                            rk4_step, rotate_body_to_nav, rotate_nav_to_body,
@@ -24,6 +26,18 @@ def test_wrap_angle_range_property():
         # same direction on the circle
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-12)
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-12)
+
+
+@settings(max_examples=2000)
+@given(theta=st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(-4 * math.pi, 4 * math.pi)
+       | st.sampled_from([-0.0, math.pi, -math.pi, 2 * math.pi,
+                          math.nextafter(2 * math.pi, 0.0), -1e-300, 5e-324]))
+def test_wrap_angle_is_a_fixed_point_on_its_outputs(theta):
+    # body_advance builds its new state without the constructor's wrap
+    # because a wrapped heading wraps to the same bits
+    w = wrap_angle(theta)
+    assert repr(wrap_angle(w)) == repr(w)
 
 
 def test_wrap_angle_rejects_non_finite():

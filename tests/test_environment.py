@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastsim.asv import VehicleState3DOF, ZERO_WRENCH
 from coastsim.core import SeededRng
@@ -192,6 +194,35 @@ def test_depth_table_per_class():
     assert m.terrain_at((0.5, 0.5)) == (SAND, 5.5)
     assert m.terrain_at((1.5, 0.5)) == (ROCK, 7.0)
     assert m.terrain_at((2.5, 0.5)) == (MUD, 4.0)  # default kept
+
+
+def ref_terrain_at(m, point):
+    # terrain_at before it read the point as floats
+    p = np.asarray(point, dtype=float)
+    col = math.floor((p[0] - m.origin[0]) / m.cell_size)
+    row_from_south = math.floor((p[1] - m.origin[1]) / m.cell_size)
+    row = m.n_rows - 1 - row_from_south
+    if not (0 <= col < m.n_cols and 0 <= row < m.n_rows):
+        raise OutOfBounds(f"point ({p[0]:.3f}, {p[1]:.3f}) outside terrain map")
+    cls = m.grid[row][col]
+    return cls, m.depths[cls]
+
+
+@settings(max_examples=500)
+@given(x=st.floats(-30.0, 30.0), y=st.floats(-30.0, 30.0),
+       kind=st.sampled_from([tuple, list, np.array]))
+def test_terrain_at_matches_array_reference(x, y, kind):
+    m = TerrainMap([[SAND, ROCK, MUD], [MUD, SAND, ROCK]], cell_size=7.5,
+                   origin=(-11.25, -7.5))
+    point = kind((x, y))
+    try:
+        expected = ref_terrain_at(m, point)
+    except OutOfBounds as exc:
+        with pytest.raises(OutOfBounds) as info:
+            m.terrain_at(point)
+        assert str(info.value) == str(exc)
+        return
+    assert m.terrain_at(point) == expected
 
 
 def test_map_validation():

@@ -395,6 +395,34 @@ def ref_leg_foot_target(params, leg, gait_t, period, speed):
     return ref_gait_foot_position(phase, gait_t, h_lift=params.h_lift)
 
 
+def ref_leg_ik(p, geom):
+    """leg_ik as it was before its float core: the law-of-cosines terms
+    recomputed per call, one limit-check call per joint, the frozen
+    dataclass constructor."""
+    def check_limit(name, value, limits):
+        if not limits[0] <= value <= limits[1]:
+            raise JointLimitError(name, value, limits)
+
+    x, y, z = float(p[0]), float(p[1]), float(p[2])
+    d = math.hypot(x, y)
+    r = math.hypot(d, z)
+    arg = (d * d + z * z - geom.l1 ** 2 - geom.l2 ** 2) / (2.0 * geom.l1 * geom.l2)
+    if arg > 1.0 + 1e-14 or arg < -1.0 - 1e-14:
+        raise WorkspaceViolation(
+            f"target radius {r:.9f} m outside [{geom.reach_min:.9f}, "
+            f"{geom.reach_max:.9f}] m", radius=r)
+    arg = min(max(arg, -1.0), 1.0)
+    theta1 = math.atan2(y, x)
+    theta2 = math.acos(arg)
+    theta3 = wrap_angle(math.atan2(z, d)
+                        - math.atan2(geom.l2 * math.sin(theta2),
+                                     geom.l1 + geom.l2 * math.cos(theta2)))
+    check_limit("theta1", theta1, geom.theta1_limits)
+    check_limit("theta2", theta2, geom.theta2_limits)
+    check_limit("theta3", theta3, geom.theta3_limits)
+    return LegConfiguration(theta1, theta2, theta3)
+
+
 def ref_body_advance(state, heading_cmd, dt, params, speed=None):
     if speed is None:
         speed = params.speed_for(state.terrain)
@@ -409,7 +437,7 @@ def ref_body_advance(state, heading_cmd, dt, params, speed=None):
     try:
         for leg in range(6):
             target = ref_leg_foot_target(params, leg, gait_t, period, speed)
-            legs.append(leg_ik(target, params.geometry))
+            legs.append(ref_leg_ik(target, params.geometry))
     except (WorkspaceViolation, JointLimitError):
         return dataclasses.replace(state, faults=state.faults + 1)
     step = speed * dt
@@ -515,6 +543,9 @@ def test_foot_position_signed_zeros_match_reference(t, h_lift):
 
 
 def _state_key(state):
+    assert type(state) is HexapodState
+    assert type(state.position) is np.ndarray and state.position.dtype == float
+    assert all(type(cfg) is LegConfiguration for cfg in state.legs)
     return (state.position.tobytes(), repr(state.heading), repr(state.gait_t),
             repr(state.legs), state.faults, state.terrain)
 
@@ -538,3 +569,83 @@ def test_body_advance_matches_reference_walk_bit_for_bit():
         assert _state_key(state) == _state_key(ref), k
         faults_seen = state.faults
     assert faults_seen == 1
+
+
+# --- float IK core against the leg_ik it replaced -----------------------------
+
+def _ik_outcome(ik, p, geom):
+    """(angles as bits, or the exception's type, message and attribute)."""
+    try:
+        cfg = ik(p, geom)
+    except WorkspaceViolation as exc:
+        return type(exc), str(exc), repr(exc.radius)
+    except JointLimitError as exc:
+        return type(exc), str(exc), exc.joint
+    assert type(cfg) is LegConfiguration
+    return tuple(repr(v) for v in (cfg.theta1, cfg.theta2, cfg.theta3))
+
+
+def _check_ik(p, geom):
+    got = _ik_outcome(leg_ik, p, geom)
+    assert got == _ik_outcome(ref_leg_ik, p, geom)
+    if isinstance(got[0], str):  # solved: the result is still frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            leg_ik(p, geom).theta1 = 0.0
+
+
+def _on_sphere(r, azimuth, elevation):
+    d = r * math.cos(elevation)
+    return [d * math.cos(azimuth), d * math.sin(azimuth), r * math.sin(elevation)]
+
+
+@pytest.mark.parametrize("geom", [LegGeometry(), OPEN_GEOM,
+                                  LegGeometry(l1=0.1, l2=0.1),
+                                  LegGeometry(l1=0.3, l2=0.07)],
+                         ids=["default", "open", "equal", "long_first"])
+@pytest.mark.parametrize("rim", ["max", "min"])
+def test_ik_core_matches_reference_at_the_workspace_edge(geom, rim):
+    # radii a few ulps either side of each rim, in several directions
+    edge = geom.reach_max if rim == "max" else geom.reach_min
+    for k in range(-6, 7):
+        r = edge + k * math.ulp(edge) * 4
+        for azimuth, elevation in ((0.0, 0.0), (1.0, -0.4), (-2.5, 0.9)):
+            _check_ik(_on_sphere(r, azimuth, elevation), geom)
+    for offset in (1e-15, 1e-14, 1e-13, 1e-12):
+        _check_ik([edge + offset, 0.0, 0.0], geom)
+        _check_ik([edge - offset, 0.0, 0.0], geom)
+
+
+@pytest.mark.parametrize("p, geom, joint", [
+    ([-0.10, 0.10, -0.05], LegGeometry(theta1_limits=(-1.0, 1.0)), "theta1"),
+    ([0.05, 0.0, 0.0], LegGeometry(), "theta2"),
+    ([0.001, 0.0, -0.199], LegGeometry(), "theta3"),
+    # every joint out of range: theta1 is reported first, then theta2
+    ([-0.05, 0.001, 0.0], LegGeometry(theta1_limits=(-1.0, 1.0)), "theta1"),
+    ([-0.05, 0.001, 0.0], LegGeometry(), "theta2"),
+])
+def test_ik_core_matches_reference_at_each_joint_limit(p, geom, joint):
+    outcome = _ik_outcome(leg_ik, p, geom)
+    assert outcome[0] is JointLimitError and outcome[2] == joint
+    _check_ik(p, geom)
+    # a limit exactly at the solved angle passes, one ulp past it fails
+    free = dataclasses.replace(geom, theta1_limits=(-10.0, 10.0),
+                               theta2_limits=(-10.0, 10.0),
+                               theta3_limits=(-10.0, 10.0))
+    angle = getattr(leg_ik(p, free), joint)
+    for limits in ((angle, 10.0), (-10.0, angle),
+                   (math.nextafter(angle, 10.0), 10.0),
+                   (-10.0, math.nextafter(angle, -10.0))):
+        _check_ik(p, dataclasses.replace(free, **{f"{joint}_limits": limits}))
+
+
+@settings(max_examples=1000)
+@given(r=st.floats(0.0, 0.25), azimuth=st.floats(-math.pi, math.pi),
+       elevation=st.floats(-math.pi / 2, math.pi / 2),
+       l1=st.sampled_from([0.08, 0.1, 0.05, 0.123456789]),
+       l2=st.sampled_from([0.12, 0.1, 0.2, 0.0987654321]),
+       open_limits=st.booleans())
+def test_ik_core_matches_reference_bit_for_bit(r, azimuth, elevation, l1, l2,
+                                               open_limits):
+    limits = (-math.pi, math.pi) if open_limits else (-math.pi / 2, math.pi / 2)
+    geom = LegGeometry(l1=l1, l2=l2, theta2_limits=limits, theta3_limits=limits)
+    _check_ik(_on_sphere(r, azimuth, elevation), geom)

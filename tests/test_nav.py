@@ -173,6 +173,11 @@ def test_predict_matches_array_rk4_bit_for_bit(params):
         mean[2] = wrap_angle(mean[2])
         assert np.array_equal(out.x, mean)
         assert np.array_equal(out.P, P_ref)
+        # the runner passes the process noise it computed once
+        hoisted = ekf_predict(EstimatorState(x.copy(), P.copy()), params, ekf,
+                              wrench, dt, ekf.q_discrete(dt))
+        assert hoisted.x.tobytes() == out.x.tobytes()
+        assert hoisted.P.tobytes() == out.P.tobytes()
 
 
 def test_predict_divergence_raises_before_heading_wrap(params):

@@ -1,11 +1,14 @@
+import csv
 import dataclasses
 import filecmp
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coastsim.core import rotate_body_to_nav
@@ -131,6 +134,54 @@ def test_emit_format_subsets(tmp_path):
     assert not (tmp_path / "json" / "states.csv").exists()
 
 
+# the states.csv writer emit_outputs had before it joined lines itself: every
+# cell through _format_cell, every row through csv.writer
+def ref_format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def ref_states_csv(log) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(log.columns)
+    for row in log.rows:
+        writer.writerow([ref_format_cell(v) for v in row])
+    return buf.getvalue().encode("ascii")
+
+
+ascii_text = st.text(st.characters(max_codepoint=127), max_size=6)
+csv_cells = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     -2.2250738585072014e-308, 1e16, 1e-5]),
+    st.integers(), st.booleans(), st.none(),
+    ascii_text, st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", "a,b",
+                                 'say "hi"', " x ", "wide_area_search"]))
+csv_rows = st.lists(csv_cells, max_size=8) | st.lists(csv_cells, max_size=1)
+
+
+@settings(max_examples=500)
+@given(columns=st.lists(ascii_text | st.none(), max_size=4),
+       rows=st.lists(csv_rows, max_size=150))
+@example(columns=["t"], rows=[[None], [""], [], [0.5], [1.0, None]])
+# quoted, empty and one-cell rows on both sides of a chunk boundary
+@example(columns=["a", "b"],
+         rows=[[float(k), f"r{k}"] for k in range(62)]
+         + [["x,y"], [None], [], ['"'], ["\n", 1]]
+         + [[float(k), f"r{k}"] for k in range(70)])
+def test_states_csv_matches_csv_writer_bytes(columns, rows):
+    log = RunLog(columns=columns, rows=rows)
+    with tempfile.TemporaryDirectory() as out:
+        written = emit_outputs(log, out, formats=("csv",))
+        assert Path(written["states"]).read_bytes() == ref_states_csv(log)
+
+
 def test_read_run_requires_states(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_run(tmp_path)
@@ -240,7 +291,7 @@ def test_towline_degenerate_geometry_aborts_with_partial_log():
     truth, x_a = sim.truth, sim.scn.tow_attach_x
     attach_xy = (np.array([truth.x, truth.y])
                  + rotate_body_to_nav([x_a, 0.0], truth.psi))
-    sim.tuv.position = np.array([attach_xy[0], attach_xy[1], 0.0])
+    sim.tuv[0:3] = [float(attach_xy[0]), float(attach_xy[1]), 0.0]
     log = sim.run()
     assert log.aborted is True
     assert "DegenerateGeometry" in log.metrics["abort_reason"]

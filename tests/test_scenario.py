@@ -365,3 +365,27 @@ def test_guidance_helpers_carry_scenario_tuning():
     assert lo.mode == LOITER
     assert lo.dead_band == 0.4
     assert lo.approach_gain == 2.0
+
+
+# --- crawler inputs the walk cannot run --------------------------------------
+
+@pytest.mark.parametrize("speed", [0, -0.1, "-1 km/h", float("inf"),
+                                   float("nan")])
+def test_terrain_speed_must_be_positive_and_finite(speed):
+    tree = minimal_tree(hexapod={"terrain_speeds": {"sand": speed}})
+    with pytest.raises(ScenarioError,
+                       match=r"scenario\.hexapod\.terrain_speeds\.sand: must be"):
+        parse_scenario(tree)
+
+
+@pytest.mark.parametrize("hexapod", [
+    {"home_radius": 0.5},  # beyond l1 + l2
+    {"home_radius": 0.01, "home_height": 0.0},  # inside |l1 - l2|
+    {"home_radius": 0.05, "home_height": 0.0},  # reachable, elbow past its limit
+    {"home_height": float("nan")},
+    {"geometry": {"l1": 0.02, "l2": 0.03}},
+])
+def test_stand_pose_must_be_reachable(hexapod):
+    with pytest.raises(ScenarioError,
+                       match=r"scenario\.hexapod\.home_radius: the stand pose"):
+        parse_scenario(minimal_tree(hexapod=hexapod))
