@@ -9,8 +9,9 @@ and identical (scenario, seed) pairs reproduce byte-identical output.
 
 from .asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_derivative, asv_step)
-from .control import GuidanceSetpoint, PidController, guidance_step, pid_step
-from .core import (Frame2D, IntegrationFault, SeededRng, SimClock,
+from .control import (GuidanceSetpoint, PidController, guidance_step,
+                      pid_step, station_keeping)
+from .core import (IntegrationFault, SeededRng, SimClock, SimulationFault,
                    rotate_body_to_nav, rotate_nav_to_body, wrap_angle)
 from .environment import (DampingCoeffs, DisturbanceField, GustProcess,
                           OutOfBounds, TerrainMap, damping_wrench,

@@ -3,9 +3,7 @@
 State is (x, y, psi) pose in the navigation frame and (u, v, r) body-frame
 velocities (surge, sway, yaw rate). The mass matrix is diagonal (surge and
 sway include added mass, yaw lumps inertia) and the velocity coupling matrix
-is skew-symmetric, so the free vehicle conserves kinetic energy. Heave, roll
-and pitch are carried as inert zeros purely so logged records have the full
-6-DOF layout.
+is skew-symmetric, so the free vehicle conserves kinetic energy.
 """
 
 from __future__ import annotations
@@ -63,50 +61,26 @@ class VehicleState3DOF:
     u: float = 0.0  # surge speed [m/s]
     v: float = 0.0  # sway speed [m/s]
     r: float = 0.0  # yaw rate [rad/s]
-    # inert DOFs, logged but never driven
-    z: float = 0.0
-    phi: float = 0.0
-    theta: float = 0.0
-    w: float = 0.0
-    p: float = 0.0
-    q: float = 0.0
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.u, self.v, self.r])
 
-    def with_array(self, arr) -> "VehicleState3DOF":
-        """This state with the six integrated DOFs read from a 6-sequence."""
-        return VehicleState3DOF(
-            float(arr[IX]), float(arr[IY]), wrap_angle(float(arr[IPSI])),
-            float(arr[IU]), float(arr[IV]), float(arr[IR]),
-            self.z, self.phi, self.theta, self.w, self.p, self.q)
-
-    def speed(self) -> float:
-        return float(np.hypot(self.u, self.v))
+    @classmethod
+    def from_array(cls, arr) -> "VehicleState3DOF":
+        """The state read from a 6-sequence (x, y, psi, u, v, r), psi
+        wrapped."""
+        return cls(float(arr[IX]), float(arr[IY]),
+                   wrap_angle(float(arr[IPSI])), float(arr[IU]),
+                   float(arr[IV]), float(arr[IR]))
 
 
-def asv_kinematics(state: np.ndarray) -> np.ndarray:
-    """Pose rates (xdot, ydot, psidot) from the 6-state array."""
-    psi, u, v, r = state[IPSI], state[IU], state[IV], state[IR]
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([u * c - v * s, u * s + v * c, r])
-
-
-def asv_dynamics(state: np.ndarray, params: AsvParams, wrench: BodyWrench) -> np.ndarray:
-    """Body accelerations (udot, vdot, rdot).
+def _derivative(state, params: AsvParams, wrench: BodyWrench) -> tuple:
+    """(xdot, ydot, psidot, udot, vdot, rdot) of a 6-sequence of floats.
 
     Velocity coupling uses the skew-symmetric matrix
         [[0, -m33 r, m22 v], [m33 r, 0, -m11 u], [-m22 v, m11 u, 0]]
     moved to the right-hand side and divided by the diagonal mass matrix.
     """
-    u, v, r = state[IU], state[IV], state[IR]
-    udot = (wrench.X + (params.m33 - params.m22) * r * v) / params.m11
-    vdot = (wrench.Y + (params.m11 - params.m33) * u * r) / params.m22
-    rdot = (wrench.N + (params.m22 - params.m11) * v * u) / params.m33
-    return np.array([udot, vdot, rdot])
-
-
-def _derivative(state, params: AsvParams, wrench: BodyWrench) -> tuple:
     psi, u, v, r = state[IPSI], state[IU], state[IV], state[IR]
     c, s = cos_sin(psi)
     return (
@@ -142,7 +116,7 @@ def asv_step(state: VehicleState3DOF, params: AsvParams, wrench: BodyWrench,
     x_next, _ = rk4_stages(x, params, wrench, dt)
     if not all(map(math.isfinite, x_next)):
         raise IntegrationFault("surface vehicle state diverged", t)
-    return state.with_array(x_next)
+    return VehicleState3DOF.from_array(x_next)
 
 
 def kinetic_energy(state: VehicleState3DOF, params: AsvParams) -> float:

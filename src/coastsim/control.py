@@ -1,19 +1,21 @@
-"""PID regulators and waypoint/loiter guidance.
+"""PID regulators, waypoint guidance and station keeping.
 
 Two independent scalar PID loops drive the surface vehicle: heading error to
-yaw-moment command and speed error to surge-force command. Guidance turns a
-setpoint plus the current state estimate into those two errors.
+yaw-moment command and speed error to surge-force command. Waypoint guidance
+turns a setpoint plus the current state estimate into those two errors.
+Station keeping holds a loiter point: it turns the estimate into a heading
+error plus a surge force, which bypasses the speed loop.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import rotate_body_to_nav, wrap_angle
 
 INF = float("inf")
 
@@ -58,24 +60,17 @@ def pid_step(ctrl: PidController, error: float, dt: float) -> tuple[float, PidCo
                               ctrl.integral_limits, integral, error)
 
 
-def pid_reset(ctrl: PidController) -> PidController:
-    return dataclasses.replace(ctrl, integral=0.0, prev_error=None)
-
-
 WAYPOINT = "waypoint"
 LOITER = "loiter"
-PATH_FOLLOW = "path-follow"
-_MODES = (WAYPOINT, LOITER, PATH_FOLLOW)
+_MODES = (WAYPOINT, LOITER)
 
 
 @dataclass(frozen=True)
 class GuidanceSetpoint:
-    mode: str  # one of waypoint / loiter / path-follow
+    mode: str  # waypoint, or loiter (held by station_keeping)
     target: np.ndarray  # (2,) nav-frame point [m]
     cruise_speed: float = 2.0  # [m/s]
     arrival_radius: float = 2.0  # waypoint capture radius [m]
-    dead_band: float = 1.0  # loiter: no command inside this radius [m]
-    approach_gain: float = 0.5  # loiter: speed per metre of offset [1/s]
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -89,31 +84,60 @@ def guidance_step(setpoint: GuidanceSetpoint, est_pose: np.ndarray
                   ) -> tuple[float, float, bool]:
     """Compute (heading_error, speed_cmd, arrived) from the estimated pose.
 
-    est_pose is (x, y, psi) from the estimator. Waypoint (and path-follow leg)
-    mode steers the bearing to the target at cruise speed until inside the
-    arrival radius. Loiter mode commands motion toward the point scaled by
-    distance outside the dead band; when the point is behind the vehicle it
-    backs up instead of turning around, which keeps station-keeping tight.
+    est_pose is (x, y, psi) from the estimator. Steers the bearing to the
+    target at cruise speed until inside the arrival radius. A loiter point
+    is held by station_keeping instead.
     """
     x, y, psi = float(est_pose[0]), float(est_pose[1]), float(est_pose[2])
     offset = setpoint.target - np.array([x, y])
     dist = float(np.hypot(offset[0], offset[1]))
-    if setpoint.mode in (WAYPOINT, PATH_FOLLOW):
-        arrived = dist <= setpoint.arrival_radius
-        if arrived:
-            return 0.0, 0.0, True
-        bearing = float(np.arctan2(offset[1], offset[0]))
-        return wrap_angle(bearing - psi), setpoint.cruise_speed, False
-
-    # loiter
-    arrived = dist <= setpoint.arrival_radius
-    if dist <= setpoint.dead_band:
-        return 0.0, 0.0, arrived
+    if dist <= setpoint.arrival_radius:
+        return 0.0, 0.0, True
     bearing = float(np.arctan2(offset[1], offset[0]))
-    heading_error = wrap_angle(bearing - psi)
-    speed_cmd = min(setpoint.cruise_speed, setpoint.approach_gain * dist)
-    if abs(heading_error) > 0.5 * np.pi:
-        # target astern: reverse toward it
-        heading_error = wrap_angle(heading_error + np.pi)
-        speed_cmd = -speed_cmd
-    return heading_error, speed_cmd, arrived
+    return wrap_angle(bearing - psi), setpoint.cruise_speed, False
+
+
+# station-keeping force law (nav frame): the integral term ends up carrying
+# the mean wind load, so the commanded force vector -- and with it the bow --
+# points steadily upwind instead of flipping each time the estimate crosses
+# the loiter point; the stiffness/integral pair is sized to absorb a
+# 10 s-correlated gust before it can push the hull a boat length off station
+DP_KP = 18.0  # [N/m]
+DP_KD = 50.0  # [N s/m]
+DP_KI = 1.5  # [N/(m s)]
+DP_INTEGRAL_MAX = 50.0  # [N] per axis
+
+
+def station_keeping(point: tuple[float, float], est,
+                    integral: tuple[float, float], dt: float
+                    ) -> tuple[float, float, tuple[float, float]]:
+    """Hold a point with a position PID over nav-frame force.
+
+    point is the (x, y) loiter point, est the estimated VehicleState3DOF and
+    integral the per-axis integral term [N] of the previous call ((0, 0) for
+    a new point). Returns (heading_error, surge force [N], updated
+    integral). The bow turns toward the commanded force, or away from it
+    when the force points astern, and only the force component along the
+    hull is commanded.
+    """
+    err_x = point[0] - est.x
+    err_y = point[1] - est.y
+    v_x, v_y = rotate_body_to_nav((est.u, est.v), est.psi)
+    int_x = min(max(integral[0] + DP_KI * err_x * dt, -DP_INTEGRAL_MAX),
+                DP_INTEGRAL_MAX)
+    int_y = min(max(integral[1] + DP_KI * err_y * dt, -DP_INTEGRAL_MAX),
+                DP_INTEGRAL_MAX)
+    force_x = DP_KP * err_x - DP_KD * v_x + int_x
+    force_y = DP_KP * err_y - DP_KD * v_y + int_y
+    magnitude = float(np.hypot(force_x, force_y))
+    if magnitude < 1e-9:
+        return 0.0, 0.0, (int_x, int_y)
+    desired = math.atan2(force_y, force_x)
+    heading_error = wrap_angle(desired - est.psi)
+    surge = magnitude
+    if abs(heading_error) > 0.5 * math.pi:
+        # push stern-first rather than turning all the way around
+        heading_error = wrap_angle(heading_error + math.pi)
+        surge = -magnitude
+    surge *= math.cos(heading_error)  # only the aligned component helps
+    return heading_error, surge, (int_x, int_y)

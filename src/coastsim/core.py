@@ -1,4 +1,5 @@
-"""Shared simulation primitives: frames, clock, seeded random streams, RK4.
+"""Shared simulation primitives: rotations, clock, seeded random streams,
+RK4, the fault base.
 
 Conventions used throughout the package:
   - navigation frame: x east, y north, z down (for the underwater vehicle),
@@ -10,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +19,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class IntegrationFault(RuntimeError):
+class SimulationFault(Exception):
+    """A numerical fault that ends a run: the runner logs it as an abort,
+    writes the partial log and the CLI exits 2. Each concrete fault also
+    keeps its ValueError or RuntimeError base."""
+
+
+class IntegrationFault(SimulationFault, RuntimeError):
     """Raised when a derivative or state stops being finite."""
 
     def __init__(self, message: str, t: float):
@@ -60,25 +67,6 @@ def rotate_body_to_nav(vec, psi: float) -> tuple[float, float]:
 def rotate_nav_to_body(vec, psi: float) -> tuple[float, float]:
     """Inverse of rotate_body_to_nav."""
     return rotate_body_to_nav(vec, -psi)
-
-
-@dataclass(frozen=True)
-class Frame2D:
-    """A planar pose: origin expressed in the parent frame plus a heading."""
-
-    origin: np.ndarray  # (2,) parent-frame position [m]
-    heading: float  # [rad], wrapped on construction
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    def to_parent(self, local) -> np.ndarray:
-        return self.origin + rotate_body_to_nav(local, self.heading)
-
-    def from_parent(self, point) -> tuple[float, float]:
-        p = np.asarray(point, dtype=float)
-        return rotate_nav_to_body(p - self.origin, self.heading)
 
 
 @dataclass(frozen=True)
@@ -145,15 +133,3 @@ def rk4_stages(f: Callable[..., tuple], state, dt: float,
               for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
     return x_next, (x1, x2, x3, x4)
 
-
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 step of xdot = f(t, x)."""
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = f(t + dt, x + dt * k3)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(x_next).all():
-        raise IntegrationFault("non-finite state after RK4 step", t)
-    return x_next

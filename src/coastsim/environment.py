@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asv import BodyWrench, VehicleState3DOF, ZERO_WRENCH
-from .core import SeededRng, rotate_body_to_nav, rotate_nav_to_body
+from .core import (SeededRng, SimulationFault, rotate_body_to_nav,
+                   rotate_nav_to_body)
 
 STREAM_GUST = 10
 
@@ -30,7 +31,7 @@ TERRAIN_CLASSES = (SAND, ROCK, MUD)
 _CHAR_TO_CLASS = {"s": SAND, "r": ROCK, "m": MUD}
 
 
-class OutOfBounds(ValueError):
+class OutOfBounds(SimulationFault, ValueError):
     """Queried a point outside the terrain map."""
 
 

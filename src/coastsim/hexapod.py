@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Frame2D, wrap_angle
+from .core import wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -266,17 +266,17 @@ def tripod_schedule(t: float, period: float, duty_factor: float = 0.5) -> list[s
     return out
 
 
-# body-frame mount poses: position [m] and outward yaw [rad] per leg
+# body-frame mount poses per leg: (x [m], y [m], outward yaw [rad])
 MOUNTS = (
-    Frame2D(np.array([0.12, 0.09]), math.radians(45.0)),    # 0 front-left
-    Frame2D(np.array([0.12, -0.09]), math.radians(-45.0)),  # 1 front-right
-    Frame2D(np.array([0.0, -0.11]), math.radians(-90.0)),   # 2 mid-right
-    Frame2D(np.array([0.0, 0.11]), math.radians(90.0)),     # 3 mid-left
-    Frame2D(np.array([-0.12, 0.09]), math.radians(135.0)),  # 4 rear-left
-    Frame2D(np.array([-0.12, -0.09]), math.radians(-135.0)),  # 5 rear-right
+    (0.12, 0.09, math.radians(45.0)),  # 0 front-left
+    (0.12, -0.09, math.radians(-45.0)),  # 1 front-right
+    (0.0, -0.11, math.radians(-90.0)),  # 2 mid-right
+    (0.0, 0.11, math.radians(90.0)),  # 3 mid-left
+    (-0.12, 0.09, math.radians(135.0)),  # 4 rear-left
+    (-0.12, -0.09, math.radians(-135.0)),  # 5 rear-right
 )
 # per leg: (cos, sin) of the mount yaw
-_MOUNT_COS_SIN = tuple((math.cos(m.heading), math.sin(m.heading)) for m in MOUNTS)
+_MOUNT_COS_SIN = tuple((math.cos(yaw), math.sin(yaw)) for _, _, yaw in MOUNTS)
 
 DEFAULT_TERRAIN_SPEEDS = {"sand": 0.2, "rock": 0.1, "mud": 0.15}  # [m/s]
 
@@ -386,9 +386,3 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
     new.faults = state.faults
     return new
 
-
-def foot_in_body_frame(params: HexapodParams, leg: int, cfg: LegConfiguration) -> np.ndarray:
-    """Body-frame foot position (x, y, z) for a leg configuration."""
-    p = leg_fk(cfg, params.geometry)
-    xy = MOUNTS[leg].to_parent(p[0:2])
-    return np.array([xy[0], xy[1], p[2]])

@@ -81,12 +81,6 @@ class SearchPattern:
     waypoints: list  # ordered boustrophedon vertices, (2,) arrays
     n_legs: int
 
-    def path_length(self) -> float:
-        total = 0.0
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            total += float(np.linalg.norm(b - a))
-        return total
-
 
 def generate_lawnmower(area: SearchArea, swath: float,
                        entry: str = "sw") -> SearchPattern:

@@ -18,13 +18,13 @@ diverging filter raises EstimatorDivergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .asv import AsvParams, BodyWrench, VehicleState3DOF, rk4_stages
-from .core import SeededRng, cos_sin, wrap_angle
+from .core import SeededRng, SimulationFault, cos_sin, wrap_angle
 
 # sensor stream ids under the run's master seed
 STREAM_GPS = 1
@@ -36,11 +36,11 @@ COMPASS = "compass"
 GYRO = "gyro"
 
 
-class EstimatorDivergence(RuntimeError):
+class EstimatorDivergence(SimulationFault, RuntimeError):
     """Estimator state or covariance stopped being finite."""
 
 
-class SingularCovariance(RuntimeError):
+class SingularCovariance(SimulationFault, RuntimeError):
     """Innovation covariance is numerically singular."""
 
 

@@ -27,37 +27,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
+from .asv import (BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
-from .control import LOITER, PidController, guidance_step, pid_step
-from .core import (IntegrationFault, SeededRng, SimClock, rotate_body_to_nav,
+from .control import (LOITER, PidController, guidance_step, pid_step,
+                      station_keeping)
+from .core import (SeededRng, SimClock, SimulationFault, rotate_body_to_nav,
                    rotate_nav_to_body, wrap_angle)
-from .environment import (GustProcess, OutOfBounds, damping_wrench,
-                          disturbance_wrench)
+from .environment import GustProcess, damping_wrench, disturbance_wrench
 from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
                       SweepSensor, WorldEvents, coverage_report,
                       generate_lawnmower, mission_step)
-from .nav import (COMPASS, GPS, GYRO, EstimatorDivergence, SingularCovariance,
-                  ekf_predict, ekf_update, initial_estimate, sample_sensors)
+from .nav import (COMPASS, GPS, GYRO, ekf_predict, ekf_update,
+                  initial_estimate, sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
-from .tuv import (DegenerateGeometry, _coupling_tension, _step as _tuv_step,
-                  winch_set_length)
+from .tuv import _coupling_tension, _step as _tuv_step, winch_set_length
 
 STATES_FILE = "states.csv"
 EVENTS_FILE = "events.jsonl"
 METRICS_FILE = "metrics.json"
-
-# station-keeping force law (nav frame): the integral term ends up carrying
-# the mean wind load, so the commanded force vector -- and with it the bow --
-# points steadily upwind instead of flipping each time the estimate crosses
-# the loiter point; the stiffness/integral pair is sized to absorb a
-# 10 s-correlated gust before it can push the hull a boat length off station
-DP_KP = 18.0  # [N/m]
-DP_KD = 50.0  # [N s/m]
-DP_KI = 1.5  # [N/(m s)]
-DP_INTEGRAL_MAX = 50.0  # [N] per axis
 
 _JOINT_COLUMNS = [f"hex_leg{leg}_theta{joint}"
                   for leg in range(6) for joint in (1, 2, 3)]
@@ -77,9 +66,6 @@ COLUMNS = (
     + _JOINT_COLUMNS
     + ["phase", "innov_gps_x", "innov_gps_y", "innov_compass", "innov_gyro"]
 )
-
-_ABORTING = (IntegrationFault, EstimatorDivergence, SingularCovariance,
-             OutOfBounds, DegenerateGeometry)
 
 
 def _wrench_sum(a: BodyWrench, b: BodyWrench, c: BodyWrench,
@@ -192,7 +178,7 @@ class Simulation:
     # -- per-step pieces -------------------------------------------------------
 
     def _estimated_state(self) -> VehicleState3DOF:
-        return VehicleState3DOF().with_array(self.est.x.tolist())
+        return VehicleState3DOF.from_array(self.est.x.tolist())
 
     def _guidance(self, est_state: VehicleState3DOF):
         """(heading_error, speed_cmd, direct_surge) for the current phase.
@@ -214,7 +200,16 @@ class Simulation:
         else:
             setpoint = self._search_setpoint(est_pose)
         if setpoint.mode == LOITER:
-            return self._station_keeping(setpoint.target, est_state)
+            point = (float(setpoint.target[0]), float(setpoint.target[1]))
+            if point != self._dp_point:
+                self._dp_integral = (0.0, 0.0)
+                self._dp_point = point
+            heading_error, surge, self._dp_integral = station_keeping(
+                point, est_state, self._dp_integral, scn.dt)
+            # a zero command gives back est_state.psi itself: it is already
+            # wrapped, and wrap_angle returns its own outputs unchanged
+            self._cmd_heading = wrap_angle(est_state.psi + heading_error)
+            return heading_error, 0.0, surge
         heading_error, speed_cmd, arrived = guidance_step(setpoint, est_pose)
         if (self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH
                 and arrived and self.wp_index < len(self.pattern.waypoints)):
@@ -223,39 +218,6 @@ class Simulation:
             self.wp_index += 1
         self._cmd_heading = wrap_angle(est_state.psi + heading_error)
         return heading_error, speed_cmd, None
-
-    def _station_keeping(self, point, est_state: VehicleState3DOF):
-        """Hold a point with a position PID over nav-frame force."""
-        point = (float(point[0]), float(point[1]))
-        if point != self._dp_point:
-            self._dp_integral = (0.0, 0.0)
-            self._dp_point = point
-        err_x = point[0] - est_state.x
-        err_y = point[1] - est_state.y
-        v_x, v_y = rotate_body_to_nav((est_state.u, est_state.v), est_state.psi)
-        dt = self.scn.dt
-        int_x, int_y = self._dp_integral
-        int_x = min(max(int_x + DP_KI * err_x * dt, -DP_INTEGRAL_MAX),
-                    DP_INTEGRAL_MAX)
-        int_y = min(max(int_y + DP_KI * err_y * dt, -DP_INTEGRAL_MAX),
-                    DP_INTEGRAL_MAX)
-        self._dp_integral = (int_x, int_y)
-        force_x = DP_KP * err_x - DP_KD * v_x + int_x
-        force_y = DP_KP * err_y - DP_KD * v_y + int_y
-        magnitude = float(np.hypot(force_x, force_y))
-        if magnitude < 1e-9:
-            self._cmd_heading = est_state.psi
-            return 0.0, 0.0, 0.0
-        desired = math.atan2(force_y, force_x)
-        heading_error = wrap_angle(desired - est_state.psi)
-        surge = magnitude
-        if abs(heading_error) > 0.5 * math.pi:
-            # push stern-first rather than turning all the way around
-            heading_error = wrap_angle(heading_error + math.pi)
-            surge = -magnitude
-        surge *= math.cos(heading_error)  # only the aligned component helps
-        self._cmd_heading = wrap_angle(est_state.psi + heading_error)
-        return heading_error, 0.0, surge
 
     def _search_setpoint(self, est_pose):
         scn = self.scn
@@ -542,7 +504,7 @@ class Simulation:
                 break
             try:
                 self.step()
-            except _ABORTING as exc:
+            except SimulationFault as exc:
                 self.aborted = True
                 self.abort_reason = f"{type(exc).__name__}: {exc}"
                 self._log_event(self.clock.t, "abort", reason=self.abort_reason)

@@ -19,14 +19,13 @@ import numpy as np
 import yaml
 
 from .asv import AsvParams, VehicleState3DOF
-from .control import (LOITER, PATH_FOLLOW, WAYPOINT, GuidanceSetpoint,
-                      PidController)
+from .control import LOITER, WAYPOINT, GuidanceSetpoint, PidController
 from .environment import (TERRAIN_CLASSES, DampingCoeffs, DisturbanceField,
                           TerrainMap, load_terrain)
 from .hexapod import HexapodParams, LegGeometry, stand_legs
 from .mission import PlantedObject, SearchArea
 from .nav import EkfParams, SensorConfig
-from .tuv import Towline, TuvParams
+from .tuv import MAX_CABLE_LENGTH, Towline, TuvParams
 
 SEARCH = "search"
 LOITER_MISSION = "loiter"
@@ -206,8 +205,6 @@ class Scenario:
     ekf: EkfParams
     cruise_speed: float
     arrival_radius: float
-    loiter_dead_band: float
-    loiter_gain: float
     mission: MissionSpec
 
 
@@ -310,7 +307,8 @@ def _load_tuv(sec: _Section, water_density: float):
                                      minimum=0.0))
     t = sec.section("towline")
     towline = Towline(
-        unstretched_length=t.number("length", default=30.0, units=LENGTH_UNITS),
+        unstretched_length=t.number("length", default=30.0, units=LENGTH_UNITS,
+                                    positive=True, maximum=MAX_CABLE_LENGTH),
         stiffness=t.number("stiffness", default=800.0, positive=True),
         damping=t.number("damping", default=50.0, minimum=0.0),
         max_slew_rate=t.number("max_slew_rate", default=0.5, units=SPEED_UNITS,
@@ -436,14 +434,8 @@ def _load_controllers(sec: _Section, asv: AsvParams, dt: float):
                               positive=True)
     arrival_radius = sec.number("arrival_radius", default=2.0,
                                 units=LENGTH_UNITS, positive=True)
-    # a soft loiter law parks a boat length or more downwind under steady
-    # load; a small dead band and a stiff gain keep the hold tight
-    dead_band = sec.number("loiter_dead_band", default=0.3, units=LENGTH_UNITS,
-                           minimum=0.0)
-    loiter_gain = sec.number("loiter_gain", default=1.2, positive=True)
     sec.finish()
-    return (heading_pid, speed_pid, sensors, ekf, cruise_speed, arrival_radius,
-            dead_band, loiter_gain)
+    return heading_pid, speed_pid, sensors, ekf, cruise_speed, arrival_radius
 
 
 def _load_objects(raw, path: str) -> list[PlantedObject]:
@@ -498,8 +490,10 @@ def _load_mission(sec: _Section) -> MissionSpec:
                                       units=TIME_UNITS, minimum=0.0)
         spec.recovery_radius = sec.number("recovery_radius", default=3.0,
                                           units=LENGTH_UNITS, positive=True)
+        # the winch pays the line out to this length at each find
         spec.inspection_standoff = sec.number("inspection_standoff", default=5.0,
-                                              units=LENGTH_UNITS, positive=True)
+                                              units=LENGTH_UNITS, positive=True,
+                                              maximum=MAX_CABLE_LENGTH)
         spec.tether_reach = sec.number("tether_reach", default=30.0,
                                        units=LENGTH_UNITS, positive=True)
         spec.confirm_radius = sec.number("confirm_radius", default=0.5,
@@ -530,9 +524,9 @@ def parse_scenario(tree: dict, base_dir: Path | str = ".") -> Scenario:
     tuv_enabled, tuv_params, towline, tow_attach_x = _load_tuv(
         root.section("tuv"), water_density)
     hexapod_params = _load_hexapod(root.section("hexapod"))
-    (heading_pid, speed_pid, sensors, ekf, cruise_speed, arrival_radius,
-     dead_band, loiter_gain) = _load_controllers(root.section("controllers"),
-                                                 asv_params, dt)
+    (heading_pid, speed_pid, sensors, ekf, cruise_speed,
+     arrival_radius) = _load_controllers(root.section("controllers"),
+                                         asv_params, dt)
     mission = _load_mission(root.section("mission"))
     root.finish()
 
@@ -547,7 +541,6 @@ def parse_scenario(tree: dict, base_dir: Path | str = ".") -> Scenario:
         heading_pid=heading_pid, speed_pid=speed_pid,
         sensors=sensors, ekf=ekf,
         cruise_speed=cruise_speed, arrival_radius=arrival_radius,
-        loiter_dead_band=dead_band, loiter_gain=loiter_gain,
         mission=mission)
 
 
@@ -570,20 +563,9 @@ def load_scenario(path) -> Scenario:
 
 def guidance_for_waypoint(scn: Scenario, target) -> GuidanceSetpoint:
     return GuidanceSetpoint(WAYPOINT, target, cruise_speed=scn.cruise_speed,
-                            arrival_radius=scn.arrival_radius,
-                            dead_band=scn.loiter_dead_band,
-                            approach_gain=scn.loiter_gain)
+                            arrival_radius=scn.arrival_radius)
 
 
 def guidance_for_loiter(scn: Scenario, point) -> GuidanceSetpoint:
     return GuidanceSetpoint(LOITER, point, cruise_speed=scn.cruise_speed,
-                            arrival_radius=scn.arrival_radius,
-                            dead_band=scn.loiter_dead_band,
-                            approach_gain=scn.loiter_gain)
-
-
-def guidance_for_path(scn: Scenario, target, speed: float) -> GuidanceSetpoint:
-    return GuidanceSetpoint(PATH_FOLLOW, target, cruise_speed=speed,
-                            arrival_radius=scn.arrival_radius,
-                            dead_band=scn.loiter_dead_band,
-                            approach_gain=scn.loiter_gain)
+                            arrival_radius=scn.arrival_radius)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntegrationFault, rk4_stages
+from .core import IntegrationFault, SimulationFault, rk4_stages
 
 G = 9.81  # [m/s^2]
 MAX_CABLE_LENGTH = 30.0  # physical cable on the winch drum [m]
@@ -37,7 +37,7 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a 53-bit significand
 _TINY = 2.0 ** -968  # below this a product's rounding error can underflow
 
 
-class DegenerateGeometry(ValueError):
+class DegenerateGeometry(SimulationFault, ValueError):
     """Towline endpoints coincide; the line direction is undefined."""
 
 
@@ -205,8 +205,13 @@ def separation_rate(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel) -> f
 
 
 def _hydrofoil(vx: float, vy: float, vz: float, params: TuvParams) -> tuple:
-    """hydrofoil_forces on floats, flow speed first:
-    (speed, lift, drag, force x, force y, force z)."""
+    """Foil loads for the flow-relative velocity (vx, vy, vz):
+    (flow speed, lift magnitude, drag magnitude, total force x, y, z).
+
+    Drag opposes the flow; lift is perpendicular to it in the vertical
+    plane containing the flow, signed downward (depressor). Purely vertical
+    flow leaves the lift direction undefined, so lift is zero there.
+    """
     speed = _norm3(vx, vy, vz)
     if speed == 0.0:
         return speed, 0.0, 0.0, 0.0, 0.0, 0.0
@@ -225,22 +230,9 @@ def _hydrofoil(vx: float, vy: float, vz: float, params: TuvParams) -> tuple:
     return speed, lift, drag, fx, fy, fz
 
 
-def hydrofoil_forces(v_rel: np.ndarray, params: TuvParams
-                     ) -> tuple[float, float, np.ndarray]:
-    """(lift magnitude, drag magnitude, total foil force vector).
-
-    v_rel is the body velocity relative to the water. Drag opposes v_rel;
-    lift is perpendicular to it in the vertical plane containing the flow,
-    signed downward (depressor). Purely vertical flow leaves the lift
-    direction undefined, so lift is zero there.
-    """
-    _, lift, drag, fx, fy, fz = _hydrofoil(*_floats(v_rel), params)
-    return lift, drag, np.array((fx, fy, fz))
-
-
 def _derivative(x, params: TuvParams, tension, current) -> tuple:
-    """tuv_derivative on floats: x a 6-sequence, tension and current
-    3-sequences; returns a 6-tuple."""
+    """Derivative of the stacked (position, velocity) 6-sequence of floats,
+    tension and current 3-sequences; returns a 6-tuple."""
     vx, vy, vz = x[3], x[4], x[5]
     rx, ry, rz = vx - current[0], vy - current[1], vz - current[2]
     speed, _, _, fx, fy, fz = _hydrofoil(rx, ry, rz, params)
@@ -252,13 +244,6 @@ def _derivative(x, params: TuvParams, tension, current) -> tuple:
             (fx + k * rx + tension[0] + w * 0.0) / m,
             (fy + k * ry + tension[1] + w * 0.0) / m,
             (fz + k * rz + tension[2] + w) / m)
-
-
-def tuv_derivative(state_vec: np.ndarray, params: TuvParams, tension: np.ndarray,
-                   current: np.ndarray) -> np.ndarray:
-    """Derivative of the stacked (position, velocity) 6-vector."""
-    return np.array(_derivative(_floats(state_vec), params, _floats(tension),
-                                _floats(current)))
 
 
 def tuv_step(state: TowedBodyState, params: TuvParams, tension: np.ndarray,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF,
-                          allocate_differential_thrust, asv_derivative,
-                          asv_dynamics, asv_kinematics, asv_step,
-                          kinetic_energy)
+                          ZERO_WRENCH, allocate_differential_thrust,
+                          asv_derivative, asv_step, kinetic_energy)
 
 
 @pytest.fixture
@@ -20,7 +19,7 @@ def test_kinematics_example():
     state = VehicleState3DOF(psi=psi, u=u, v=v, r=r).as_array()
     expected_xdot = u * math.cos(psi) - v * math.sin(psi)
     expected_ydot = u * math.sin(psi) + v * math.cos(psi)
-    out = asv_kinematics(state)
+    out = asv_derivative(state, AsvParams(), ZERO_WRENCH)[0:3]
     assert out[0] == pytest.approx(expected_xdot, abs=1e-15)
     assert out[1] == pytest.approx(expected_ydot, abs=1e-15)
     assert out[2] == r
@@ -28,13 +27,14 @@ def test_kinematics_example():
 
 def test_kinematics_heading_zero_is_identity():
     state = VehicleState3DOF(u=1.5, v=0.2, r=0.1).as_array()
-    assert np.allclose(asv_kinematics(state), [1.5, 0.2, 0.1])
+    assert np.allclose(asv_derivative(state, AsvParams(), ZERO_WRENCH)[0:3],
+                       [1.5, 0.2, 0.1])
 
 
 def test_dynamics_zero_wrench_coupling(params):
     # hand-solved coupling terms for u=1, v=0.5, r=0.1
     state = VehicleState3DOF(u=1.0, v=0.5, r=0.1).as_array()
-    acc = asv_dynamics(state, params, BodyWrench())
+    acc = asv_derivative(state, params, BodyWrench())[3:6]
     assert acc[0] == pytest.approx((20.0 - 60.0) * 0.1 * 0.5 / 50.0)  # -0.04
     assert acc[1] == pytest.approx((50.0 - 20.0) * 1.0 * 0.1 / 60.0)  # +0.05
     assert acc[2] == pytest.approx((60.0 - 50.0) * 0.5 * 1.0 / 20.0)  # +0.25
@@ -45,7 +45,7 @@ def test_dynamics_zero_wrench_coupling(params):
 
 def test_dynamics_pure_wrench(params):
     state = VehicleState3DOF().as_array()
-    acc = asv_dynamics(state, params, BodyWrench(X=10.0, Y=-6.0, N=2.0))
+    acc = asv_derivative(state, params, BodyWrench(X=10.0, Y=-6.0, N=2.0))[3:6]
     assert np.allclose(acc, [10.0 / 50.0, -6.0 / 60.0, 2.0 / 20.0])
 
 
@@ -70,7 +70,7 @@ def test_constant_velocity_traces_circle(params):
         # integrate the pose with velocities pinned
         def f(p):
             s = np.array([p[0], p[1], p[2], u, 0.0, r])
-            return asv_kinematics(s)
+            return asv_derivative(s, params, ZERO_WRENCH)[0:3]
         k1 = f(pose); k2 = f(pose + dt / 2 * k1); k3 = f(pose + dt / 2 * k2)
         k4 = f(pose + dt * k3)
         pose = pose + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
@@ -86,13 +86,6 @@ def test_straight_line_constant_surge(params):
     assert state.x == pytest.approx(2.0, abs=1e-12)
     assert state.y == pytest.approx(0.0, abs=1e-12)
     assert state.u == pytest.approx(2.0)
-
-
-def test_inert_dofs_stay_zero(params):
-    state = VehicleState3DOF(u=1.0, v=0.3, r=0.2)
-    for _ in range(50):
-        state = asv_step(state, params, BodyWrench(X=5.0, N=1.0), 0.01)
-    assert (state.z, state.phi, state.theta, state.w, state.p, state.q) == (0.0,) * 6
 
 
 def test_allocation_pure_surge(params):
@@ -147,4 +140,7 @@ def test_params_validation():
 
 def test_state_array_round_trip():
     state = VehicleState3DOF(x=1, y=2, psi=0.5, u=0.1, v=0.2, r=0.3)
-    assert state.with_array(state.as_array()) == state
+    assert VehicleState3DOF.from_array(state.as_array()) == state
+    # psi comes back wrapped
+    turned = VehicleState3DOF.from_array([0.0, 0.0, 3 * math.pi, 0.0, 0.0, 0.0])
+    assert turned.psi == pytest.approx(math.pi)

@@ -154,6 +154,33 @@ def test_unrunnable_crawler_exits_1_with_field_path(hexapod, field, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("section, key, field", [
+    (("tuv", "towline"), "length", "scenario.tuv.towline.length"),
+    (("mission",), "inspection_standoff", "scenario.mission.inspection_standoff"),
+])
+def test_cable_longer_than_the_drum_exits_1_with_field_path(
+        section, key, field, command, tmp_path, capsys):
+    # the winch drum holds 30 m: a longer towline once failed validate with
+    # a traceback, and a longer standoff passed validate and then ended
+    # simulate in a traceback at the switch to detailed inspection
+    tree = yaml.safe_load((SCENARIO_DIR / "calm_search.yaml").read_text())
+    node = tree
+    for name in section:
+        node = node.setdefault(name, {})
+    node[key] = 45.0
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}: must be <= 30.0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- report ---------------------------------------------------------------------
 
 def test_report_prints_metrics_and_event_counts(cruise_file, tmp_path, capsys):

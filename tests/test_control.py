@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from coastsim.control import (GuidanceSetpoint, LOITER, PATH_FOLLOW, WAYPOINT,
-                              PidController, guidance_step, pid_reset, pid_step)
+from coastsim.asv import VehicleState3DOF
+from coastsim.control import (DP_INTEGRAL_MAX, DP_KI, DP_KP, GuidanceSetpoint,
+                              WAYPOINT, PidController, guidance_step, pid_step,
+                              station_keeping)
 
 
 def test_pid_proportional_only():
@@ -77,13 +79,6 @@ def test_pid_rejects_bad_dt():
         pid_step(PidController(kp=1.0), 1.0, 0.0)
 
 
-def test_pid_reset():
-    ctrl = PidController(kp=1.0, ki=1.0)
-    _, ctrl = pid_step(ctrl, 2.0, 0.1)
-    ctrl = pid_reset(ctrl)
-    assert ctrl.integral == 0.0 and ctrl.prev_error is None
-
-
 def test_pid_step_is_pure():
     ctrl = PidController(kp=1.0, ki=1.0)
     out1, _ = pid_step(ctrl, 1.0, 0.1)
@@ -117,44 +112,47 @@ def test_waypoint_heading_error_is_wrapped():
             assert -math.pi < he <= math.pi
 
 
-def test_path_follow_behaves_like_waypoint():
-    sp = GuidanceSetpoint(PATH_FOLLOW, target=[10.0, 10.0])
-    he, speed, _ = guidance_step(sp, np.array([0.0, 0.0, 0.0]))
-    assert he == pytest.approx(math.pi / 4)
-    assert speed == sp.cruise_speed
-
+# --- station keeping ---------------------------------------------------------
 
 def test_loiter_zero_command_at_point():
-    sp = GuidanceSetpoint(LOITER, target=[5.0, 5.0], dead_band=1.0)
-    he, speed, arrived = guidance_step(sp, np.array([5.0, 5.0, 1.2]))
-    assert (he, speed) == (0.0, 0.0)
-    assert arrived
+    # on the point, at rest, with no integral: nothing to correct
+    est = VehicleState3DOF(x=5.0, y=5.0, psi=1.2)
+    he, surge, integral = station_keeping((5.0, 5.0), est, (0.0, 0.0), 0.1)
+    assert (he, surge, integral) == (0.0, 0.0, (0.0, 0.0))
 
 
 def test_loiter_speed_scales_with_distance():
-    sp = GuidanceSetpoint(LOITER, target=[0.0, 0.0], cruise_speed=2.0,
-                          dead_band=1.0, approach_gain=0.5)
-    _, speed_near, _ = guidance_step(sp, np.array([2.0, 0.0, math.pi]))
-    _, speed_far, _ = guidance_step(sp, np.array([3.0, 0.0, math.pi]))
-    assert speed_near == pytest.approx(1.0)
-    assert speed_far == pytest.approx(1.5)
-    # capped at cruise speed
-    _, speed_cap, _ = guidance_step(sp, np.array([50.0, 0.0, math.pi]))
-    assert speed_cap == 2.0
+    # point dead ahead, at rest: the surge force is the position PID's
+    # proportional term plus one step of integral, growing with the offset
+    dt = 0.1
+    for dist in (2.0, 3.0):
+        est = VehicleState3DOF(x=-dist)
+        he, surge, integral = station_keeping((0.0, 0.0), est, (0.0, 0.0), dt)
+        assert he == 0.0
+        assert integral == (DP_KI * dist * dt, 0.0)
+        assert surge == pytest.approx(DP_KP * dist + DP_KI * dist * dt)
+    # the integral term saturates per axis
+    _, _, integral = station_keeping((0.0, 0.0), VehicleState3DOF(x=-500.0),
+                                     (DP_INTEGRAL_MAX, 0.0), dt)
+    assert integral == (DP_INTEGRAL_MAX, 0.0)
 
 
 def test_loiter_reverses_instead_of_turning_around():
-    # target dead astern: command negative speed with zero heading error
-    sp = GuidanceSetpoint(LOITER, target=[-3.0, 0.0], dead_band=1.0)
-    he, speed, _ = guidance_step(sp, np.array([0.0, 0.0, 0.0]))
+    # point dead astern: push stern-first with zero heading error
+    est = VehicleState3DOF()
+    he, surge, _ = station_keeping((-3.0, 0.0), est, (0.0, 0.0), 0.1)
     assert he == pytest.approx(0.0)
-    assert speed == pytest.approx(-1.5)
+    assert surge == pytest.approx(-(DP_KP * 3.0 + DP_KI * 3.0 * 0.1))
 
 
-def test_loiter_dead_band_inside_no_command():
-    sp = GuidanceSetpoint(LOITER, target=[0.0, 0.0], dead_band=1.0)
-    he, speed, _ = guidance_step(sp, np.array([0.5, 0.5, 0.3]))
-    assert (he, speed) == (0.0, 0.0)
+def test_station_keeping_commands_only_the_aligned_force():
+    # point 45 deg off the bow at rest: the bow turns toward the force and
+    # the surge command is that force's component along the current heading
+    est = VehicleState3DOF()
+    he, surge, _ = station_keeping((2.0, 2.0), est, (0.0, 0.0), 0.1)
+    per_axis = DP_KP * 2.0 + DP_KI * 2.0 * 0.1
+    assert he == pytest.approx(math.pi / 4)
+    assert surge == pytest.approx(per_axis)
 
 
 def test_setpoint_validation():

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coastsim.core import (Frame2D, IntegrationFault, SeededRng, SimClock,
-                           rk4_step, rotate_body_to_nav, rotate_nav_to_body,
-                           wrap_angle)
+from coastsim.asv import AsvParams, VehicleState3DOF, ZERO_WRENCH, asv_step
+from coastsim.core import (IntegrationFault, SeededRng, SimClock,
+                           SimulationFault, rk4_stages, rotate_body_to_nav,
+                           rotate_nav_to_body, wrap_angle)
+from coastsim.environment import OutOfBounds
+from coastsim.nav import EstimatorDivergence, SingularCovariance
+from coastsim.tuv import DegenerateGeometry
 
 
 def test_wrap_angle_basics():
@@ -68,14 +72,6 @@ def test_rotation_rejects_non_finite():
         rotate_body_to_nav([float("nan"), 0.0], 0.0)
 
 
-def test_frame_round_trip():
-    frame = Frame2D(np.array([3.0, -2.0]), 0.7)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        p = rng.normal(size=2) * 10
-        assert np.allclose(frame.from_parent(frame.to_parent(p)), p, atol=1e-12)
-
-
 def test_clock_has_no_drift():
     clock = SimClock(dt=0.1)
     for _ in range(1000):
@@ -104,15 +100,19 @@ def test_seeded_rng_reproducible_and_independent():
     assert SeededRng(42).stream(1).random(5).tolist() != SeededRng(42).stream(2).random(5).tolist()
 
 
+def _decay(s):
+    return (-s[0],)
+
+
 def test_rk4_exponential_decay():
     # xdot = -x over 1 s in 10 steps. Classical RK4 multiplies by the
     # 4th-order Taylor factor each step, which the oracle expands by hand;
     # the true gap to e^-1 is 3.33e-7 (an exact property of the method).
     h = 0.1
     factor = 1.0 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24
-    x = np.array([1.0])
-    for k in range(10):
-        x = rk4_step(lambda t, s: -s, k * h, x, h)
+    x = [1.0]
+    for _ in range(10):
+        x, _ = rk4_stages(_decay, x, h)
     assert x[0] == pytest.approx(factor ** 10, abs=1e-13)
     assert abs(x[0] - math.exp(-1.0)) < 5e-7
 
@@ -120,9 +120,9 @@ def test_rk4_exponential_decay():
 def test_rk4_convergence_order():
     # halving dt must cut the one-second error by ~2^4 (order >= 3.9)
     def final_error(dt):
-        x = np.array([1.0])
-        for k in range(round(1.0 / dt)):
-            x = rk4_step(lambda t, s: -s, k * dt, x, dt)
+        x = [1.0]
+        for _ in range(round(1.0 / dt)):
+            x, _ = rk4_stages(_decay, x, dt)
         return abs(x[0] - math.exp(-1.0))
 
     e1, e2 = final_error(0.1), final_error(0.05)
@@ -131,18 +131,29 @@ def test_rk4_convergence_order():
 
 
 def test_rk4_matches_quadratic_exactly():
-    # xdot = t^2 integrates exactly (RK4 is order 4)
-    x = np.array([0.0])
-    for k in range(100):
-        x = rk4_step(lambda t, s: np.array([t * t]), k * 0.01, x, 0.01)
-    assert math.isclose(x[0], 1.0 / 3.0, rel_tol=1e-12)
+    # xdot = t^2 integrates exactly (RK4 is order 4); t rides along as a
+    # state component with tdot = 1
+    x = [0.0, 0.0]
+    for _ in range(100):
+        x, _ = rk4_stages(lambda s: (1.0, s[0] * s[0]), x, 0.01)
+    assert math.isclose(x[1], 1.0 / 3.0, rel_tol=1e-12)
 
 
 def test_rk4_raises_on_divergence():
-    # xdot = x^2 from x=1 blows up past t=1
-    x = np.array([1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationFault) as info:
-            for k in range(2000):
-                x = rk4_step(lambda t, s: s * s, k * 0.01, x, 0.01)
-    assert info.value.t >= 0.0
+    # the integrators check each RK4 result: a state that overflows within
+    # one step raises IntegrationFault at the step's time
+    state = VehicleState3DOF(u=1e200, v=1e200, r=1e200)
+    with pytest.raises(IntegrationFault) as info:
+        asv_step(state, AsvParams(), ZERO_WRENCH, 0.01, t=2.5)
+    assert info.value.t == 2.5
+
+
+def test_numerical_faults_share_one_base():
+    # the runner aborts on SimulationFault; each fault keeps its old base
+    for fault, base in ((IntegrationFault, RuntimeError),
+                        (EstimatorDivergence, RuntimeError),
+                        (SingularCovariance, RuntimeError),
+                        (OutOfBounds, ValueError),
+                        (DegenerateGeometry, ValueError)):
+        assert issubclass(fault, SimulationFault)
+        assert issubclass(fault, base)

@@ -13,7 +13,7 @@ from coastsim.hexapod import (MOUNTS, STANCE, SWING, TRIPOD_A, TRIPOD_B,
                               JointLimitError, LegConfiguration, LegGeometry,
                               StaticStabilityWarning, WorkspaceViolation,
                               _leg_foot_target, body_advance,
-                              closed_gait_phase, foot_in_body_frame,
+                              closed_gait_phase,
                               gait_foot_position, leg_fk, leg_ik, stand_legs,
                               tripod_schedule)
 
@@ -341,19 +341,6 @@ def test_stand_legs_park_at_home():
         assert np.allclose(leg_fk(cfg, params.geometry), home, atol=1e-9)
 
 
-def test_foot_in_body_frame_uses_mount_pose():
-    params = HexapodParams()
-    cfg = leg_ik([0.16, 0.0, -0.06], params.geometry)
-    # mid-right leg: mount (0, -0.11) yawed -90 deg, so the home foot sits
-    # 0.16 m further to starboard
-    p = foot_in_body_frame(params, 2, cfg)
-    assert np.allclose(p, [0.0, -0.27, -0.06], atol=1e-12)
-    # mounts are mirror-symmetric left/right
-    p_ml = foot_in_body_frame(params, 3, cfg)
-    assert np.allclose(p_ml, [0.0, 0.27, -0.06], atol=1e-12)
-    assert len(MOUNTS) == 6
-
-
 # --- float gait against the whole-array reference ----------------------------
 #
 # The gait runs on Python floats. The reference below is the numpy form it
@@ -386,7 +373,7 @@ def ref_gait_foot_position(phase, t, h_lift=0.03):
 def ref_leg_foot_target(params, leg, gait_t, period, speed):
     offset = 0.0 if leg in TRIPOD_A else 0.5
     tau = (gait_t / period + offset) % 1.0
-    yaw = MOUNTS[leg].heading
+    yaw = MOUNTS[leg][2]
     v_st = np.array([-speed * math.cos(yaw), speed * math.sin(yaw), 0.0])
     home = np.array([params.home_radius, 0.0, params.home_height])
     p0 = home - v_st * (0.5 * params.duty_factor * period)

@@ -23,7 +23,10 @@ def test_lawnmower_square_area_leg_count_and_length():
     pattern = generate_lawnmower(area, swath=10.0, entry="sw")
     assert pattern.n_legs == 10
     assert len(pattern.waypoints) == 20
-    assert pattern.path_length() == pytest.approx(1090.0, abs=1e-9)
+    wps = pattern.waypoints
+    path_length = sum(float(np.linalg.norm(b - a))
+                      for a, b in zip(wps, wps[1:]))
+    assert path_length == pytest.approx(1090.0, abs=1e-9)
     # snake order from the south-west corner, legs inset half a spacing
     assert np.allclose(pattern.waypoints[0], [0.0, 5.0])
     assert np.allclose(pattern.waypoints[1], [100.0, 5.0])

@@ -355,16 +355,18 @@ def test_shipped_scenarios_parse():
 
 def test_guidance_helpers_carry_scenario_tuning():
     scn = parse_scenario(minimal_tree(controllers={
-        "cruise_speed": 1.5, "arrival_radius": 3.0,
-        "loiter_dead_band": 0.4, "loiter_gain": 2.0}))
+        "cruise_speed": 1.5, "arrival_radius": 3.0}))
     wp = guidance_for_waypoint(scn, np.array([10.0, 0.0]))
     assert wp.mode == WAYPOINT
     assert wp.cruise_speed == 1.5
     assert wp.arrival_radius == 3.0
     lo = guidance_for_loiter(scn, np.zeros(2))
     assert lo.mode == LOITER
-    assert lo.dead_band == 0.4
-    assert lo.approach_gain == 2.0
+    # station keeping has fixed gains: the old loiter-law keys are unknown
+    for key in ("loiter_dead_band", "loiter_gain"):
+        with pytest.raises(ScenarioError,
+                           match=rf"scenario\.controllers\.{key}: unknown key"):
+            parse_scenario(minimal_tree(controllers={key: 1.0}))
 
 
 # --- crawler inputs the walk cannot run --------------------------------------

@@ -1,0 +1,25 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced mode looks each (module, attribute) up by name,
+    # a method in its class __dict__: removing or renaming one breaks every
+    # `--trace 1` run
+    for name, modname, attr in _load_tracer().TRACED:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name)).get(meth)), name
+        else:
+            assert callable(getattr(owner, attr, None)), name

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from coastsim.core import IntegrationFault
 from coastsim.tuv import (MAX_CABLE_LENGTH, DegenerateGeometry, TowedBodyState,
-                          Towline, TuvParams, _coupling_tension, _dot3,
-                          hydrofoil_forces, separation_rate, towline_tension,
-                          tuv_derivative, tuv_step, winch_set_length)
+                          Towline, TuvParams, _coupling_tension, _derivative,
+                          _dot3, _hydrofoil, separation_rate, towline_tension,
+                          tuv_step, winch_set_length)
 
 
 # --- towline ---------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_foil_forces_worked_example():
     # q = 0.5 * 1025 * 2^2 * 0.1 = 205 Pa*m^2; C_L=0.5 -> 102.5 N down,
     # C_D=0.08 -> 16.4 N against the flow
     params = TuvParams(c_lift=0.5, c_drag=0.08, foil_area=0.1, rho=1025.0)
-    lift, drag, force = hydrofoil_forces(np.array([2.0, 0.0, 0.0]), params)
+    _, lift, drag, *force = _hydrofoil(2.0, 0.0, 0.0, params)
     assert lift == pytest.approx(102.5, abs=1e-12)
     assert drag == pytest.approx(16.4, abs=1e-12)
     assert np.allclose(force, [-16.4, 0.0, 102.5], atol=1e-12)
@@ -87,7 +87,7 @@ def test_foil_forces_worked_example():
 
 def test_foil_lift_vanishes_in_vertical_flow():
     params = TuvParams()
-    lift, drag, force = hydrofoil_forces(np.array([0.0, 0.0, 3.0]), params)
+    _, lift, drag, *force = _hydrofoil(0.0, 0.0, 3.0, params)
     # lift has no defined direction when the flow is straight down the lift axis
     assert np.allclose(force, [0.0, 0.0, -drag], atol=1e-12)
     assert force[2] < 0.0
@@ -100,7 +100,8 @@ def test_foil_force_decomposition_is_orthogonal():
         v = rng.normal(size=3)
         if np.linalg.norm(v) < 1e-3:
             continue
-        lift, drag, force = hydrofoil_forces(v, params)
+        _, lift, drag, *force = _hydrofoil(*v.tolist(), params)
+        force = np.array(force)
         e_v = v / np.linalg.norm(v)
         # along-flow component is exactly the drag
         assert float(force @ e_v) == pytest.approx(-drag, abs=1e-9)
@@ -114,7 +115,7 @@ def test_foil_force_decomposition_is_orthogonal():
 def test_still_water_sink_rate():
     # slack line, no current: acceleration is submerged weight over total mass
     params = TuvParams()
-    deriv = tuv_derivative(np.zeros(6), params, np.zeros(3), np.zeros(3))
+    deriv = _derivative([0.0] * 6, params, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     expected = params.net_weight / params.total_mass
     assert deriv[5] == pytest.approx(expected, abs=1e-12)
     assert np.allclose(deriv[:5], 0.0)
@@ -141,7 +142,8 @@ def test_equilibrium_configuration_has_zero_net_force():
     tuv_pos = np.array([-trail, 0.0, depth])
     tension = towline_tension(asv_attach, tuv_pos, 0.0, line)
     state = np.concatenate([tuv_pos, [U, 0.0, 0.0]])
-    deriv = tuv_derivative(state, params, tension, np.zeros(3))
+    deriv = np.array(_derivative(state.tolist(), params, tension.tolist(),
+                                 (0.0, 0.0, 0.0)))
     assert np.allclose(deriv[3:], 0.0, atol=1e-9)  # force balance
     assert np.allclose(deriv[:3], [U, 0.0, 0.0])
 
@@ -350,7 +352,7 @@ def test_foil_matches_array_reference_bit_for_bit(vel, current, params):
     # the examples: zero relative flow, purely vertical flow (down and up),
     # and signed zeros
     v_rel = np.array(vel) - np.array(current)
-    lift, drag, force = hydrofoil_forces(v_rel, params)
+    _, lift, drag, *force = _hydrofoil(*v_rel.tolist(), params)
     ref_lift, ref_drag, ref_force = ref_hydrofoil_forces(v_rel, params)
     assert same_bits((lift, drag), (ref_lift, ref_drag))
     assert same_bits(force, ref_force)
@@ -376,7 +378,8 @@ def test_step_matches_array_reference_bit_for_bit(pos, vel, tension, current,
     state = TowedBodyState(np.array(pos), np.array(vel))
     x = np.concatenate([state.position, state.velocity])
     tension, current = np.array(tension), np.array(current)
-    assert same_bits(tuv_derivative(x, params, tension, current),
+    assert same_bits(_derivative(x.tolist(), params, tension.tolist(),
+                                 current.tolist()),
                      ref_tuv_derivative(x, params, tension, current))
     out = tuv_step(state, params, tension, current, dt, 1.0)
     ref = ref_tuv_step(state, params, tension, current, dt, 1.0)
