@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .runner import read_run, run_simulation, emit_outputs
-from .scenario import ScenarioError, load_scenario
+from .scenario import SEED_LIMIT, ScenarioError, load_scenario
 
 OUT_DIR_ENV = "COASTSIM_OUT"
 FORMATS = ("csv", "json")
@@ -57,10 +58,16 @@ def _parse_formats(raw: str) -> tuple:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
+        if not 0 <= args.seed < SEED_LIMIT:
+            raise ScenarioError(f"--seed must be in [0, 2**64), got {args.seed}")
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.duration is not None:
-        if args.duration < 0.0:
-            raise ScenarioError("--duration must be non-negative")
+        # NaN fails the first test; inf, or too many steps, the second
+        if not (args.duration >= 0.0
+                and math.isfinite(args.duration / scenario.dt)):
+            raise ScenarioError(
+                f"--duration must be non-negative and not too many steps of "
+                f"dt {scenario.dt} s to count, got {args.duration}")
         scenario = dataclasses.replace(scenario, duration=args.duration)
     formats = _parse_formats(args.format)
 

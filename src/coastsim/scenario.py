@@ -7,6 +7,12 @@ cross-field constraints (objects inside the search area, sensor rates
 compatible with the step size) are validated before the simulation starts.
 `seed` is the one field with no default: runs must be reproducible on
 purpose, not by accident.
+
+Files are parsed with libyaml's C parser (`yaml.CSafeLoader`) where PyYAML
+was built with it. Both it and the pure-Python `yaml.SafeLoader` build the
+tree with PyYAML's own constructor and resolver, so they give the same tree;
+the one known difference is that libyaml accepts a tab after a mapping
+colon (`a:\t1`), which the pure loader rejects.
 """
 
 from __future__ import annotations
@@ -40,6 +46,16 @@ ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 TIME_UNITS = {"s": 1.0, "min": 60.0, "h": 3600.0}
 LENGTH_UNITS = {"m": 1.0, "km": 1000.0}
 
+# seeds key a Philox generator as a uint64
+SEED_LIMIT = 2 ** 64
+
+# libyaml's composer recurses on the C stack once per nesting level: on an
+# 8 MB stack 24,000 levels load and 28,000 kill the process. Texts whose
+# nesting bound (`_nesting_bound`) exceeds this go to the pure-Python loader,
+# which stops at the interpreter's recursion limit instead.
+MAX_C_NESTING = 10_000
+_C_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """A scenario file violates the schema; message names the field."""
@@ -49,25 +65,42 @@ def _err(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _quantity(value, path: str, units: dict[str, float] | None = None) -> float:
-    """A number, or a '<number> <unit>' string when a unit table applies."""
+def _shown(value) -> str:
+    """`value` for an error message: a collection by its type alone, since
+    its repr can be arbitrarily deep or large."""
+    if isinstance(value, (list, dict)):
+        return f"a {type(value).__name__}"
+    return repr(value)
+
+
+def _quantity(value, path: str, units: dict[str, float] | None = None,
+              finite: bool = True) -> float:
+    """A number, or a '<number> <unit>' string when a unit table applies;
+    finite unless `finite` is False."""
     if isinstance(value, bool):
         raise _err(path, "expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str) and units is not None:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    elif isinstance(value, str) and units is not None:
         parts = value.split()
-        if len(parts) == 2:
-            try:
-                magnitude = float(parts[0])
-            except ValueError:
-                raise _err(path, f"cannot parse number in {value!r}") from None
-            if parts[1] not in units:
-                raise _err(path, f"unknown unit {parts[1]!r}, "
-                                 f"expected one of {sorted(units)}")
-            return magnitude * units[parts[1]]
-        raise _err(path, f"expected '<number> <unit>', got {value!r}")
-    raise _err(path, f"expected a number, got {type(value).__name__}")
+        if len(parts) != 2:
+            raise _err(path, f"expected '<number> <unit>', got {value!r}")
+        try:
+            magnitude = float(parts[0])
+        except ValueError:
+            raise _err(path, f"cannot parse number in {value!r}") from None
+        if parts[1] not in units:
+            raise _err(path, f"unknown unit {parts[1]!r}, "
+                             f"expected one of {sorted(units)}")
+        number = magnitude * units[parts[1]]
+    else:
+        raise _err(path, f"expected a number, got {type(value).__name__}")
+    if finite and not math.isfinite(number):
+        raise _err(path, f"must be finite, got {value!r}")
+    return number
 
 
 def _mapping(value, path: str) -> dict:
@@ -81,7 +114,8 @@ def _mapping(value, path: str) -> dict:
 def _check_keys(mapping: dict, path: str, allowed):
     unknown = set(mapping) - set(allowed)
     if unknown:
-        raise _err(f"{path}.{sorted(unknown)[0]}",
+        # keys may mix types (`5: x`, `null: y`): order them as text
+        raise _err(f"{path}.{sorted(unknown, key=str)[0]}",
                    f"unknown key; allowed keys are {sorted(allowed)}")
 
 
@@ -101,11 +135,11 @@ class _Section:
         return self.mapping.get(key, default)
 
     def number(self, key: str, default=None, units=None, minimum=None,
-               maximum=None, positive=False) -> float:
+               maximum=None, positive=False, finite=True) -> float:
         raw = self._get(key, default)
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
-        value = _quantity(raw, f"{self.path}.{key}", units)
+        value = _quantity(raw, f"{self.path}.{key}", units, finite)
         if positive and value <= 0.0:
             raise _err(f"{self.path}.{key}", f"must be positive, got {value}")
         if minimum is not None and value < minimum:
@@ -120,13 +154,14 @@ class _Section:
             raise _err(f"{self.path}.{key}", "required field is missing")
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise _err(f"{self.path}.{key}",
-                       f"expected an integer, got {raw!r}")
+                       f"expected an integer, got {_shown(raw)}")
         return raw
 
     def boolean(self, key: str, default: bool) -> bool:
         raw = self._get(key, default)
         if not isinstance(raw, bool):
-            raise _err(f"{self.path}.{key}", f"expected true/false, got {raw!r}")
+            raise _err(f"{self.path}.{key}",
+                       f"expected true/false, got {_shown(raw)}")
         return raw
 
     def string(self, key: str, default=None, choices=None) -> str:
@@ -134,7 +169,8 @@ class _Section:
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
         if not isinstance(raw, str):
-            raise _err(f"{self.path}.{key}", f"expected a string, got {raw!r}")
+            raise _err(f"{self.path}.{key}",
+                       f"expected a string, got {_shown(raw)}")
         if choices is not None and raw not in choices:
             raise _err(f"{self.path}.{key}",
                        f"must be one of {sorted(choices)}, got {raw!r}")
@@ -214,6 +250,11 @@ def _load_run(sec: _Section) -> tuple[str, float, float, int]:
     duration = sec.number("duration", default=600.0, units=TIME_UNITS, minimum=0.0)
     seed = sec.integer("seed")  # mandatory: reproducibility is part of the run
     sec.finish()
+    if not 0 <= seed < SEED_LIMIT:
+        raise _err(f"{sec.path}.seed", f"must be in [0, 2**64), got {seed}")
+    if not math.isfinite(duration / dt):
+        raise _err(f"{sec.path}.duration",
+                   f"too many steps of dt {dt} s to count, got {duration}")
     return name, dt, duration, seed
 
 
@@ -335,9 +376,9 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
                        f"unknown terrain class; expected {sorted(TERRAIN_CLASSES)}")
         speed = _quantity(value, f"{sec.path}.terrain_speeds.{key}",
                           SPEED_UNITS)
-        if not 0.0 < speed < math.inf:
+        if speed <= 0.0:
             raise _err(f"{sec.path}.terrain_speeds.{key}",
-                       f"must be a positive finite speed, got {speed}")
+                       f"must be positive, got {speed}")
         speeds[key] = speed
     params = HexapodParams(
         geometry=geometry,
@@ -349,7 +390,10 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
         max_turn_rate=sec.number("max_turn_rate", default=0.3, positive=True),
         home_radius=sec.number("home_radius", default=0.16, units=LENGTH_UNITS,
                                positive=True),
-        home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS))
+        # a non-finite height fails the stand-pose check below, which names
+        # the whole pose
+        home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS,
+                               finite=False))
     sec.finish()
     # the crawler stands up at deploy: its home foot point must be reachable
     # (WorkspaceViolation, JointLimitError, or a non-finite angle)
@@ -544,21 +588,59 @@ def parse_scenario(tree: dict, base_dir: Path | str = ".") -> Scenario:
         mission=mission)
 
 
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the nesting depth of the YAML in `text`.
+
+    A flow sequence needs a `[` and may hold one implicit single-pair
+    mapping per level (`[a: [a: ...]]`), a flow mapping needs a `{`, and a
+    block level needs a deeper column or a `- `/`? ` on its line, so it is
+    bounded by the longest line; the `+ 1` is the scalar at the bottom.
+    """
+    longest = max(map(len, text.split("\n")))
+    return 2 * text.count("[") + text.count("{") + longest + 1
+
+
+def _parse_yaml(text: str, path: Path):
+    loader = (_C_LOADER if _nesting_bound(text) <= MAX_C_NESTING
+              else yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        # the marks name the stream "<unicode string>": name the file
+        detail = str(exc).replace('"<unicode string>"', f'"{path}"')
+    except RecursionError:
+        detail = "nested too deeply"
+    except (ValueError, LookupError, AttributeError) as exc:
+        # PyYAML's scalar constructors let these out on a malformed value
+        # ("!!int abc", "2024-13-45", "!!bool x", "!!timestamp x", an
+        # integer of more than 4300 digits)
+        detail = f"{type(exc).__name__}: {exc}"
+    raise ScenarioError(f"{path}: not valid YAML ({detail})")
+
+
+def _read_tree(path: Path) -> dict:
+    """The YAML mapping in the file at `path`."""
+    if not path.exists():
+        raise FileNotFoundError(f"scenario file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the file "
+                            f"({exc.strerror or exc})") from None
+    tree = _parse_yaml(text, path)
+    if tree is None:
+        return {}
+    if not isinstance(tree, dict):
+        raise ScenarioError(f"{path}: top level must be a mapping")
+    return tree
+
+
 def load_scenario(path) -> Scenario:
     """Parse a scenario file from disk."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            tree = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: not valid YAML ({exc})") from exc
-    if tree is None:
-        tree = {}
-    if not isinstance(tree, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
-    return parse_scenario(tree, base_dir=path.parent)
+    return parse_scenario(_read_tree(path), base_dir=path.parent)
 
 
 def guidance_for_waypoint(scn: Scenario, target) -> GuidanceSetpoint:

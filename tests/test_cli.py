@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import coastsim
 from coastsim.cli import OUT_DIR_ENV, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -196,3 +200,145 @@ def test_report_prints_metrics_and_event_counts(cruise_file, tmp_path, capsys):
 def test_report_missing_dir_exits_1(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nowhere")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- inputs the loader turns away -----------------------------------------------
+
+def _probe(tmp_path, command, text=None, data=None, extra=()):
+    """Run `command` on a scenario file holding `text` (or bytes `data`)."""
+    path = tmp_path / "probe.yaml"
+    if data is None:
+        path.write_text(text)
+    else:
+        path.write_bytes(data)
+    argv = [command, str(path), *extra]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    return main(argv)
+
+
+def _assert_rejected(rc, capsys, tmp_path, message):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _shipped_with(name, keys, value):
+    tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
+    node = tree
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+    return yaml.safe_dump(tree)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("name, keys, value, field", [
+    # once exited 0 and wrote "Infinity"/"NaN" into metrics.json
+    ("storm_loiter.yaml", ("mission", "point"), [float("inf"), 0],
+     "scenario.mission.point[0]"),
+    # once ended simulate in an OverflowError traceback
+    ("storm_loiter.yaml", ("run", "duration"), float("inf"),
+     "scenario.run.duration"),
+    pytest.param("storm_loiter.yaml", ("run", "duration"), 10 ** 400,
+                 "scenario.run.duration", id="duration-10**400"),
+    # once dropped the gust without a word (max(0.0, nan) is 0.0)
+    ("storm_loiter.yaml", ("world", "disturbances", "gust_tau"),
+     float("nan"), "scenario.world.disturbances.gust_tau"),
+    # once ended simulate in a ValueError traceback on the first step
+    ("calm_cruise.yaml", ("asv", "initial", "psi"), float("nan"),
+     "scenario.asv.initial.psi"),
+    ("calm_cruise.yaml", ("mission", "heading"), float("nan"),
+     "scenario.mission.heading"),
+    ("calm_cruise.yaml", ("tuv", "towline", "attach_x"), float("nan"),
+     "scenario.tuv.towline.attach_x"),
+])
+def test_non_finite_number_exits_1_with_field_path(name, keys, value, field,
+                                                   command, tmp_path, capsys):
+    rc = _probe(tmp_path, command, _shipped_with(name, keys, value))
+    _assert_rejected(rc, capsys, tmp_path, f"{field}: must be finite")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("run, message", [
+    ("{seed: -1}", "scenario.run.seed: must be in [0, 2**64)"),
+    ("{seed: 18446744073709551616}", "scenario.run.seed: must be in [0, 2**64)"),
+    ("{seed: 9, dt: 1.0e-320, duration: 1.0}",
+     "scenario.run.duration: too many steps"),
+])
+def test_uncountable_run_exits_1_with_field_path(run, message, command,
+                                                 tmp_path, capsys):
+    rc = _probe(tmp_path, command, f"run: {run}\nmission: {{kind: cruise}}\n")
+    _assert_rejected(rc, capsys, tmp_path, message)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-5"], "--seed must be in [0, 2**64)"),
+    (["--seed", str(2 ** 64)], "--seed must be in [0, 2**64)"),
+    (["--duration", "inf"], "--duration must be non-negative"),
+    (["--duration", "nan"], "--duration must be non-negative"),
+    (["--duration", "1e307"], "--duration must be non-negative"),
+])
+def test_uncountable_override_exits_1(flags, message, tmp_path, capsys):
+    rc = _probe(tmp_path, "simulate", CRUISE_YAML, extra=flags)
+    _assert_rejected(rc, capsys, tmp_path, message)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("data, message", [
+    (b"run: {seed: 9}\n# \xff\n", "{path}: not UTF-8 text"),
+    (b"run: {seed: 9, dt: !!int abc}\n", "{path}: not valid YAML"),
+    (b"run: {seed: 9}\n5: x\nzz: y\n", "scenario.5: unknown key"),
+])
+def test_unreadable_scenario_exits_1(data, message, command, tmp_path,
+                                     capsys):
+    rc = _probe(tmp_path, command, data=data)
+    _assert_rejected(rc, capsys, tmp_path,
+                     message.format(path=tmp_path / "probe.yaml"))
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_directory_as_scenario_exits_1(command, tmp_path, capsys):
+    argv = [command, str(tmp_path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    _assert_rejected(main(argv), capsys, tmp_path,
+                     f"{tmp_path}: cannot read the file")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("text", [
+    "a: " + "[" * 100_000 + "]" * 100_000 + "\n",
+    "a: " + "[{a: " * 14_000 + "}]" * 14_000 + "\n",
+], ids=["100k-brackets", "14k-bracket-brace-pairs"])
+def test_deep_nesting_exits_1_in_a_subprocess(text, command, tmp_path):
+    # libyaml's composer recurses on the C stack: these crash a process
+    # that hands them to it (SIGSEGV), so run the CLI in its own process
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    src = str(Path(coastsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "coastsim.cli", command, str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert f"error: {path}: not valid YAML (nested too deeply)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["calm_search.yaml", "storm_loiter.yaml",
+                                  "calm_cruise.yaml"])
+def test_shipped_metrics_are_strict_json(name, tmp_path):
+    def refuse(constant):
+        raise ValueError(f"metrics.json holds {constant}")
+    assert main(["simulate", str(SCENARIO_DIR / name), "--duration", "5",
+                 "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("*/metrics.json")
+    json.loads(path.read_text(), parse_constant=refuse)

@@ -1,9 +1,14 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coastsim import scenario
 from coastsim.control import LOITER, WAYPOINT
 from coastsim.scenario import (ScenarioError, guidance_for_loiter,
                                guidance_for_waypoint, load_scenario,
@@ -391,3 +396,223 @@ def test_stand_pose_must_be_reachable(hexapod):
     with pytest.raises(ScenarioError,
                        match=r"scenario\.hexapod\.home_radius: the stand pose"):
         parse_scenario(minimal_tree(hexapod=hexapod))
+
+
+# --- numbers the run cannot use ---------------------------------------------
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"run": {"seed": 7, "duration": float("inf")}}, "scenario.run.duration"),
+    pytest.param({"run": {"seed": 7, "duration": 10 ** 400}},
+                 "scenario.run.duration", id="duration-10**400"),
+    ({"run": {"seed": 7, "dt": "nan s"}}, "scenario.run.dt"),
+    ({"asv": {"initial": {"psi": float("nan")}}}, "scenario.asv.initial.psi"),
+    ({"asv": {"initial": {"x": "1e308 km"}}}, "scenario.asv.initial.x"),
+    ({"world": {"disturbances": {"gust_tau": float("nan")}}},
+     "scenario.world.disturbances.gust_tau"),
+    ({"mission": {"kind": "loiter", "point": [float("inf"), 0]}},
+     "scenario.mission.point[0]"),
+    ({"controllers": {"ekf": {"q_psd": [1, 1, 1, 1, 1, float("-inf")]}}},
+     "scenario.controllers.ekf.q_psd[5]"),
+])
+def test_non_finite_number_rejected_with_field_path(overrides, field):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(minimal_tree(**overrides))
+    assert str(info.value).startswith(f"{field}: must be finite, got ")
+
+
+@pytest.mark.parametrize("run, field, message", [
+    ({"seed": -1}, "seed", "must be in [0, 2**64), got -1"),
+    ({"seed": 2 ** 64}, "seed", "must be in [0, 2**64)"),
+    ({"seed": 7, "dt": 1e-320, "duration": 1.0}, "duration",
+     "too many steps of dt"),
+    ({"seed": 7, "duration": 1e307}, "duration", "too many steps of dt"),
+])
+def test_uncountable_run_rejected(run, field, message):
+    # a seed outside uint64 or a step count past the float range once
+    # passed validate and ended simulate in an OverflowError traceback
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"run": run})
+    assert str(info.value).startswith(f"scenario.run.{field}: {message}")
+
+
+def test_seed_at_the_uint64_edges_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        assert parse_scenario({"run": {"seed": seed}}).seed == seed
+
+
+def test_unknown_keys_of_mixed_types_name_one():
+    with pytest.raises(ScenarioError, match=r"scenario\.5: unknown key"):
+        parse_scenario({"run": {"seed": 7}, 5: 1, "zz": 2, None: 3})
+
+
+def test_collections_in_messages_are_named_by_type():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ScenarioError,
+                       match=r"scenario\.run\.name: expected a string, got a list$"):
+        parse_scenario({"run": {"seed": 7, "name": deep}})
+    with pytest.raises(ScenarioError,
+                       match=r"scenario\.run\.seed: expected an integer, got a dict$"):
+        parse_scenario({"run": {"seed": {"a": deep}}})
+
+
+# --- reading and parsing the file -------------------------------------------
+
+C_LOADER = getattr(yaml, "CSafeLoader", None)
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(C_LOADER, id="CSafeLoader", marks=pytest.mark.skipif(
+        C_LOADER is None, reason="PyYAML built without libyaml")),
+]
+
+
+def _through(loader):
+    """Route the loader's shallow texts through `loader`."""
+    return mock.patch.object(scenario, "_C_LOADER", loader)
+
+
+def _same_tree(got, want):
+    # repr tells 1 from 1.0 and True, '1' from 1, -0.0 from 0.0, and shows
+    # key order; nan reprs equal
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("name", ["calm_search.yaml", "storm_loiter.yaml",
+                                  "calm_cruise.yaml"])
+def test_shipped_scenario_trees_equal_under_both_loaders(loader, name):
+    path = SCENARIO_DIR / name
+    with _through(loader):
+        _same_tree(scenario._read_tree(path), yaml.safe_load(path.read_text()))
+
+
+def _trees(characters):
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(characters))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(characters, max_size=8)
+                                         | st.integers(), inner, max_size=4)),
+        max_leaves=24)
+
+
+DUMP_STYLES = pytest.mark.parametrize("flow, allow_unicode", [
+    (False, False), (True, False), (False, True), (True, True)],
+    ids=["block", "flow", "block-unicode", "flow-unicode"])
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@DUMP_STYLES
+@settings(max_examples=150)
+# with allow_unicode, PyYAML's emitter writes U+0085 (NEL) raw inside a
+# quoted scalar and both loaders fold it to a space: a dump defect, so the
+# round trip leaves it out (the next test keeps it)
+@given(tree=_trees(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x85")))
+def test_dumped_trees_load_back_type_exact_under_both_loaders(
+        loader, flow, allow_unicode, tree):
+    text = yaml.safe_dump(tree, default_flow_style=flow, sort_keys=False,
+                          allow_unicode=allow_unicode)
+    with _through(loader):
+        _same_tree(scenario._parse_yaml(text, Path("tree.yaml")), tree)
+
+
+@pytest.mark.skipif(C_LOADER is None, reason="PyYAML built without libyaml")
+@DUMP_STYLES
+@settings(max_examples=150)
+@given(tree=_trees(st.characters(blacklist_categories=("Cs",))))
+def test_dumped_trees_load_alike_under_both_loaders(flow, allow_unicode, tree):
+    text = yaml.safe_dump(tree, default_flow_style=flow, sort_keys=False,
+                          allow_unicode=allow_unicode)
+    _same_tree(yaml.load(text, Loader=C_LOADER),
+               yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", [
+    "run: [unclosed\n",
+    "run: 'unclosed\n",
+    "a: b: c\n",
+    "- a\nb: c\n",
+    "{a: 1}}\n",
+    "a: *nowhere\n",
+    "--- a\n--- b\n",
+    "a: \x07\n",
+    "{[1]: 2}\n",
+    "a: !!python/name:os.system\n",
+    # PyYAML's constructors raise plain ValueError, KeyError, IndexError or
+    # AttributeError on these
+    "a: !!int abc\n",
+    "a: !!float ''\n",
+    "a: !!bool maybe\n",
+    "a: !!timestamp soon\n",
+    "a: 2024-13-45\n",
+    "a: " + "9" * 5000 + "\n",
+], ids=lambda text: repr(text[:20]))
+def test_malformed_yaml_is_a_scenario_error_under_both_loaders(
+        loader, text, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with _through(loader), pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: not valid YAML (")
+    assert "<unicode string>" not in str(info.value)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_tab_after_a_colon_is_the_one_known_loader_difference(
+        loader, tmp_path):
+    # libyaml reads the tab as separation; the pure loader stops on it
+    path = tmp_path / "tab.yaml"
+    path.write_text("run:\n  seed:\t7\n")
+    with _through(loader):
+        if loader is yaml.SafeLoader:
+            with pytest.raises(ScenarioError, match=r"not valid YAML"):
+                load_scenario(path)
+        else:
+            assert load_scenario(path).seed == 7
+
+
+def test_texts_past_the_nesting_bound_use_the_pure_loader(yaml_loaders_built,
+                                                          tmp_path):
+    text = (SCENARIO_DIR / "storm_loiter.yaml").read_text()
+    assert scenario._nesting_bound(text) <= scenario.MAX_C_NESTING
+    # a long comment line lifts the bound without nesting anything
+    long = tmp_path / "long.yaml"
+    long.write_text(text + "#" * scenario.MAX_C_NESTING + "\n")
+    assert scenario._nesting_bound(long.read_text()) > scenario.MAX_C_NESTING
+    _same_tree(scenario._read_tree(long),
+               scenario._read_tree(SCENARIO_DIR / "storm_loiter.yaml"))
+    assert yaml_loaders_built == [yaml.SafeLoader, scenario._C_LOADER]
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("a: " + "[" * 30 + "]" * 30, 31),
+    ("[a:\n" * 20 + "]\n" * 20, 40),
+    ("a:\n" + "".join(" " * i + "- b:\n" for i in range(0, 40, 2)), 41),
+    ("- " * 25 + "x\n", 25),
+], ids=["flow", "implicit-pairs", "block-chain", "inline-dashes"])
+def test_nesting_bound_is_at_least_the_depth(text, depth):
+    def measured(node):
+        if isinstance(node, dict):
+            return 1 + max(map(measured, [*node, *node.values()]), default=0)
+        if isinstance(node, list):
+            return 1 + max(map(measured, node), default=0)
+        return 0
+    assert measured(yaml.safe_load(text)) == depth
+    assert scenario._nesting_bound(text) >= depth + 1
+
+
+def test_non_utf8_file_names_the_path(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"run: {seed: 7}\n# \xff\n")
+    with pytest.raises(ScenarioError, match=r"latin1\.yaml: not UTF-8 text"):
+        load_scenario(path)
+
+
+def test_directory_path_names_the_path(tmp_path):
+    with pytest.raises(ScenarioError,
+                       match=rf"{tmp_path.name}: cannot read the file"):
+        load_scenario(tmp_path)

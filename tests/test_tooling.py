@@ -2,7 +2,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+import yaml
+
+from coastsim.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def _load_tracer():
@@ -23,3 +30,12 @@ def test_every_traced_name_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(meth)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+@pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                    reason="PyYAML built without libyaml")
+def test_scenarios_parse_with_libyaml(yaml_loaders_built):
+    # the pure-Python parser is several times slower on every set-up: a
+    # return to yaml.safe_load must fail here, not only on the benchmark
+    load_scenario(SCENARIO_DIR / "storm_loiter.yaml")
+    assert yaml_loaders_built == [yaml.CSafeLoader]
