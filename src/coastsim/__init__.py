@@ -8,7 +8,7 @@ and identical (scenario, seed) pairs reproduce byte-identical output.
 """
 
 from .asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
-                  allocate_differential_thrust, asv_derivative, asv_step)
+                  allocate_differential_thrust, asv_step)
 from .control import (GuidanceSetpoint, PidController, guidance_step,
                       pid_step, station_keeping)
 from .core import (IntegrationFault, SeededRng, SimClock, SimulationFault,
@@ -18,8 +18,7 @@ from .environment import (DampingCoeffs, DisturbanceField, GustProcess,
                           disturbance_wrench, load_terrain)
 from .hexapod import (HexapodParams, HexapodState, JointLimitError,
                       LegGeometry, WorkspaceViolation, body_advance,
-                      closed_gait_phase, gait_foot_position, leg_fk, leg_ik,
-                      tripod_schedule)
+                      closed_gait_phase, gait_foot_position, leg_fk, leg_ik)
 from .mission import (DetectionEvent, MissionPhase, MissionState,
                       PlantedObject, SearchArea, SweepSensor, WorldEvents,
                       coverage_report, generate_lawnmower, mission_step)

@@ -46,9 +46,6 @@ class BodyWrench:
     Y: float = 0.0
     N: float = 0.0
 
-    def __add__(self, other: "BodyWrench") -> "BodyWrench":
-        return BodyWrench(self.X + other.X, self.Y + other.Y, self.N + other.N)
-
 
 ZERO_WRENCH = BodyWrench()
 
@@ -91,11 +88,6 @@ def _derivative(state, params: AsvParams, wrench: BodyWrench) -> tuple:
         (wrench.Y + (params.m11 - params.m33) * u * r) / params.m22,
         (wrench.N + (params.m22 - params.m11) * v * u) / params.m33,
     )
-
-
-def asv_derivative(state: np.ndarray, params: AsvParams, wrench: BodyWrench) -> np.ndarray:
-    """Full 6-state derivative; rk4_stages takes the same one on floats."""
-    return np.array(_derivative(state, params, wrench))
 
 
 def rk4_stages(state, params: AsvParams, wrench: BodyWrench,

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .runner import read_run, run_simulation, emit_outputs
+from .runner import EVENTS_FILE, METRICS_FILE, emit_outputs, run_simulation
 from .scenario import SEED_LIMIT, ScenarioError, load_scenario
 
 OUT_DIR_ENV = "COASTSIM_OUT"
@@ -100,12 +100,48 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _BadRunFile(ValueError):
+    """A run directory file that report cannot read."""
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="ascii")
+    except (OSError, ValueError) as exc:  # ValueError: not ASCII
+        raise _BadRunFile(f"{path}: cannot read the file ({exc})") from None
+
+
+def _load_json(where: str, text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _BadRunFile(f"{where}: not valid JSON ({exc})") from None
+
+
 def _cmd_report(args) -> int:
-    log = read_run(args.run_dir)
-    print(json.dumps(log.metrics, indent=2, sort_keys=True))
+    """Print metrics.json and a count of events.jsonl per event kind."""
+    run = Path(args.run_dir)
+    metrics_path, events_path = run / METRICS_FILE, run / EVENTS_FILE
+    if not (metrics_path.exists() or events_path.exists()):
+        raise FileNotFoundError(f"no {METRICS_FILE} or {EVENTS_FILE} in {run}")
+    metrics = {}
+    if metrics_path.exists():
+        metrics = _load_json(str(metrics_path), _read_text(metrics_path))
+        if not isinstance(metrics, dict):
+            raise _BadRunFile(f"{metrics_path}: not a JSON object")
     counts: dict = {}
-    for event in log.events:
-        counts[event["event"]] = counts.get(event["event"], 0) + 1
+    if events_path.exists():
+        lines = _read_text(events_path).splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            where = f"{events_path}:{lineno}"
+            event = _load_json(where, line)
+            kind = event.get("event") if isinstance(event, dict) else None
+            if not (isinstance(kind, str) and kind.isprintable()):
+                raise _BadRunFile(f"{where}: not an event record")
+            counts[kind] = counts.get(kind, 0) + 1
+    print(json.dumps(metrics, indent=2, sort_keys=True))
     for name in sorted(counts):
         print(f"{name}: {counts[name]}")
     return 0
@@ -117,7 +153,7 @@ def main(argv=None) -> int:
                 "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, FileNotFoundError, _BadRunFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ exactly zero disturbance wrench, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .core import (SeededRng, SimulationFault, rotate_body_to_nav,
 STREAM_GUST = 10
 
 RHO_AIR = 1.225  # [kg/m^3]
+WIND_CW_AW = 0.4  # hull drag coefficient times windage area [m^2]
+WAVE_SWAY_GAIN = 8.0  # sway force per metre of wave height [N/m]
+WAVE_YAW_GAIN = 4.0  # yaw moment per metre of wave height [N m/m]
 
 SAND = "sand"
 ROCK = "rock"
@@ -41,11 +45,8 @@ class DisturbanceField:
     wind_direction: float = 0.0  # direction the air moves toward [rad]
     gust_tau: float = 10.0  # gust correlation time [s]
     gust_fraction: float = 0.1  # gust sigma as a fraction of the mean speed
-    wind_cw_aw: float = 0.4  # drag coefficient times windage area [m^2]
     wave_height: float = 0.0  # [m]
     wave_period: float = 4.0  # [s]
-    wave_sway_gain: float = 8.0  # sway force per metre of wave height [N/m]
-    wave_yaw_gain: float = 4.0  # yaw moment per metre of wave height [N m/m]
     current_speed: float = 0.0  # [m/s]
     current_direction: float = 0.0  # direction the water moves toward [rad]
 
@@ -100,13 +101,13 @@ def disturbance_wrench(fld: DisturbanceField, state: VehicleState3DOF,
         rel_u, rel_v = rotate_nav_to_body((wind_x - vel_x, wind_y - vel_y),
                                           state.psi)
         mag = math.hypot(rel_u, rel_v)
-        X += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel_u
-        Y += 0.5 * RHO_AIR * fld.wind_cw_aw * mag * rel_v
+        X += 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_u
+        Y += 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_v
 
     if fld.wave_height > 0.0:
         phase = 2.0 * math.pi * t / fld.wave_period
-        Y += fld.wave_sway_gain * fld.wave_height * math.sin(phase)
-        N += fld.wave_yaw_gain * fld.wave_height * math.sin(phase + math.pi / 3.0)
+        Y += WAVE_SWAY_GAIN * fld.wave_height * math.sin(phase)
+        N += WAVE_YAW_GAIN * fld.wave_height * math.sin(phase + math.pi / 3.0)
 
     return BodyWrench(X, Y, N)
 
@@ -194,12 +195,40 @@ class TerrainMap:
         return m
 
 
+def _finite(text: str, path, lineno: int, what: str) -> float:
+    """The finite number written as `text` on a terrain file header line."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} is not a number: "
+                         f"{text!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{path}:{lineno}: {what} must be finite, "
+                         f"got {text!r}")
+    return number
+
+
+def _ascii_lines(fh, path) -> list[str]:
+    """The lines of `fh`, the file at `path` opened as ASCII text, split as
+    iterating it would split them."""
+    try:
+        return fh.read().split("\n")
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        first = re.search(rb"[\x80-\xff]", data).start()
+        line = data.count(b"\n", 0, first) + 1
+        raise ValueError(f"{path}:{line}: not ASCII text") from None
+
+
 def load_terrain(path) -> TerrainMap:
     """Read a terrain map from a plain-text grid file.
 
     Format: 'key: value' header lines (cell_size, origin, depths), then a
     'grid:' line followed by one row of s/r/m characters per line, first
-    line being the northernmost row. '#' lines are comments.
+    line being the northernmost row. '#' lines are comments. A malformed
+    file raises ValueError naming the file and line; an unreadable one,
+    OSError.
     """
     cell_size = None
     origin = (0.0, 0.0)
@@ -207,7 +236,7 @@ def load_terrain(path) -> TerrainMap:
     rows: list[list[str]] = []
     in_grid = False
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_ascii_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -218,6 +247,10 @@ def load_terrain(path) -> TerrainMap:
                     raise ValueError(
                         f"{path}:{lineno}: unknown terrain character {exc.args[0]!r}"
                     ) from None
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{path}:{lineno}: grid row of "
+                                     f"{len(rows[-1])} cells, the first has "
+                                     f"{len(rows[0])}")
                 continue
             if line == "grid:":
                 in_grid = True
@@ -225,18 +258,23 @@ def load_terrain(path) -> TerrainMap:
             key, _, value = line.partition(":")
             key, value = key.strip(), value.strip()
             if key == "cell_size":
-                cell_size = float(value)
+                cell_size = _finite(value, path, lineno, "cell_size")
+                if cell_size <= 0.0:
+                    raise ValueError(f"{path}:{lineno}: cell_size must be "
+                                     f"positive, got {value!r}")
             elif key == "origin":
                 parts = value.split()
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: origin needs two numbers")
-                origin = (float(parts[0]), float(parts[1]))
+                origin = (_finite(parts[0], path, lineno, "origin"),
+                          _finite(parts[1], path, lineno, "origin"))
             elif key == "depths":
                 for item in value.split():
                     ch, _, depth = item.partition("=")
                     if ch not in _CHAR_TO_CLASS:
                         raise ValueError(f"{path}:{lineno}: unknown class {ch!r}")
-                    depths[_CHAR_TO_CLASS[ch]] = float(depth)
+                    depths[_CHAR_TO_CLASS[ch]] = _finite(depth, path, lineno,
+                                                         "depth")
             else:
                 raise ValueError(f"{path}:{lineno}: unknown header key {key!r}")
     if cell_size is None:

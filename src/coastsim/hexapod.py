@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,9 @@ from .core import wrap_angle
 log = logging.getLogger(__name__)
 
 PI = math.pi
-TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left
-TRIPOD_B = (1, 3, 5)
+TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left; tripod B is 1, 3, 5
 # per leg: phase offset of its tripod's cycle, as a fraction of the period
 _PHASE_OFFSET = tuple(0.0 if leg in TRIPOD_A else 0.5 for leg in range(6))
-
-STANCE = "stance"
-SWING = "swing"
 
 # relative tolerance on the reach test: wide enough to absorb the rounding of
 # a forward-kinematics product, far below any meaningful workspace margin
@@ -72,10 +67,6 @@ class JointLimitError(ValueError):
 
 class GaitPhaseError(ValueError):
     """Asked for a foot position outside the phase's time window."""
-
-
-class StaticStabilityWarning(UserWarning):
-    """Tripod gait with duty factor below 0.5 cannot keep three feet down."""
 
 
 @dataclass
@@ -252,31 +243,17 @@ def gait_foot_position(phase: GaitPhase, t: float, h_lift: float = 0.03) -> np.n
         phase.t_start, phase.period, phase.duty_factor, t, h_lift))
 
 
-def tripod_schedule(t: float, period: float, duty_factor: float = 0.5) -> list[str]:
-    """Per-leg stance/swing assignment; tripods {0,2,4} and {1,3,5} are in
-    anti-phase so at least three feet are down whenever duty >= 0.5."""
-    if duty_factor < 0.5:
-        warnings.warn(
-            f"duty factor {duty_factor} < 0.5 leaves windows with no tripod down",
-            StaticStabilityWarning, stacklevel=2)
-    out = []
-    for leg in range(6):
-        tau = (t / period + _PHASE_OFFSET[leg]) % 1.0
-        out.append(STANCE if tau < duty_factor else SWING)
-    return out
-
-
-# body-frame mount poses per leg: (x [m], y [m], outward yaw [rad])
+# per leg: outward yaw of its body-frame mount [rad]
 MOUNTS = (
-    (0.12, 0.09, math.radians(45.0)),  # 0 front-left
-    (0.12, -0.09, math.radians(-45.0)),  # 1 front-right
-    (0.0, -0.11, math.radians(-90.0)),  # 2 mid-right
-    (0.0, 0.11, math.radians(90.0)),  # 3 mid-left
-    (-0.12, 0.09, math.radians(135.0)),  # 4 rear-left
-    (-0.12, -0.09, math.radians(-135.0)),  # 5 rear-right
+    math.radians(45.0),  # 0 front-left
+    math.radians(-45.0),  # 1 front-right
+    math.radians(-90.0),  # 2 mid-right
+    math.radians(90.0),  # 3 mid-left
+    math.radians(135.0),  # 4 rear-left
+    math.radians(-135.0),  # 5 rear-right
 )
 # per leg: (cos, sin) of the mount yaw
-_MOUNT_COS_SIN = tuple((math.cos(yaw), math.sin(yaw)) for _, _, yaw in MOUNTS)
+_MOUNT_COS_SIN = tuple((math.cos(yaw), math.sin(yaw)) for yaw in MOUNTS)
 
 DEFAULT_TERRAIN_SPEEDS = {"sand": 0.2, "rock": 0.1, "mud": 0.15}  # [m/s]
 
@@ -340,16 +317,17 @@ def _leg_foot_target(params: HexapodParams, leg: int, gait_t: float,
 
 
 def body_advance(state: HexapodState, heading_cmd: float, dt: float,
-                 params: HexapodParams, speed: float | None = None) -> HexapodState:
+                 params: HexapodParams) -> HexapodState:
     """Advance the walking body one step toward a commanded heading.
 
     Heading slews toward the command at the turn-rate limit while the body
-    moves along its current heading at the terrain speed. If any foot target
-    falls outside a leg workspace the gait halts for this step: the body
-    stays put and the fault counter increments.
+    moves along its current heading at the terrain speed. Tripods {0,2,4}
+    and {1,3,5} step in anti-phase, so at least three feet are in stance
+    whenever duty_factor >= 0.5. If any foot target falls outside a leg
+    workspace the gait halts for this step: the body stays put and the
+    fault counter increments.
     """
-    if speed is None:
-        speed = params.speed_for(state.terrain)
+    speed = params.speed_for(state.terrain)
     if speed <= 0.0:
         raise ValueError(f"walking speed must be positive, got {speed}")
     period = params.stride / speed

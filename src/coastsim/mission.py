@@ -25,6 +25,17 @@ STREAM_ENV_SAMPLER = 21
 
 COVERAGE_CELL = 0.25  # grid resolution for swept-area accounting [m]
 
+# the environmental sampler's synthetic water: base value plus a linear
+# gradient over nav-frame (x, y) for each field, and Gaussian noise
+SAMPLE_CADENCE = 5.0  # [s]
+TEMPERATURE_BASE = 18.0  # [deg C]
+TEMPERATURE_GRADIENT = np.array((0.005, 0.0))  # [deg C/m]
+TURBIDITY_BASE = 5.0  # [NTU]
+TURBIDITY_GRADIENT = np.array((0.0, 0.01))  # [NTU/m]
+SALINITY_BASE = 33.0  # [PSU]
+SALINITY_GRADIENT = np.array((0.0, 0.0))  # [PSU/m]
+SAMPLE_NOISE_SIGMA = 0.05
+
 
 class IllegalTransition(RuntimeError):
     def __init__(self, source: "MissionPhase", target: "MissionPhase"):
@@ -138,7 +149,6 @@ class DetectionEvent:
     vehicle: str  # which platform made the detection
     t: float
     position: np.ndarray  # reported (noisy) location [m]
-    confirmed: bool = False
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -193,7 +203,6 @@ class SweepSensor:
 @dataclass
 class MissionState:
     phase: MissionPhase = MissionPhase.PRE_MISSION
-    entered_at: float = 0.0
     queue: list = field(default_factory=list)  # pending DetectionEvents
     current_target: Optional[DetectionEvent] = None
     pattern_complete: bool = False
@@ -203,7 +212,6 @@ class MissionState:
 class WorldEvents:
     """One step's worth of facts the reducer decides on."""
 
-    t: float
     deployment_complete: bool = False
     at_leg_boundary: bool = False
     pattern_complete: bool = False
@@ -213,11 +221,11 @@ class WorldEvents:
     reference_position: Optional[np.ndarray] = None  # for nearest-first pick
 
 
-def transition(state: MissionState, target: MissionPhase, t: float) -> MissionState:
+def transition(state: MissionState, target: MissionPhase) -> MissionState:
     """Move to a new phase; anything off the legal edge list raises."""
     if (state.phase, target) not in LEGAL_EDGES:
         raise IllegalTransition(state.phase, target)
-    return dataclasses.replace(state, phase=target, entered_at=t)
+    return dataclasses.replace(state, phase=target)
 
 
 def _pop_nearest(queue: list, reference) -> DetectionEvent:
@@ -237,7 +245,7 @@ def mission_step(state: MissionState, ev: WorldEvents) -> MissionState:
 
     if state.phase is MissionPhase.PRE_MISSION:
         if ev.deployment_complete:
-            return transition(state, MissionPhase.WIDE_AREA_SEARCH, ev.t)
+            return transition(state, MissionPhase.WIDE_AREA_SEARCH)
         return state
 
     if state.phase is MissionPhase.WIDE_AREA_SEARCH:
@@ -245,11 +253,11 @@ def mission_step(state: MissionState, ev: WorldEvents) -> MissionState:
         # done); nearest contact first
         boundary = ev.at_leg_boundary or state.pattern_complete
         if state.queue and boundary:
-            state = transition(state, MissionPhase.DETAILED_INSPECTION, ev.t)
+            state = transition(state, MissionPhase.DETAILED_INSPECTION)
             target = _pop_nearest(state.queue, ev.reference_position)
             return dataclasses.replace(state, current_target=target)
         if state.pattern_complete and not state.queue:
-            return transition(state, MissionPhase.RETRIEVAL, ev.t)
+            return transition(state, MissionPhase.RETRIEVAL)
         return state
 
     if state.phase is MissionPhase.DETAILED_INSPECTION:
@@ -260,12 +268,12 @@ def mission_step(state: MissionState, ev: WorldEvents) -> MissionState:
             target = _pop_nearest(state.queue, ev.reference_position)
             return dataclasses.replace(state, current_target=target)
         if state.pattern_complete:
-            return transition(state, MissionPhase.RETRIEVAL, ev.t)
-        return transition(state, MissionPhase.WIDE_AREA_SEARCH, ev.t)
+            return transition(state, MissionPhase.RETRIEVAL)
+        return transition(state, MissionPhase.WIDE_AREA_SEARCH)
 
     if state.phase is MissionPhase.RETRIEVAL:
         if ev.vehicles_recovered:
-            return transition(state, MissionPhase.CONCLUDED, ev.t)
+            return transition(state, MissionPhase.CONCLUDED)
         return state
 
     return state  # concluded: terminal
@@ -285,37 +293,25 @@ class EnvironmentalSample:
 
 class EnvironmentalSampler:
     """Synthetic water-quality logger: smooth spatial gradients plus noise,
-    sampled at a fixed cadence in every phase until the mission concludes."""
+    sampled every SAMPLE_CADENCE seconds in every phase until the mission
+    concludes."""
 
-    def __init__(self, rng: SeededRng, cadence: float = 5.0,
-                 temperature_base: float = 18.0, temperature_gradient=(0.005, 0.0),
-                 turbidity_base: float = 5.0, turbidity_gradient=(0.0, 0.01),
-                 salinity_base: float = 33.0, salinity_gradient=(0.0, 0.0),
-                 noise_sigma: float = 0.05):
-        if cadence <= 0.0:
-            raise ValueError("sampler cadence must be positive")
-        self.cadence = cadence
-        self.temperature_base = temperature_base
-        self.temperature_gradient = np.asarray(temperature_gradient, dtype=float)
-        self.turbidity_base = turbidity_base
-        self.turbidity_gradient = np.asarray(turbidity_gradient, dtype=float)
-        self.salinity_base = salinity_base
-        self.salinity_gradient = np.asarray(salinity_gradient, dtype=float)
-        self.noise_sigma = noise_sigma
+    def __init__(self, rng: SeededRng):
         self._gen = rng.stream(STREAM_ENV_SAMPLER)
         self._last_sample_t: Optional[float] = None
 
     def maybe_sample(self, t: float, position) -> Optional[EnvironmentalSample]:
-        if self._last_sample_t is not None and t - self._last_sample_t < self.cadence - 1e-9:
+        if (self._last_sample_t is not None
+                and t - self._last_sample_t < SAMPLE_CADENCE - 1e-9):
             return None
         self._last_sample_t = t
         pos = np.asarray(position, dtype=float)
-        noise = self._gen.standard_normal(3) * self.noise_sigma
+        noise = self._gen.standard_normal(3) * SAMPLE_NOISE_SIGMA
         return EnvironmentalSample(
             t, pos,
-            temperature=self.temperature_base + float(self.temperature_gradient @ pos) + noise[0],
-            turbidity=max(0.0, self.turbidity_base + float(self.turbidity_gradient @ pos) + noise[1]),
-            salinity=self.salinity_base + float(self.salinity_gradient @ pos) + noise[2])
+            temperature=TEMPERATURE_BASE + float(TEMPERATURE_GRADIENT @ pos) + noise[0],
+            turbidity=max(0.0, TURBIDITY_BASE + float(TURBIDITY_GRADIENT @ pos) + noise[1]),
+            salinity=SALINITY_BASE + float(SALINITY_GRADIENT @ pos) + noise[2])
 
 
 # the coverage grid tests up to _COVER_CHUNK consecutive segments together,

@@ -35,6 +35,12 @@ GPS = "gps"
 COMPASS = "compass"
 GYRO = "gyro"
 
+# initial estimate: 1-sigma uncertainty of position [m], heading [rad] and
+# each velocity (u, v [m/s], r [rad/s])
+INIT_POS_SIGMA = 2.0
+INIT_PSI_SIGMA = 0.1
+INIT_VEL_SIGMA = 0.5
+
 
 class EstimatorDivergence(SimulationFault, RuntimeError):
     """Estimator state or covariance stopped being finite."""
@@ -129,14 +135,11 @@ class EstimatorState:
     x: np.ndarray  # (6,) mean: x, y, psi, u, v, r
     P: np.ndarray  # (6, 6) covariance
 
-    def copy(self) -> "EstimatorState":
-        return EstimatorState(self.x.copy(), self.P.copy())
 
-
-def initial_estimate(state: VehicleState3DOF, pos_sigma: float = 2.0,
-                     psi_sigma: float = 0.1, vel_sigma: float = 0.5) -> EstimatorState:
-    P0 = np.diag([pos_sigma ** 2, pos_sigma ** 2, psi_sigma ** 2,
-                  vel_sigma ** 2, vel_sigma ** 2, vel_sigma ** 2])
+def initial_estimate(state: VehicleState3DOF) -> EstimatorState:
+    """The true state as the mean, with the INIT_*_SIGMA uncertainties."""
+    P0 = np.diag([INIT_POS_SIGMA ** 2, INIT_POS_SIGMA ** 2, INIT_PSI_SIGMA ** 2,
+                  INIT_VEL_SIGMA ** 2, INIT_VEL_SIGMA ** 2, INIT_VEL_SIGMA ** 2])
     return EstimatorState(state.as_array(), P0)
 
 

@@ -138,8 +138,10 @@ class Simulation:
         ms = scn.mission
         if ms.kind == SEARCH:
             self.pattern = generate_lawnmower(ms.area, ms.swath, ms.entry)
+            # the survey platform: the towed body, else the ASV itself
             self.sweep = SweepSensor(ms.objects, ms.footprint, ms.p_detect,
-                                     ms.position_sigma, self.rng)
+                                     ms.position_sigma, self.rng,
+                                     "tuv" if scn.tuv_enabled else "asv")
         else:
             self.pattern = None
             self.sweep = None
@@ -278,7 +280,6 @@ class Simulation:
                                         scn.hexapod_params)
             distance = float(np.linalg.norm(target - self.hexapod.position))
         if distance <= scn.mission.confirm_radius:
-            target_ev.confirmed = True
             self.confirmations += 1
             self._log_event(t, "confirmation", object_id=target_ev.object_id,
                             position=[float(target[0]), float(target[1])])
@@ -440,7 +441,6 @@ class Simulation:
                     np.array([self.truth.x, self.truth.y]) - self.start_pos))
                 <= scn.mission.recovery_radius)
             events = WorldEvents(
-                t=t,
                 deployment_complete=t >= scn.mission.deploy_time,
                 at_leg_boundary=self._leg_boundary,
                 pattern_complete=self.wp_index >= len(self.pattern.waypoints),

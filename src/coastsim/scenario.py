@@ -48,6 +48,9 @@ LENGTH_UNITS = {"m": 1.0, "km": 1000.0}
 
 # seeds key a Philox generator as a uint64
 SEED_LIMIT = 2 ** 64
+# a run directory name, <name>-seed<seed>, fits the 255 bytes of a file
+# name with a seed of up to 20 digits
+MAX_NAME_BYTES = 255 - len("-seed") - len(str(SEED_LIMIT - 1))
 
 # libyaml's composer recurses on the C stack once per nesting level: on an
 # 8 MB stack 24,000 levels load and 28,000 kill the process. Texts whose
@@ -73,10 +76,9 @@ def _shown(value) -> str:
     return repr(value)
 
 
-def _quantity(value, path: str, units: dict[str, float] | None = None,
-              finite: bool = True) -> float:
-    """A number, or a '<number> <unit>' string when a unit table applies;
-    finite unless `finite` is False."""
+def _quantity(value, path: str, units: dict[str, float] | None = None) -> float:
+    """A finite number, or a '<number> <unit>' string when a unit table
+    applies."""
     if isinstance(value, bool):
         raise _err(path, "expected a number, got a boolean")
     if isinstance(value, (int, float)):
@@ -98,7 +100,7 @@ def _quantity(value, path: str, units: dict[str, float] | None = None,
         number = magnitude * units[parts[1]]
     else:
         raise _err(path, f"expected a number, got {type(value).__name__}")
-    if finite and not math.isfinite(number):
+    if not math.isfinite(number):
         raise _err(path, f"must be finite, got {value!r}")
     return number
 
@@ -135,11 +137,11 @@ class _Section:
         return self.mapping.get(key, default)
 
     def number(self, key: str, default=None, units=None, minimum=None,
-               maximum=None, positive=False, finite=True) -> float:
+               maximum=None, positive=False) -> float:
         raw = self._get(key, default)
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
-        value = _quantity(raw, f"{self.path}.{key}", units, finite)
+        value = _quantity(raw, f"{self.path}.{key}", units)
         if positive and value <= 0.0:
             raise _err(f"{self.path}.{key}", f"must be positive, got {value}")
         if minimum is not None and value < minimum:
@@ -229,7 +231,6 @@ class Scenario:
     damping: DampingCoeffs
     disturbances: DisturbanceField
     terrain: TerrainMap
-    water_density: float
     tuv_enabled: bool
     tuv_params: TuvParams
     towline: Towline
@@ -250,6 +251,15 @@ def _load_run(sec: _Section) -> tuple[str, float, float, int]:
     duration = sec.number("duration", default=600.0, units=TIME_UNITS, minimum=0.0)
     seed = sec.integer("seed")  # mandatory: reproducibility is part of the run
     sec.finish()
+    # the run directory is <out>/<name>-seed<seed>: one path component
+    size = len(name.encode("utf-8", "replace"))
+    if size > MAX_NAME_BYTES:
+        raise _err(f"{sec.path}.name", f"must be a file name of at most "
+                                       f"{MAX_NAME_BYTES} bytes, got {size}")
+    if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+        raise _err(f"{sec.path}.name",
+                   f"must be a file name (not empty, '.' or '..', and no "
+                   f"'/', '\\' or NUL), got {name!r}")
     if not 0 <= seed < SEED_LIMIT:
         raise _err(f"{sec.path}.seed", f"must be in [0, 2**64), got {seed}")
     if not math.isfinite(duration / dt):
@@ -268,7 +278,13 @@ def _load_terrain_entry(sec: _Section, base_dir: Path) -> TerrainMap:
             path = base_dir / path
         if not path.exists():
             raise _err(f"{sec.path}.terrain", f"terrain file not found: {path}")
-        return load_terrain(path)
+        try:
+            return load_terrain(path)
+        except OSError as exc:
+            raise _err(f"{sec.path}.terrain", f"{path}: cannot read the file "
+                                              f"({exc.strerror or exc})") from None
+        except ValueError as exc:
+            raise _err(f"{sec.path}.terrain", str(exc)) from None
     uni = _Section(raw, f"{sec.path}.terrain")
     terrain = uni.string("uniform", choices=TERRAIN_CLASSES)
     extent = uni.number("extent", default=1000.0, units=LENGTH_UNITS, positive=True)
@@ -390,13 +406,10 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
         max_turn_rate=sec.number("max_turn_rate", default=0.3, positive=True),
         home_radius=sec.number("home_radius", default=0.16, units=LENGTH_UNITS,
                                positive=True),
-        # a non-finite height fails the stand-pose check below, which names
-        # the whole pose
-        home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS,
-                               finite=False))
+        home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS))
     sec.finish()
     # the crawler stands up at deploy: its home foot point must be reachable
-    # (WorkspaceViolation, JointLimitError, or a non-finite angle)
+    # (WorkspaceViolation or JointLimitError)
     try:
         stand_legs(params)
     except ValueError as exc:
@@ -578,7 +591,6 @@ def parse_scenario(tree: dict, base_dir: Path | str = ".") -> Scenario:
         name=name, dt=dt, duration=duration, seed=seed,
         asv_params=asv_params, asv_initial=asv_initial,
         damping=damping, disturbances=disturbances, terrain=terrain,
-        water_density=water_density,
         tuv_enabled=tuv_enabled, tuv_params=tuv_params, towline=towline,
         tow_attach_x=tow_attach_x,
         hexapod_params=hexapod_params,

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF,
-                          ZERO_WRENCH, allocate_differential_thrust,
-                          asv_derivative, asv_step, kinetic_energy)
+                          ZERO_WRENCH, _derivative,
+                          allocate_differential_thrust, asv_step,
+                          kinetic_energy)
+
+
+def asv_derivative(state, params, wrench):
+    """The 6-state derivative as an array."""
+    return np.array(_derivative(state, params, wrench))
 
 
 @pytest.fixture

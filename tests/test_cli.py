@@ -10,6 +10,7 @@ import yaml
 
 import coastsim
 from coastsim.cli import OUT_DIR_ENV, main
+from coastsim.runner import read_run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -342,3 +343,153 @@ def test_shipped_metrics_are_strict_json(name, tmp_path):
                  "--out", str(tmp_path)]) == 0
     (path,) = tmp_path.glob("*/metrics.json")
     json.loads(path.read_text(), parse_constant=refuse)
+
+
+# --- run names, terrain files and run directories -------------------------------
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("name", ["", ".", "..", "../../escape", "a/b",
+                                  "a\\b", "a\0b", "/abs"],
+                         ids=["empty", "dot", "dotdot", "escape", "slash",
+                              "backslash", "nul", "absolute"])
+def test_run_name_that_is_not_a_file_name_exits_1(name, command, tmp_path,
+                                                  capsys):
+    # the run directory is <out>/<name>-seed<seed>: "../../escape" once
+    # wrote two levels above --out, "a\0b" once ran the whole scenario and
+    # then ended in a ValueError traceback
+    text = yaml.safe_dump({"run": {"name": name, "seed": 9, "duration": 0.1},
+                           "mission": {"kind": "cruise"}})
+    rc = _probe(tmp_path, command, text)
+    _assert_rejected(rc, capsys, tmp_path,
+                     "scenario.run.name: must be a file name")
+    assert not (tmp_path.parent / "escape-seed9").exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "probe.yaml"]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("name, size", [("n" * 231, 231), ("ö" * 116, 232)],
+                         ids=["ascii", "utf8"])
+def test_run_name_too_long_for_a_file_name_exits_1(name, size, command,
+                                                   tmp_path, capsys):
+    # <name>-seed<seed> past 255 bytes once ran the whole scenario and then
+    # ended in an OSError traceback (File name too long)
+    text = yaml.safe_dump({"run": {"name": name, "seed": 9, "duration": 0.1},
+                           "mission": {"kind": "cruise"}})
+    rc = _probe(tmp_path, command, text)
+    _assert_rejected(rc, capsys, tmp_path, "scenario.run.name: must be a file "
+                                           f"name of at most 230 bytes, got {size}")
+
+
+@pytest.mark.parametrize("name", ["calm-search", "a.b", "...", "run 1",
+                                  "kö", "n" * 230],
+                         ids=["dash", "dot", "dots", "space", "utf8", "230"])
+def test_run_name_that_is_a_file_name_is_the_directory(name, tmp_path):
+    text = yaml.safe_dump({"run": {"name": name, "seed": 9, "duration": 0.1},
+                           "mission": {"kind": "cruise"}})
+    assert _probe(tmp_path, "simulate", text) == 0
+    assert (tmp_path / "out" / f"{name}-seed9" / "metrics.json").exists()
+
+
+TERRAIN_HEAD = "# a two-cell strip\ncell_size: 500\norigin: -500 -500\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("terrain, line, message", [
+    (b"cell_size: abc\ngrid:\nss\n", 1, "cell_size is not a number: 'abc'"),
+    (b"cell_size: -1\ngrid:\nss\n", 1, "cell_size must be positive"),
+    (b"cell_size: 0\ngrid:\nss\n", 1, "cell_size must be positive"),
+    (b"cell_size: inf\ngrid:\nss\n", 1, "cell_size must be finite"),
+    (b"cell_size: nan\ngrid:\nss\n", 1, "cell_size must be finite"),
+    (TERRAIN_HEAD.encode() + b"depths: s=abc\ngrid:\nss\n", 4,
+     "depth is not a number: 'abc'"),
+    (TERRAIN_HEAD.encode() + b"depths: r=nan\ngrid:\nss\n", 4,
+     "depth must be finite"),
+    (TERRAIN_HEAD.encode() + b"depths: m\ngrid:\nss\n", 4,
+     "depth is not a number: ''"),
+    (b"cell_size: 500\norigin: 0 inf\ngrid:\nss\n", 2,
+     "origin must be finite"),
+    (b"cell_size: 500\norigin: x 0\ngrid:\nss\n", 2,
+     "origin is not a number: 'x'"),
+    (TERRAIN_HEAD.encode() + b"grid:\nss\n# s\xc3\xa4nd\n", 6,
+     "not ASCII text"),
+    (TERRAIN_HEAD.encode() + b"grid:\nss\nsss\n", 6,
+     "grid row of 3 cells, the first has 2"),
+], ids=["cell-abc", "cell-negative", "cell-zero", "cell-inf", "cell-nan",
+        "depth-abc", "depth-nan", "depth-missing", "origin-inf", "origin-x",
+        "non-ascii", "ragged"])
+def test_malformed_terrain_file_exits_1_with_file_and_line(
+        terrain, line, message, command, tmp_path, capsys):
+    path = tmp_path / "strip.terrain"
+    path.write_bytes(terrain)
+    rc = _probe(tmp_path, command, CRUISE_YAML + "world: {terrain: strip.terrain}\n")
+    _assert_rejected(rc, capsys, tmp_path,
+                     f"scenario.world.terrain: {path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_terrain_directory_exits_1(command, tmp_path, capsys):
+    (tmp_path / "strip.terrain").mkdir()
+    rc = _probe(tmp_path, command, CRUISE_YAML + "world: {terrain: strip.terrain}\n")
+    _assert_rejected(rc, capsys, tmp_path,
+                     f"scenario.world.terrain: {tmp_path / 'strip.terrain'}: "
+                     f"cannot read the file")
+
+
+def test_report_reads_a_json_only_run(cruise_file, tmp_path, capsys):
+    # simulate --format json writes no states.csv, and report prints
+    # nothing from it
+    out = tmp_path / "out"
+    assert main(["simulate", str(cruise_file), "--format", "json",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out / "run-seed9")]) == 0
+    printed = capsys.readouterr().out
+    assert '"scenario": "run"' in printed
+    assert "run_end: 1" in printed
+
+
+def test_report_prints_what_read_run_reads(cruise_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(cruise_file), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["report", str(out / "run-seed9")]) == 0
+    log = read_run(out / "run-seed9")
+    counts = {}
+    for event in log.events:
+        counts[event["event"]] = counts.get(event["event"], 0) + 1
+    expected = json.dumps(log.metrics, indent=2, sort_keys=True) + "\n" + "".join(
+        f"{name}: {counts[name]}\n" for name in sorted(counts))
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("metrics", b'{"steps": 1,', "{metrics}: not valid JSON"),
+    ("metrics", b"[1, 2]\n", "{metrics}: not a JSON object"),
+    ("metrics", b'{"scenario": "r\xc3\xa4n"}\n', "{metrics}: cannot read the file"),
+    ("metrics", b"[" * 100_000 + b"]" * 100_000, "{metrics}: not valid JSON"),
+    ("events", b'{"event": "run_end"}\n{"event": \n', "{events}:2: not valid JSON"),
+    ("events", b'{"event": "run_end"}\n\n[1]\n', "{events}:3: not an event record"),
+    ("events", b'{"t": 0.0}\n', "{events}:1: not an event record"),
+    ("events", b'{"event": "\\ud800"}\n', "{events}:1: not an event record"),
+    ("events", b'\xff\n', "{events}: cannot read the file"),
+], ids=["metrics-truncated", "metrics-list", "metrics-non-ascii",
+        "metrics-deep", "events-truncated", "events-list", "events-no-kind",
+        "events-surrogate", "events-non-ascii"])
+def test_report_on_malformed_run_file_exits_1_naming_it(
+        kind, data, message, cruise_file, tmp_path, capsys):
+    run_dir = tmp_path / "out" / "run-seed9"
+    main(["simulate", str(cruise_file), "--out", str(tmp_path / "out")])
+    paths = {"metrics": run_dir / "metrics.json",
+             "events": run_dir / "events.jsonl"}
+    paths[kind].write_bytes(data)
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message.format(**paths)}" in err
+    assert "Traceback" not in err
+
+
+def test_report_on_a_directory_without_run_files_exits_1(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: no metrics.json or events.jsonl in {tmp_path}" in err

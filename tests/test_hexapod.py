@@ -7,15 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coastsim.core import wrap_angle
-from coastsim.hexapod import (MOUNTS, STANCE, SWING, TRIPOD_A, TRIPOD_B,
-                              GaitPhase, GaitPhaseError, HexapodParams,
-                              HexapodState,
+from coastsim.hexapod import (MOUNTS, TRIPOD_A, GaitPhase, GaitPhaseError,
+                              HexapodParams, HexapodState,
                               JointLimitError, LegConfiguration, LegGeometry,
-                              StaticStabilityWarning, WorkspaceViolation,
-                              _leg_foot_target, body_advance,
-                              closed_gait_phase,
-                              gait_foot_position, leg_fk, leg_ik, stand_legs,
-                              tripod_schedule)
+                              WorkspaceViolation, _leg_foot_target,
+                              body_advance, closed_gait_phase,
+                              gait_foot_position, leg_fk, leg_ik, stand_legs)
 
 # limits opened up so the whole geometric annulus is legal; the workspace
 # tests are about reach, joint limits get their own tests
@@ -233,37 +230,37 @@ def test_gait_phase_validation():
         closed_gait_phase(0, np.zeros(3), np.zeros(3), 0.0, 1.0, 1.0)
 
 
-# --- tripod schedule ---------------------------------------------------------
+# --- tripod gait -------------------------------------------------------------
 
-def test_tripod_phase_origin():
-    sched = tripod_schedule(0.0, period=0.4)
-    for leg in TRIPOD_A:
-        assert sched[leg] == STANCE
-    for leg in TRIPOD_B:
-        assert sched[leg] == SWING
-
-
-def test_tripod_antiphase_at_half_period():
-    sched = tripod_schedule(0.2, period=0.4)
-    for leg in TRIPOD_A:
-        assert sched[leg] == SWING
-    for leg in TRIPOD_B:
-        assert sched[leg] == STANCE
+def _feet_down(params, state):
+    """Legs whose foot, by forward kinematics of the joint angles
+    body_advance solved, sits at the home height: on the ground."""
+    return [leg for leg, cfg in enumerate(state.legs)
+            if abs(leg_fk(cfg, params.geometry)[2] - params.home_height) < 1e-12]
 
 
-def test_tripod_always_three_feet_down():
-    for t in np.linspace(0.0, 2.0, 400):
-        sched = tripod_schedule(float(t), period=0.4, duty_factor=0.5)
-        assert sched.count(STANCE) == 3
-    # higher duty keeps at least three down
-    for t in np.linspace(0.0, 2.0, 400):
-        sched = tripod_schedule(float(t), period=0.4, duty_factor=0.7)
-        assert sched.count(STANCE) >= 3
+def _min_feet_down(duty, terrain, steps=400, dt=0.01):
+    params = HexapodParams(duty_factor=duty)
+    state = HexapodState(np.zeros(2), terrain=terrain, legs=stand_legs(params))
+    fewest = 6
+    for _ in range(steps):
+        state = body_advance(state, 0.3, dt, params)
+        assert state.faults == 0
+        fewest = min(fewest, len(_feet_down(params, state)))
+    return fewest
 
 
-def test_low_duty_factor_warns():
-    with pytest.warns(StaticStabilityWarning):
-        tripod_schedule(0.0, period=0.4, duty_factor=0.4)
+@pytest.mark.parametrize("terrain", ["sand", "rock", "mud"])
+@pytest.mark.parametrize("duty", [0.5, 0.6, 0.75, 0.95])
+def test_gait_keeps_three_feet_down(duty, terrain):
+    # the two tripods step in anti-phase: with duty >= 0.5 at least three
+    # of the foot targets body_advance walks are in stance at every step
+    assert _min_feet_down(duty, terrain) >= 3
+
+
+def test_gait_below_half_duty_lifts_all_feet_at_once():
+    # the loader allows duty down to 0.05: then both tripods swing at once
+    assert _min_feet_down(0.3, "sand") == 0
 
 
 # --- body motion -------------------------------------------------------------
@@ -373,7 +370,7 @@ def ref_gait_foot_position(phase, t, h_lift=0.03):
 def ref_leg_foot_target(params, leg, gait_t, period, speed):
     offset = 0.0 if leg in TRIPOD_A else 0.5
     tau = (gait_t / period + offset) % 1.0
-    yaw = MOUNTS[leg][2]
+    yaw = MOUNTS[leg]
     v_st = np.array([-speed * math.cos(yaw), speed * math.sin(yaw), 0.0])
     home = np.array([params.home_radius, 0.0, params.home_height])
     p0 = home - v_st * (0.5 * params.duty_factor * period)
@@ -410,9 +407,8 @@ def ref_leg_ik(p, geom):
     return LegConfiguration(theta1, theta2, theta3)
 
 
-def ref_body_advance(state, heading_cmd, dt, params, speed=None):
-    if speed is None:
-        speed = params.speed_for(state.terrain)
+def ref_body_advance(state, heading_cmd, dt, params):
+    speed = params.speed_for(state.terrain)
     if speed <= 0.0:
         raise ValueError(f"walking speed must be positive, got {speed}")
     period = params.stride / speed
@@ -539,9 +535,12 @@ def _state_key(state):
 
 def test_body_advance_matches_reference_walk_bit_for_bit():
     # 2000 steps: turns in both directions through +-pi, all three terrains,
-    # an explicit speed, and one step whose oversized stride faults the gait
+    # a speed off the defaults, and one step whose oversized stride faults
+    # the gait
     params = HexapodParams()
     faulty = HexapodParams(stride=0.8)
+    fast = HexapodParams(terrain_speeds={"sand": 0.25, "rock": 0.25,
+                                         "mud": 0.25})
     state = ref = HexapodState(np.array([3.0, -2.0]), heading=2.5,
                                terrain="sand", legs=stand_legs(params))
     faults_seen = 0
@@ -549,10 +548,10 @@ def test_body_advance_matches_reference_walk_bit_for_bit():
         terrain = ("sand", "rock", "mud")[(k // 300) % 3]
         state.terrain = ref.terrain = terrain
         cmd = 3.5 * math.sin(0.004 * k) + (math.pi if k > 1200 else 0.0)
-        step_params = faulty if k == 777 else params
-        speed = 0.25 if 1500 <= k < 1600 else None
-        state = body_advance(state, cmd, 0.1, step_params, speed=speed)
-        ref = ref_body_advance(ref, cmd, 0.1, step_params, speed=speed)
+        step_params = (faulty if k == 777 else fast if 1500 <= k < 1600
+                       else params)
+        state = body_advance(state, cmd, 0.1, step_params)
+        ref = ref_body_advance(ref, cmd, 0.1, step_params)
         assert _state_key(state) == _state_key(ref), k
         faults_seen = state.faults
     assert faults_seen == 1

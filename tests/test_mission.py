@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coastsim.core import SeededRng
-from coastsim.mission import (COVERAGE_CELL, DetectionEvent,
-                              EnvironmentalSampler, IllegalTransition,
-                              MissionPhase, MissionState, PlantedObject,
-                              SearchArea, SweepSensor, WorldEvents,
+from coastsim.mission import (COVERAGE_CELL, SAMPLE_CADENCE,
+                              SAMPLE_NOISE_SIGMA, STREAM_ENV_SAMPLER,
+                              DetectionEvent, EnvironmentalSampler,
+                              IllegalTransition, MissionPhase, MissionState,
+                              PlantedObject, SearchArea, SweepSensor,
+                              WorldEvents,
                               _covered_grid, coverage_report,
                               generate_lawnmower, mission_step, transition)
 
@@ -116,12 +118,10 @@ def test_transition_edge_matrix():
     for src, dst in itertools.product(MissionPhase, MissionPhase):
         state = MissionState(phase=src)
         if (src, dst) in legal:
-            out = transition(state, dst, t=3.0)
-            assert out.phase is dst
-            assert out.entered_at == 3.0
+            assert transition(state, dst).phase is dst
         else:
             with pytest.raises(IllegalTransition) as err:
-                transition(state, dst, t=3.0)
+                transition(state, dst)
             assert err.value.source is src
             assert err.value.target is dst
 
@@ -133,38 +133,37 @@ def _detection(obj_id, x, y):
 def test_reducer_full_mission_flow():
     state = MissionState()
     # nothing happens until deployment completes
-    state = mission_step(state, WorldEvents(t=1.0))
+    state = mission_step(state, WorldEvents())
     assert state.phase is MissionPhase.PRE_MISSION
-    state = mission_step(state, WorldEvents(t=5.0, deployment_complete=True))
+    state = mission_step(state, WorldEvents(deployment_complete=True))
     assert state.phase is MissionPhase.WIDE_AREA_SEARCH
-    assert state.entered_at == 5.0
 
     # a detection mid-leg queues without interrupting the leg
     det = _detection("obj-1", 40.0, 10.0)
-    state = mission_step(state, WorldEvents(t=20.0, new_detections=[det]))
+    state = mission_step(state, WorldEvents(new_detections=[det]))
     assert state.phase is MissionPhase.WIDE_AREA_SEARCH
     assert len(state.queue) == 1
 
     # the leg boundary triggers the inspection detour
-    state = mission_step(state, WorldEvents(t=60.0, at_leg_boundary=True))
+    state = mission_step(state, WorldEvents(at_leg_boundary=True))
     assert state.phase is MissionPhase.DETAILED_INSPECTION
     assert state.current_target.object_id == "obj-1"
     assert state.queue == []
 
     # inspection done, queue empty, pattern unfinished: back to searching
-    state = mission_step(state, WorldEvents(t=120.0, target_processed=True))
+    state = mission_step(state, WorldEvents(target_processed=True))
     assert state.phase is MissionPhase.WIDE_AREA_SEARCH
     assert state.current_target is None
 
     # pattern completes with nothing queued: retrieval, then conclusion
-    state = mission_step(state, WorldEvents(t=500.0, pattern_complete=True))
+    state = mission_step(state, WorldEvents(pattern_complete=True))
     assert state.phase is MissionPhase.RETRIEVAL
-    state = mission_step(state, WorldEvents(t=520.0))
+    state = mission_step(state, WorldEvents())
     assert state.phase is MissionPhase.RETRIEVAL
-    state = mission_step(state, WorldEvents(t=560.0, vehicles_recovered=True))
+    state = mission_step(state, WorldEvents(vehicles_recovered=True))
     assert state.phase is MissionPhase.CONCLUDED
     # terminal: further events are absorbed
-    state = mission_step(state, WorldEvents(t=600.0, new_detections=[det]))
+    state = mission_step(state, WorldEvents(new_detections=[det]))
     assert state.phase is MissionPhase.CONCLUDED
 
 
@@ -172,9 +171,9 @@ def test_reducer_pops_nearest_detection_first():
     state = MissionState(phase=MissionPhase.WIDE_AREA_SEARCH)
     far = _detection("far", 90.0, 90.0)
     near = _detection("near", 12.0, 8.0)
-    state = mission_step(state, WorldEvents(t=10.0, new_detections=[far, near]))
+    state = mission_step(state, WorldEvents(new_detections=[far, near]))
     state = mission_step(state, WorldEvents(
-        t=30.0, at_leg_boundary=True, reference_position=np.array([10.0, 10.0])))
+        at_leg_boundary=True, reference_position=np.array([10.0, 10.0])))
     assert state.current_target.object_id == "near"
     assert state.queue[0].object_id == "far"
 
@@ -184,7 +183,7 @@ def test_reducer_chains_queued_inspections():
                          current_target=_detection("a", 0.0, 0.0),
                          queue=[_detection("b", 5.0, 5.0)])
     state = mission_step(state, WorldEvents(
-        t=50.0, target_processed=True, reference_position=np.array([0.0, 0.0])))
+        target_processed=True, reference_position=np.array([0.0, 0.0])))
     assert state.phase is MissionPhase.DETAILED_INSPECTION
     assert state.current_target.object_id == "b"
 
@@ -193,14 +192,14 @@ def test_reducer_inspection_to_retrieval_when_pattern_done():
     state = MissionState(phase=MissionPhase.DETAILED_INSPECTION,
                          current_target=_detection("a", 0.0, 0.0),
                          pattern_complete=True)
-    state = mission_step(state, WorldEvents(t=300.0, target_processed=True))
+    state = mission_step(state, WorldEvents(target_processed=True))
     assert state.phase is MissionPhase.RETRIEVAL
 
 
 def test_reducer_inspects_leftover_queue_after_pattern_complete():
     state = MissionState(phase=MissionPhase.WIDE_AREA_SEARCH,
                          queue=[_detection("late", 1.0, 1.0)])
-    state = mission_step(state, WorldEvents(t=400.0, pattern_complete=True))
+    state = mission_step(state, WorldEvents(pattern_complete=True))
     assert state.phase is MissionPhase.DETAILED_INSPECTION
     assert state.current_target.object_id == "late"
 
@@ -300,7 +299,8 @@ def test_sensor_validation():
 # --- environmental sampler ---------------------------------------------------
 
 def test_sampler_respects_cadence():
-    sampler = EnvironmentalSampler(SeededRng(2), cadence=5.0)
+    assert SAMPLE_CADENCE == 5.0
+    sampler = EnvironmentalSampler(SeededRng(2))
     assert sampler.maybe_sample(0.0, [0.0, 0.0]) is not None
     assert sampler.maybe_sample(2.0, [0.0, 0.0]) is None
     assert sampler.maybe_sample(4.999, [0.0, 0.0]) is None
@@ -308,11 +308,17 @@ def test_sampler_respects_cadence():
 
 
 def test_sampler_fields_follow_gradients():
-    sampler = EnvironmentalSampler(SeededRng(2), noise_sigma=0.0)
+    # the same draws as the sampler's, less the noise they add: the rest
+    # is the base plus the gradient
+    sampler = EnvironmentalSampler(SeededRng(2))
     s = sampler.maybe_sample(0.0, [100.0, 50.0])
-    assert s.temperature == pytest.approx(18.0 + 0.005 * 100.0, abs=1e-12)
-    assert s.turbidity == pytest.approx(5.0 + 0.01 * 50.0, abs=1e-12)
-    assert s.salinity == pytest.approx(33.0, abs=1e-12)
+    noise = (SeededRng(2).stream(STREAM_ENV_SAMPLER).standard_normal(3)
+             * SAMPLE_NOISE_SIGMA)
+    assert s.temperature - noise[0] == pytest.approx(18.0 + 0.005 * 100.0,
+                                                     abs=1e-12)
+    assert s.turbidity - noise[1] == pytest.approx(5.0 + 0.01 * 50.0,
+                                                   abs=1e-12)
+    assert s.salinity - noise[2] == pytest.approx(33.0, abs=1e-12)
     assert s.t == 0.0
 
 

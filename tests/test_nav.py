@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, asv_derivative
+from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, _derivative
 from coastsim.core import SeededRng, wrap_angle
 from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           EstimatorState, SensorConfig, SensorReading,
@@ -16,6 +16,11 @@ from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
 @pytest.fixture
 def params():
     return AsvParams()
+
+
+def asv_derivative(x, params, wrench):
+    """The 6-state derivative as an array."""
+    return np.array(_derivative(x, params, wrench))
 
 
 # --- sensors ---------------------------------------------------------------
@@ -92,7 +97,6 @@ def test_predict_mean_matches_direct_rk4(params):
 
 def test_dynamics_jacobian_matches_central_differences(params):
     # oracle: central differences of the continuous derivative, h = 1e-6
-    from coastsim.asv import asv_derivative
     wrench = BodyWrench(X=12.0, Y=-3.0, N=1.5)
     rng = np.random.default_rng(17)
     h = 1e-6

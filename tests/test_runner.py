@@ -344,6 +344,23 @@ def test_short_search_is_truncated_not_concluded():
     assert log.events[-1]["reason"] == "duration_cap"
 
 
+@pytest.mark.parametrize("tuv, platform", [(True, "tuv"), (False, "asv")])
+def test_detections_name_the_survey_platform(tuv, platform):
+    # one object beside the ASV's start, one beside the towed body's (it
+    # starts a line length astern): whichever platform sweeps finds its
+    # own on the first search step
+    tree = search_tree(duration=6.0)
+    tree["tuv"] = {"enabled": tuv}
+    tree["mission"]["area"] = {"x": -40, "y": -10, "width": 80, "height": 20}
+    tree["mission"]["objects"] = [
+        {"id": "by-asv", "position": [0.5, 0.5]},
+        {"id": "by-tuv", "position": [-29.5, 0.5]}]
+    log = run_simulation(parse_scenario(tree))
+    found = [e for e in log.events if e["event"] == "detection"]
+    assert [e["object_id"] for e in found] == [f"by-{platform}"]
+    assert found[0]["vehicle"] == platform
+
+
 def test_duration_cap_on_cruise_is_not_truncated():
     # the truncated flag marks an unfinished search; a cruise just ends
     log = run_simulation(parse_scenario(cruise_tree(duration=0.5)))

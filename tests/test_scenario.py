@@ -43,7 +43,6 @@ def test_minimal_scenario_vehicle_defaults():
     assert scn.asv_params.max_thrust == 40.0
     assert scn.asv_initial.x == 0.0 and scn.asv_initial.u == 0.0
     assert (scn.damping.d11, scn.damping.d22, scn.damping.d33) == (12.0, 35.0, 8.0)
-    assert scn.water_density == 1025.0
 
 
 def test_minimal_scenario_tow_defaults():
@@ -55,6 +54,8 @@ def test_minimal_scenario_tow_defaults():
     assert scn.towline.max_slew_rate == 0.5
     assert scn.tow_attach_x == -0.5  # stern attach, aft of the reference point
     assert scn.tuv_params.rho == 1025.0  # fed from world.water_density
+    fresh = parse_scenario(minimal_tree(world={"water_density": 1000.0}))
+    assert fresh.tuv_params.rho == 1000.0
 
 
 def test_minimal_scenario_mission_defaults():
@@ -389,7 +390,6 @@ def test_terrain_speed_must_be_positive_and_finite(speed):
     {"home_radius": 0.5},  # beyond l1 + l2
     {"home_radius": 0.01, "home_height": 0.0},  # inside |l1 - l2|
     {"home_radius": 0.05, "home_height": 0.0},  # reachable, elbow past its limit
-    {"home_height": float("nan")},
     {"geometry": {"l1": 0.02, "l2": 0.03}},
 ])
 def test_stand_pose_must_be_reachable(hexapod):
@@ -413,6 +413,7 @@ def test_stand_pose_must_be_reachable(hexapod):
      "scenario.mission.point[0]"),
     ({"controllers": {"ekf": {"q_psd": [1, 1, 1, 1, 1, float("-inf")]}}},
      "scenario.controllers.ekf.q_psd[5]"),
+    ({"hexapod": {"home_height": float("nan")}}, "scenario.hexapod.home_height"),
 ])
 def test_non_finite_number_rejected_with_field_path(overrides, field):
     with pytest.raises(ScenarioError) as info:

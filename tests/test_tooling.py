@@ -1,10 +1,13 @@
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
+import coastsim
 from coastsim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +42,35 @@ def test_scenarios_parse_with_libyaml(yaml_loaders_built):
     # return to yaml.safe_load must fail here, not only on the benchmark
     load_scenario(SCENARIO_DIR / "storm_loiter.yaml")
     assert yaml_loaders_built == [yaml.CSafeLoader]
+
+
+def _library_use_names():
+    """Names the README's "Library use" section imports or cites in
+    backticks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for match in re.finditer(r"^from coastsim import (.+)$", section, re.M):
+        names.update(part.strip() for part in match.group(1).split(","))
+    names.update(re.findall(r"`([A-Za-z_]\w*)`", section))
+    return names
+
+
+def test_readme_library_names_resolve():
+    names = _library_use_names()
+    assert {"load_scenario", "run_simulation", "body_advance"} <= names
+    missing = sorted(name for name in names if not hasattr(coastsim, name))
+    assert not missing, f"README names no coastsim export: {missing}"
+
+
+def test_package_exports_resolve():
+    # every name coastsim/__init__.py imports is the object its module
+    # defines under that name
+    tree = ast.parse((ROOT / "src" / "coastsim" / "__init__.py").read_text())
+    exports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert len(exports) > 50
+    for module, name in exports:
+        owner = importlib.import_module(f"coastsim.{module}")
+        assert getattr(coastsim, name) is getattr(owner, name), name
