@@ -94,8 +94,9 @@ def rk4_stages(state, params: AsvParams, wrench: BodyWrench,
                dt: float) -> tuple[list, tuple]:
     """One RK4 step of the vehicle model under a constant body wrench.
 
-    `state` is a 6-sequence of Python floats; see core.rk4_stages. Returns
-    (next state, stage states), through which the estimator chain-rules its
+    `state` is a 6-sequence of Python floats, stepped by the one RK4 on six
+    floats, core.rk4_stages, with _derivative as the model. Returns (next
+    state, stage states), through which the estimator chain-rules its
     transition Jacobian.
     """
     return _float_rk4(_derivative, state, dt, params, wrench)

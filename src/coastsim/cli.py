@@ -73,6 +73,12 @@ def _cmd_simulate(args) -> int:
 
     base = args.out or os.environ.get(OUT_DIR_ENV) or "runs"
     run_dir = Path(base) / f"{scenario.name}-seed{scenario.seed}"
+    try:  # before the run, so an unwritable --out costs no simulation
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create run directory {run_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
     log = run_simulation(scenario)
     written = emit_outputs(log, run_dir, formats)

@@ -1,5 +1,5 @@
 """Shared simulation primitives: rotations, clock, seeded random streams,
-RK4, the fault base.
+the RK4 step on six floats, the fault base.
 
 Conventions used throughout the package:
   - navigation frame: x east, y north, z down (for the underwater vehicle),
@@ -111,25 +111,31 @@ class SeededRng:
 
 def rk4_stages(f: Callable[..., tuple], state, dt: float,
                *args) -> tuple[list, tuple]:
-    """One classical RK4 step of xdot = f(x, *args) on Python floats.
+    """One classical RK4 step of xdot = f(x, *args) on six Python floats.
 
-    `state` is a sequence of floats and f returns a tuple of them. The
-    arithmetic runs component by component in the order the array form
-    `x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)` evaluates, so the result is
+    `state` is a 6-sequence of floats and f returns a 6-tuple of them. Each
+    component is computed in the order the array form
+    `x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)` evaluates it, so the result is
     bit-identical to it. Returns (next state, stage states): the four states
-    the stage derivatives were taken at.
+    the stage derivatives were taken at; the first is `state` itself.
     """
     h = 0.5 * dt
-    x1 = state
-    k1 = f(x1, *args)
-    x2 = [a + h * b for a, b in zip(x1, k1)]
-    k2 = f(x2, *args)
-    x3 = [a + h * b for a, b in zip(x1, k2)]
-    k3 = f(x3, *args)
-    x4 = [a + dt * b for a, b in zip(x1, k3)]
-    k4 = f(x4, *args)
+    a0, a1, a2, a3, a4, a5 = state
+    p0, p1, p2, p3, p4, p5 = f(state, *args)
+    x2 = [a0 + h * p0, a1 + h * p1, a2 + h * p2,
+          a3 + h * p3, a4 + h * p4, a5 + h * p5]
+    q0, q1, q2, q3, q4, q5 = f(x2, *args)
+    x3 = [a0 + h * q0, a1 + h * q1, a2 + h * q2,
+          a3 + h * q3, a4 + h * q4, a5 + h * q5]
+    w0, w1, w2, w3, w4, w5 = f(x3, *args)
+    x4 = [a0 + dt * w0, a1 + dt * w1, a2 + dt * w2,
+          a3 + dt * w3, a4 + dt * w4, a5 + dt * w5]
+    z0, z1, z2, z3, z4, z5 = f(x4, *args)
     c = dt / 6.0
-    x_next = [a + c * (p + 2.0 * q + 2.0 * w + z)
-              for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
-    return x_next, (x1, x2, x3, x4)
-
+    x_next = [a0 + c * (p0 + 2.0 * q0 + 2.0 * w0 + z0),
+              a1 + c * (p1 + 2.0 * q1 + 2.0 * w1 + z1),
+              a2 + c * (p2 + 2.0 * q2 + 2.0 * w2 + z2),
+              a3 + c * (p3 + 2.0 * q3 + 2.0 * w3 + z3),
+              a4 + c * (p4 + 2.0 * q4 + 2.0 * w4 + z4),
+              a5 + c * (p5 + 2.0 * q5 + 2.0 * w5 + z5)]
+    return x_next, (state, x2, x3, x4)

@@ -3,7 +3,10 @@
 The filter estimates the full 6-state (x, y, psi, u, v, r). Prediction runs
 one RK4 step of the rigid-body model under the realized control wrench, with
 the covariance propagated through the analytic Jacobian of that discrete map,
-chain-ruled through the same four RK4 stages the mean was computed from.
+chain-ruled through the same four RK4 stages the mean was computed from. Only
+12 cells of the continuous Jacobian depend on the state: each stage's
+Jacobian is a zero template filled from those cells, and the chain rule's
+matrix products are the dense ones, on the same operands.
 
 Updates are sequential per reading (GPS position, compass heading, gyro yaw
 rate) with Mahalanobis gating; heading innovations are wrapped. Compass and
@@ -143,35 +146,59 @@ def initial_estimate(state: VehicleState3DOF) -> EstimatorState:
     return EstimatorState(state.as_array(), P0)
 
 
-def dynamics_jacobian(x, params: AsvParams) -> np.ndarray:
-    """Analytic d(state derivative)/d(state) for the 6-state model."""
+# the cells of dynamics_jacobian that depend on the state, (row, column) in
+# the order _jacobian_cells lists them; the one constant nonzero cell,
+# d(psidot)/dr = 1, sits in the template
+_CELLS = ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+          (3, 4), (3, 5), (4, 3), (4, 5), (5, 3), (5, 4))
+# their flat indices into one 6x6 Jacobian, and into a stack of four
+_CELL_FLAT = np.array([6 * row + col for row, col in _CELLS])
+_STAGE_CELL_FLAT = np.concatenate([36 * k + _CELL_FLAT for k in range(4)])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_J_TEMPLATE = np.zeros((6, 6))
+_J_TEMPLATE[2, 5] = 1.0
+_read_only(_J_TEMPLATE)
+_STAGE_TEMPLATE = _read_only(np.stack([_J_TEMPLATE] * 4))
+# the 6x6 identity, read-only: copy it before writing into it
+_I6 = _read_only(np.eye(6))
+
+
+def _jacobian_cells(x, params: AsvParams) -> tuple:
+    """The 12 state-dependent cells of dynamics_jacobian, in _CELLS order."""
     psi, u, v, r = x[2], x[3], x[4], x[5]
     c, s = cos_sin(psi)
-    return np.array([
-        [0.0, 0.0, -u * s - v * c, c, -s, 0.0],
-        [0.0, 0.0, u * c - v * s, s, c, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0, (params.m33 - params.m22) * r / params.m11,
-         (params.m33 - params.m22) * v / params.m11],
-        [0.0, 0.0, 0.0, (params.m11 - params.m33) * r / params.m22, 0.0,
-         (params.m11 - params.m33) * u / params.m22],
-        [0.0, 0.0, 0.0, (params.m22 - params.m11) * v / params.m33,
-         (params.m22 - params.m11) * u / params.m33, 0.0],
-    ])
+    m11, m22, m33 = params.m11, params.m22, params.m33
+    return (-u * s - v * c, c, -s,
+            u * c - v * s, s, c,
+            (m33 - m22) * r / m11, (m33 - m22) * v / m11,
+            (m11 - m33) * r / m22, (m11 - m33) * u / m22,
+            (m22 - m11) * v / m33, (m22 - m11) * u / m33)
 
 
-# the 6x6 identity, read-only: copy it before writing into it
-_I6 = np.eye(6)
-_I6.flags.writeable = False
+def dynamics_jacobian(x, params: AsvParams) -> np.ndarray:
+    """Analytic d(state derivative)/d(state) for the 6-state model."""
+    J = _J_TEMPLATE.copy()
+    J.put(_CELL_FLAT, _jacobian_cells(x, params))
+    return J
 
 
 def _stage_jacobian(stages, params: AsvParams, dt: float) -> np.ndarray:
     """Jacobian of the RK4 map, chain-ruled through its four stage states."""
     x1, x2, x3, x4 = stages
-    K1 = dynamics_jacobian(x1, params)
-    K2 = dynamics_jacobian(x2, params) @ (_I6 + 0.5 * dt * K1)
-    K3 = dynamics_jacobian(x3, params) @ (_I6 + 0.5 * dt * K2)
-    K4 = dynamics_jacobian(x4, params) @ (_I6 + dt * K3)
+    J = _STAGE_TEMPLATE.copy()
+    J.put(_STAGE_CELL_FLAT, _jacobian_cells(x1, params)
+          + _jacobian_cells(x2, params) + _jacobian_cells(x3, params)
+          + _jacobian_cells(x4, params))
+    K1, J2, J3, J4 = J
+    K2 = J2 @ (_I6 + 0.5 * dt * K1)
+    K3 = J3 @ (_I6 + 0.5 * dt * K2)
+    K4 = J4 @ (_I6 + dt * K3)
     return _I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
@@ -209,7 +236,8 @@ def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
     x_next, stages = rk4_stages(est.x.tolist(), params, wrench, dt)
     F = _stage_jacobian(stages, params, dt)
     P = F @ est.P @ F.T + q
-    P = 0.5 * (P + P.T)
+    P += P.T  # numpy buffers the overlapping P.T: this is 0.5 * (P + P.T)
+    P *= 0.5
     return _checked(np.array(x_next), P, "prediction")
 
 
@@ -296,5 +324,6 @@ def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
     M = _I6.copy()
     M[:, i] -= K
     P = M @ est.P
-    P = 0.5 * (P + P.T)
+    P += P.T
+    P *= 0.5
     return UpdateResult(_checked(x, P, f"{kind} update"), np.array([y]), True)

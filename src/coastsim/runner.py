@@ -124,6 +124,7 @@ class Simulation:
         self.current3 = (*self.current, 0.0)
         self.sensor_periods = scn.sensors.periods(scn.dt)
         self.q_discrete = scn.ekf.q_discrete(scn.dt)  # process noise per step
+        self.max_surge = 2.0 * scn.asv_params.max_thrust  # both motors [N]
 
         self.towline = scn.towline
         self.winch_cmd = scn.towline.unstretched_length
@@ -349,7 +350,7 @@ class Simulation:
         # steering gets priority: cap surge to the thrust headroom the yaw
         # command leaves, else saturation silently halves the yaw moment and
         # the tow pendulum can pump the heading into a weave
-        headroom = (2.0 * scn.asv_params.max_thrust
+        headroom = (self.max_surge
                     - abs(yaw_cmd) / scn.asv_params.thruster_half_spacing)
         if direct_surge is not None:
             surge_cmd = direct_surge

@@ -112,6 +112,32 @@ def test_simulate_aborted_run_exits_2_with_partial_log(tmp_path, capsys):
     assert len((run_dir / "states.csv").read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("layout", ["out_is_file", "out_under_file",
+                                    "run_dir_is_file"])
+def test_unwritable_out_exits_1_before_the_run(layout, cruise_file, tmp_path,
+                                               capsys, monkeypatch):
+    # made of files, not permission bits, so it holds when run as root
+    blocker = tmp_path / "blocker"
+    if layout == "run_dir_is_file":
+        blocker.mkdir()
+        (blocker / "run-seed9").write_text("")
+        out = blocker
+    else:
+        blocker.write_text("")
+        out = blocker if layout == "out_is_file" else blocker / "sub"
+
+    def no_run(scenario):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("coastsim.cli.run_simulation", no_run)
+    assert main(["simulate", str(cruise_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot create run directory {out / 'run-seed9'}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_missing_scenario_exits_1(capsys):
     rc = main(["simulate", "/no/such/file.yaml"])
     assert rc == 1

@@ -1,17 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coastsim.asv import AsvParams, VehicleState3DOF, ZERO_WRENCH, asv_step
+from coastsim import asv, tuv
+from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
+                          asv_step)
 from coastsim.core import (IntegrationFault, SeededRng, SimClock,
                            SimulationFault, rk4_stages, rotate_body_to_nav,
                            rotate_nav_to_body, wrap_angle)
 from coastsim.environment import OutOfBounds
 from coastsim.nav import EstimatorDivergence, SingularCovariance
-from coastsim.tuv import DegenerateGeometry
+from coastsim.tuv import DegenerateGeometry, TuvParams
 
 
 def test_wrap_angle_basics():
@@ -101,7 +104,8 @@ def test_seeded_rng_reproducible_and_independent():
 
 
 def _decay(s):
-    return (-s[0],)
+    # six decoupled decays, xdot_i = -x_i
+    return (-s[0], -s[1], -s[2], -s[3], -s[4], -s[5])
 
 
 def test_rk4_exponential_decay():
@@ -110,33 +114,100 @@ def test_rk4_exponential_decay():
     # the true gap to e^-1 is 3.33e-7 (an exact property of the method).
     h = 0.1
     factor = 1.0 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24
-    x = [1.0]
+    x = [1.0] * 6
     for _ in range(10):
         x, _ = rk4_stages(_decay, x, h)
-    assert x[0] == pytest.approx(factor ** 10, abs=1e-13)
-    assert abs(x[0] - math.exp(-1.0)) < 5e-7
+    for xi in x:
+        assert xi == pytest.approx(factor ** 10, abs=1e-13)
+        assert abs(xi - math.exp(-1.0)) < 5e-7
 
 
 def test_rk4_convergence_order():
     # halving dt must cut the one-second error by ~2^4 (order >= 3.9)
-    def final_error(dt):
-        x = [1.0]
+    def final_errors(dt):
+        x = [1.0] * 6
         for _ in range(round(1.0 / dt)):
             x, _ = rk4_stages(_decay, x, dt)
-        return abs(x[0] - math.exp(-1.0))
+        return [abs(xi - math.exp(-1.0)) for xi in x]
 
-    e1, e2 = final_error(0.1), final_error(0.05)
-    order = math.log2(e1 / e2)
-    assert order >= 3.9
+    for e1, e2 in zip(final_errors(0.1), final_errors(0.05)):
+        order = math.log2(e1 / e2)
+        assert order >= 3.9
 
 
 def test_rk4_matches_quadratic_exactly():
     # xdot = t^2 integrates exactly (RK4 is order 4); t rides along as a
-    # state component with tdot = 1
-    x = [0.0, 0.0]
+    # state component with tdot = 1, the other four hold still
+    x = [0.0] * 6
     for _ in range(100):
-        x, _ = rk4_stages(lambda s: (1.0, s[0] * s[0]), x, 0.01)
+        x, _ = rk4_stages(
+            lambda s: (1.0, s[0] * s[0], 0.0, 0.0, 0.0, 0.0), x, 0.01)
     assert math.isclose(x[1], 1.0 / 3.0, rel_tol=1e-12)
+    assert x[2:] == [0.0] * 4
+
+
+def _rk4_list_reference(f, state, dt, *args):
+    """rk4_stages as a list comprehension per stage over any state length:
+    the reference the unrolled six-float step must match bit for bit."""
+    h = 0.5 * dt
+    x1 = state
+    k1 = f(x1, *args)
+    x2 = [a + h * b for a, b in zip(x1, k1)]
+    k2 = f(x2, *args)
+    x3 = [a + h * b for a, b in zip(x1, k2)]
+    k3 = f(x3, *args)
+    x4 = [a + dt * b for a, b in zip(x1, k3)]
+    k4 = f(x4, *args)
+    c = dt / 6.0
+    x_next = [a + c * (p + 2.0 * q + 2.0 * w + z)
+              for a, p, q, w, z in zip(x1, k1, k2, k3, k4)]
+    return x_next, (x1, x2, x3, x4)
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _outcome(rk4, f, state, dt, args):
+    """(next state, stage states) as bytes, or the exception f raised."""
+    try:
+        x_next, stages = rk4(f, state, dt, *args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _bits(x_next), tuple(_bits(x) for x in stages)
+
+
+def _assert_same_step(f, state, dt, *args):
+    with np.errstate(all="ignore"):
+        got = _outcome(rk4_stages, f, state, dt, args)
+        ref = _outcome(_rk4_list_reference, f, state, dt, args)
+    assert got == ref
+
+
+# signed zeros, subnormals, the largest finite magnitudes, infinities, nan
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308,
+                  -1e308, math.inf, -math.inf, math.nan)
+any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-100.0, 100.0),
+                      st.floats())
+floats6 = st.lists(any_float, min_size=6, max_size=6)
+floats3 = st.tuples(any_float, any_float, any_float)
+step_dt = st.one_of(st.sampled_from((0.01, 0.05, 0.1)),
+                    st.floats(1e-4, 1.0))
+
+
+@settings(max_examples=500)
+@given(state=floats6, wrench=floats3, dt=step_dt)
+def test_rk4_matches_list_reference_on_vehicle_bit_for_bit(state, wrench, dt):
+    _assert_same_step(asv._derivative, state, dt, AsvParams(),
+                      BodyWrench(*wrench))
+
+
+@settings(max_examples=500)
+@given(state=floats6, tension=floats3, current=floats3, dt=step_dt)
+def test_rk4_matches_list_reference_on_towed_body_bit_for_bit(
+        state, tension, current, dt):
+    _assert_same_step(tuv._derivative, state, dt, TuvParams(), tension,
+                      current)
 
 
 def test_rk4_raises_on_divergence():

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, _derivative
-from coastsim.core import SeededRng, wrap_angle
+from coastsim.core import SeededRng, cos_sin, wrap_angle
 from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           EstimatorState, SensorConfig, SensorReading,
-                          SingularCovariance, discrete_jacobian,
-                          dynamics_jacobian, ekf_predict, ekf_update,
-                          initial_estimate, measurement_model, predict_mean,
-                          sample_sensors)
+                          SingularCovariance, _stage_jacobian,
+                          discrete_jacobian, dynamics_jacobian, ekf_predict,
+                          ekf_update, initial_estimate, measurement_model,
+                          predict_mean, sample_sensors)
 
 
 @pytest.fixture
@@ -182,6 +184,71 @@ def test_predict_matches_array_rk4_bit_for_bit(params):
                               wrench, dt, ekf.q_discrete(dt))
         assert hoisted.x.tobytes() == out.x.tobytes()
         assert hoisted.P.tobytes() == out.P.tobytes()
+
+
+def _dynamics_jacobian_reference(x, params):
+    """dynamics_jacobian as a nested-list np.array: the reference the
+    template filled from the 12 state-dependent cells must match."""
+    psi, u, v, r = x[2], x[3], x[4], x[5]
+    c, s = cos_sin(psi)
+    return np.array([
+        [0.0, 0.0, -u * s - v * c, c, -s, 0.0],
+        [0.0, 0.0, u * c - v * s, s, c, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, (params.m33 - params.m22) * r / params.m11,
+         (params.m33 - params.m22) * v / params.m11],
+        [0.0, 0.0, 0.0, (params.m11 - params.m33) * r / params.m22, 0.0,
+         (params.m11 - params.m33) * u / params.m22],
+        [0.0, 0.0, 0.0, (params.m22 - params.m11) * v / params.m33,
+         (params.m22 - params.m11) * u / params.m33, 0.0],
+    ])
+
+
+def _stage_jacobian_reference(stages, params, dt):
+    x1, x2, x3, x4 = stages
+    I6 = np.eye(6)
+    K1 = _dynamics_jacobian_reference(x1, params)
+    K2 = _dynamics_jacobian_reference(x2, params) @ (I6 + 0.5 * dt * K1)
+    K3 = _dynamics_jacobian_reference(x3, params) @ (I6 + 0.5 * dt * K2)
+    K4 = _dynamics_jacobian_reference(x4, params) @ (I6 + dt * K3)
+    return I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+# signed zeros, subnormals, the largest finite magnitudes, infinities, nan
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan)
+any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-100.0, 100.0),
+                      st.floats())
+state6 = st.lists(any_float, min_size=6, max_size=6)
+asv_params = st.builds(AsvParams, m11=st.floats(1.0, 200.0),
+                       m22=st.floats(1.0, 200.0), m33=st.floats(1.0, 200.0))
+step_dt = st.one_of(st.sampled_from((0.01, 0.05, 0.1)), st.floats(1e-4, 1.0))
+# a non-finite heading: cos_sin gives (nan, nan) there
+INF_HEADING = [1.0, 2.0, math.inf, 1.5, -0.5, 0.25]
+
+
+@settings(max_examples=500)
+@given(x=state6, p=asv_params)
+@example(x=INF_HEADING, p=AsvParams())
+@example(x=[-0.0] * 6, p=AsvParams())
+def test_dynamics_jacobian_matches_array_reference_bit_for_bit(x, p):
+    ref = _dynamics_jacobian_reference(x, p).tobytes()
+    assert dynamics_jacobian(x, p).tobytes() == ref
+    # an array state gives numpy scalars in the cells, the same bits
+    with np.errstate(all="ignore"):
+        assert dynamics_jacobian(np.array(x), p).tobytes() == ref
+
+
+@settings(max_examples=300)
+@given(stages=st.lists(state6, min_size=4, max_size=4), p=asv_params,
+       dt=step_dt)
+@example(stages=[INF_HEADING] * 4, p=AsvParams(), dt=0.01)
+@example(stages=[[-0.0] * 6] * 4, p=AsvParams(), dt=0.1)
+def test_stage_jacobian_matches_array_reference_bit_for_bit(stages, p, dt):
+    with np.errstate(all="ignore"):
+        got = _stage_jacobian(stages, p, dt)
+        ref = _stage_jacobian_reference(stages, p, dt)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_predict_divergence_raises_before_heading_wrap(params):
