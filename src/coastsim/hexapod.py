@@ -47,6 +47,10 @@ TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left; tripod B is 1, 3, 5
 # per leg: phase offset of its tripod's cycle, as a fraction of the period
 _PHASE_OFFSET = tuple(0.0 if leg in TRIPOD_A else 0.5 for leg in range(6))
 
+# longest leg link of the crawler [m]; it also keeps the law-of-cosines
+# terms of _link_constants far from overflow
+MAX_LINK_LENGTH = 1.0
+
 # relative tolerance on the reach test: wide enough to absorb the rounding of
 # a forward-kinematics product, far below any meaningful workspace margin
 _REACH_TOL = 1e-14
@@ -78,8 +82,10 @@ class LegGeometry:
     theta3_limits: tuple[float, float] = (-PI / 2, PI / 2)
 
     def __post_init__(self):
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
-            raise ValueError("link lengths must be positive")
+        if not (0.0 < self.l1 <= MAX_LINK_LENGTH
+                and 0.0 < self.l2 <= MAX_LINK_LENGTH):
+            raise ValueError(
+                f"link lengths must be in (0, {MAX_LINK_LENGTH}] m")
 
     @property
     def reach_min(self) -> float:

@@ -187,7 +187,8 @@ class SweepSensor:
             if obj.object_id in self.detected:
                 continue
             reach = max(self.footprint, obj.detectability_radius)
-            inside = float(np.linalg.norm(obj.position - pos)) <= reach
+            gap = obj.position - pos
+            inside = math.sqrt(gap.dot(gap)) <= reach
             if inside and obj.object_id not in self._in_pass:
                 self._in_pass.add(obj.object_id)
                 if self._gen.random() < self.p_detect:

@@ -260,8 +260,8 @@ class Simulation:
             est = self.est.x
             arrived = (math.hypot(est[0] - target[0], est[1] - target[1])
                        <= 2.0 * scn.arrival_radius)
-            if (arrived and float(np.linalg.norm(asv_pos - target))
-                    <= scn.mission.tether_reach):
+            gap = asv_pos - target
+            if arrived and math.sqrt(gap.dot(gap)) <= scn.mission.tether_reach:
                 terrain, _ = scn.terrain.terrain_at(asv_pos)
                 self.hexapod = HexapodState(
                     position=asv_pos.copy(), heading=self.truth.psi,
@@ -272,14 +272,15 @@ class Simulation:
             return False
 
         vec = target - self.hexapod.position
-        distance = float(np.linalg.norm(vec))
+        distance = math.sqrt(vec.dot(vec))
         if distance > scn.mission.confirm_radius:
             terrain, _ = scn.terrain.terrain_at(self.hexapod.position)
             self.hexapod.terrain = terrain
             heading_cmd = math.atan2(vec[1], vec[0])
             self.hexapod = body_advance(self.hexapod, heading_cmd, dt,
                                         scn.hexapod_params)
-            distance = float(np.linalg.norm(target - self.hexapod.position))
+            vec = target - self.hexapod.position
+            distance = math.sqrt(vec.dot(vec))
         if distance <= scn.mission.confirm_radius:
             self.confirmations += 1
             self._log_event(t, "confirmation", object_id=target_ev.object_id,
@@ -436,11 +437,11 @@ class Simulation:
 
         # (9) mission reducer
         if self.scn.mission.kind == SEARCH:
-            recovered = (
-                self.mission_state.phase is MissionPhase.RETRIEVAL
-                and float(np.linalg.norm(
-                    np.array([self.truth.x, self.truth.y]) - self.start_pos))
-                <= scn.mission.recovery_radius)
+            recovered = False
+            if self.mission_state.phase is MissionPhase.RETRIEVAL:
+                home = np.array([self.truth.x, self.truth.y]) - self.start_pos
+                recovered = (math.sqrt(home.dot(home))
+                             <= scn.mission.recovery_radius)
             events = WorldEvents(
                 deployment_complete=t >= scn.mission.deploy_time,
                 at_leg_boundary=self._leg_boundary,

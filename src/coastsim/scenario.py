@@ -28,7 +28,7 @@ from .asv import AsvParams, VehicleState3DOF
 from .control import LOITER, WAYPOINT, GuidanceSetpoint, PidController
 from .environment import (TERRAIN_CLASSES, DampingCoeffs, DisturbanceField,
                           TerrainMap, load_terrain)
-from .hexapod import HexapodParams, LegGeometry, stand_legs
+from .hexapod import MAX_LINK_LENGTH, HexapodParams, LegGeometry, stand_legs
 from .mission import PlantedObject, SearchArea
 from .nav import EkfParams, SensorConfig
 from .tuv import MAX_CABLE_LENGTH, Towline, TuvParams
@@ -381,8 +381,10 @@ def _load_tuv(sec: _Section, water_density: float):
 def _load_hexapod(sec: _Section) -> HexapodParams:
     g = sec.section("geometry")
     geometry = LegGeometry(
-        l1=g.number("l1", default=0.08, units=LENGTH_UNITS, positive=True),
-        l2=g.number("l2", default=0.12, units=LENGTH_UNITS, positive=True))
+        l1=g.number("l1", default=0.08, units=LENGTH_UNITS, positive=True,
+                    maximum=MAX_LINK_LENGTH),
+        l2=g.number("l2", default=0.12, units=LENGTH_UNITS, positive=True,
+                    maximum=MAX_LINK_LENGTH))
     g.finish()
     speeds_raw = _mapping(sec.raw("terrain_speeds"), f"{sec.path}.terrain_speeds")
     speeds = {"sand": 0.2, "rock": 0.1, "mud": 0.15}

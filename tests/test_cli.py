@@ -262,6 +262,21 @@ def _shipped_with(name, keys, value):
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("link", ["l1", "l2"])
+def test_overlong_leg_link_exits_1_with_field_path(link, command, tmp_path,
+                                                   capsys):
+    # a 1e300 m link once ended both commands in an OverflowError traceback
+    # from the loader's stand-pose check (l1 ** 2)
+    text = _shipped_with("calm_search.yaml", ("hexapod", "geometry", link),
+                         1.0e300)
+    assert _probe(tmp_path, command, text) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: scenario.hexapod.geometry.{link}: must be <= 1.0, got 1e+300"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize("name, keys, value, field", [
     # once exited 0 and wrote "Infinity"/"NaN" into metrics.json
     ("storm_loiter.yaml", ("mission", "point"), [float("inf"), 0],

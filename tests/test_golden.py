@@ -6,7 +6,9 @@ moves a digest on purpose says why in CHANGES.md and re-pins it here.
 
 The digests are for numpy 2.4.x on x86-64 Linux: another platform or numpy
 release may round a transcendental or a matrix product differently in the
-last bit.
+last bit. The estimator's products go through `ndarray.dot`, the same BLAS
+call as the `@` operator with less dispatch; test_nav checks that the two
+agree bit for bit, so a numpy that routes them apart fails there by name.
 """
 
 import hashlib

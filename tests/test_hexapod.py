@@ -144,6 +144,8 @@ def test_ik_joint_limit_errors_name_the_joint():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         LegGeometry(l1=0.0)
+    with pytest.raises(ValueError):
+        LegGeometry(l2=1.5)
 
 
 # --- gait trajectories -------------------------------------------------------
