@@ -4,12 +4,18 @@ State is (x, y, psi) pose in the navigation frame and (u, v, r) body-frame
 velocities (surge, sway, yaw rate). The mass matrix is diagonal (surge and
 sway include added mass, yaw lumps inertia) and the velocity coupling matrix
 is skew-symmetric, so the free vehicle conserves kinetic energy.
+
+Forces reach the model as a BodyWrench: an immutable named 3-tuple
+(X, Y, N), built several times per simulated step, so it is a tuple rather
+than a frozen dataclass. It compares equal to the plain tuple of its
+components, and assigning to a field raises AttributeError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +44,7 @@ class AsvParams:
             raise ValueError("max_thrust must be positive")
 
 
-@dataclass(frozen=True)
-class BodyWrench:
+class BodyWrench(NamedTuple):
     """Generalized body-frame force (X surge [N], Y sway [N], N yaw [N m])."""
 
     X: float = 0.0
@@ -131,4 +136,4 @@ def allocate_differential_thrust(surge_cmd: float, yaw_cmd: float,
     lim = params.max_thrust
     left = min(max(left, -lim), lim)
     right = min(max(right, -lim), lim)
-    return left, right, BodyWrench(X=left + right, Y=0.0, N=(right - left) * half)
+    return left, right, BodyWrench(left + right, 0.0, (right - left) * half)

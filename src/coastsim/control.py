@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import rotate_body_to_nav, wrap_angle
+from .core import rotate_body_to_nav, successor, wrap_angle
 
 INF = float("inf")
 
@@ -24,7 +24,8 @@ INF = float("inf")
 class PidController:
     """Discrete PID with trapezoidal integral and derivative on error.
 
-    Pure value type: pid_step returns the updated controller. prev_error is
+    Pure value type: pid_step returns the updated controller, a successor
+    with only the integral and prev_error changed. prev_error is
     None until the first step, which therefore uses a zero derivative (the
     integral treats the missing sample as zero).
     """
@@ -56,8 +57,7 @@ def pid_step(ctrl: PidController, error: float, dt: float) -> tuple[float, PidCo
     out = ctrl.kp * error + ctrl.ki * integral + ctrl.kd * deriv
     lo, hi = ctrl.output_limits
     out = min(max(out, lo), hi)
-    return out, PidController(ctrl.kp, ctrl.ki, ctrl.kd, ctrl.output_limits,
-                              ctrl.integral_limits, integral, error)
+    return out, successor(ctrl, integral=integral, prev_error=error)
 
 
 WAYPOINT = "waypoint"

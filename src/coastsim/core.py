@@ -1,5 +1,5 @@
 """Shared simulation primitives: rotations, clock, seeded random streams,
-the RK4 step on six floats, the fault base.
+the RK4 step on six floats, the fault base, frozen-value successors.
 
 Conventions used throughout the package:
   - navigation frame: x east, y north, z down (for the underwater vehicle),
@@ -85,7 +85,24 @@ class SimClock:
         return self.step_count * self.dt
 
     def tick(self) -> "SimClock":
-        return SimClock(self.dt, self.step_count + 1)
+        return successor(self, step_count=self.step_count + 1)
+
+
+def successor(value, **changes):
+    """A copy of the frozen dataclass instance `value` with `changes` set.
+
+    The field values `dataclasses.replace(value, **changes)` gives, without
+    the generated __init__, its object.__setattr__ per field or
+    __post_init__: the new instance's __dict__ is filled directly. Nothing
+    is validated, so it is only for changes __post_init__ does not check --
+    a controller's integral, a clock's step count -- on a value that passed
+    its checks when it was first built. Unknown field names are not caught.
+    """
+    new = object.__new__(type(value))
+    fields = new.__dict__
+    fields.update(value.__dict__)
+    fields.update(changes)
+    return new
 
 
 class SeededRng:

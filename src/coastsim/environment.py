@@ -65,7 +65,8 @@ class GustProcess:
 
     Exact discretization: g_{k+1} = a g_k + sigma sqrt(1 - a^2) xi with
     a = exp(-dt / tau), which keeps the stationary variance at sigma^2 for
-    any step size.
+    any step size. tau and sigma are fixed at construction: the two
+    per-step constants are computed once per step size.
     """
 
     def __init__(self, field: DisturbanceField, rng: SeededRng):
@@ -73,13 +74,17 @@ class GustProcess:
         self.sigma = field.gust_fraction * field.mean_wind_speed
         self._gen = rng.stream(STREAM_GUST)
         self.value = 0.0
+        self._dt = None  # the step size _a and _b were computed for
+        self._a = self._b = 0.0
 
     def step(self, dt: float) -> float:
         if self.sigma == 0.0:
             return 0.0
-        a = math.exp(-dt / self.tau)
-        self.value = a * self.value \
-            + self.sigma * math.sqrt(1.0 - a * a) * self._gen.standard_normal()
+        if dt != self._dt:
+            a = math.exp(-dt / self.tau)
+            self._a, self._b = a, self.sigma * math.sqrt(1.0 - a * a)
+            self._dt = dt
+        self.value = self._a * self.value + self._b * self._gen.standard_normal()
         return self.value
 
 

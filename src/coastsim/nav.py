@@ -12,7 +12,8 @@ Every matrix product goes through `ndarray.dot` rather than the `@` operator:
 on float64 arrays both make the same BLAS call (dgemm, dgemv or ddot) on the
 same operands and return the same bytes, and `dot` skips the generalized-ufunc
 dispatch that makes `@` about twice as slow on a 6x6 product. The mean is
-checked and its heading wrapped as a list of floats.
+checked and its heading wrapped as a list of floats; each new covariance is
+symmetrized from a transposed copy, so the add reads two contiguous arrays.
 
 Updates are sequential per reading (GPS position, compass heading, gyro yaw
 rate) with Mahalanobis gating; heading innovations are wrapped. Compass and
@@ -201,10 +202,10 @@ def _stage_jacobian(stages, params: AsvParams, dt: float) -> np.ndarray:
     J.put(_STAGE_CELL_FLAT, _jacobian_cells(x1, params)
           + _jacobian_cells(x2, params) + _jacobian_cells(x3, params)
           + _jacobian_cells(x4, params))
-    K1, J2, J3, J4 = J
-    K2 = J2.dot(_I6 + 0.5 * dt * K1)
-    K3 = J3.dot(_I6 + 0.5 * dt * K2)
-    K4 = J4.dot(_I6 + dt * K3)
+    K1 = J[0]
+    K2 = J[1].dot(_I6 + 0.5 * dt * K1)
+    K3 = J[2].dot(_I6 + 0.5 * dt * K2)
+    K4 = J[3].dot(_I6 + dt * K3)
     return _I6 + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
@@ -224,10 +225,23 @@ def discrete_jacobian(x: np.ndarray, params: AsvParams, wrench: BodyWrench,
     return _stage_jacobian(stages, params, dt)
 
 
+def _symmetrized(Q: np.ndarray) -> np.ndarray:
+    """0.5 * (Q + Q.T) as a new array, from two contiguous operands: each
+    cell is the same sum Q[j, i] + Q[i, j] halved, and a sum of two floats
+    does not depend on their order (a sum of two NaNs is NaN either way)."""
+    P = Q.T.copy()
+    P += Q
+    P *= 0.5
+    return P
+
+
 def _checked(x: list, P: np.ndarray, what: str) -> EstimatorState:
     """The estimate with mean x (six floats, heading wrapped here) and
     covariance P, once both are finite."""
-    if not (all(map(math.isfinite, x)) and np.isfinite(P).all()):
+    # counting the finite cells is np.isfinite(P).all() without its
+    # reduction's dispatch
+    if not (all(map(math.isfinite, x))
+            and np.count_nonzero(np.isfinite(P)) == P.size):
         raise EstimatorDivergence(f"non-finite estimate after {what}")
     x[2] = wrap_angle(x[2])
     return EstimatorState(np.array(x), P)
@@ -242,10 +256,9 @@ def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
         q = ekf.q_discrete(dt)
     x_next, stages = rk4_stages(est.x.tolist(), params, wrench, dt)
     F = _stage_jacobian(stages, params, dt)
-    P = F.dot(est.P).dot(F.T) + q
-    P = P + P.T
-    P *= 0.5
-    return _checked(x_next, P, "prediction")
+    Q = F.dot(est.P).dot(F.T)
+    Q += q
+    return _checked(x_next, _symmetrized(Q), "prediction")
 
 
 _H_GPS = np.zeros((2, 6)); _H_GPS[0, 0] = 1.0; _H_GPS[1, 1] = 1.0
@@ -301,8 +314,7 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
         return UpdateResult(est, y, False)
     K = est.P.dot(H.T).dot(np.linalg.inv(S))
     x = est.x + K.dot(y)
-    P = (_I6 - K.dot(H)).dot(est.P)
-    P = 0.5 * (P + P.T)
+    P = _symmetrized((_I6 - K.dot(H)).dot(est.P))
     return UpdateResult(_checked(x.tolist(), P, f"{kind} update"), y, True)
 
 
@@ -331,7 +343,5 @@ def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
     x = [a + k * y for a, k in zip(est.x.tolist(), K.tolist())]
     M = _I6.copy()
     M[:, i] -= K
-    P = M.dot(est.P)
-    P = P + P.T
-    P *= 0.5
+    P = _symmetrized(M.dot(est.P))
     return UpdateResult(_checked(x, P, f"{kind} update"), np.array([y]), True)

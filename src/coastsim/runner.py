@@ -12,6 +12,13 @@ enters as body-frame force only (no induced yaw moment). The navigation
 filter propagates with the forces the vehicle knows about: its own realized
 control wrench from the previous step plus modeled damping on the estimated
 state. Wind, waves, gusts and the cable are disturbances it must reject.
+
+A Simulation keeps two per-run caches, both filled on first use rather than
+at set-up. Each guidance target (the loiter point, home, each lawnmower
+waypoint, the pattern end, each inspected object as waypoint and as loiter
+point) gets its GuidanceSetpoint built once. The estimated state read after
+a step's updates is reused by the next step's predict while `est` is still
+the same object; an estimate assigned in between is read afresh.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ import numpy as np
 
 from .asv import (BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
-from .control import (LOITER, PidController, guidance_step, pid_step,
+from .control import (LOITER, WAYPOINT, guidance_step, pid_step,
                       station_keeping)
 from .core import (SeededRng, SimClock, SimulationFault, rotate_body_to_nav,
-                   rotate_nav_to_body, wrap_angle)
+                   rotate_nav_to_body, successor, wrap_angle)
 from .environment import GustProcess, damping_wrench, disturbance_wrench
 from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
@@ -81,8 +88,7 @@ def _freeze_integral_if_pinned(prev, nxt, error, command, lo, hi):
     in the error's own direction, keep the old integral state (integrating
     further is pure windup the plant never sees)."""
     if (command >= hi and error > 0.0) or (command <= lo and error < 0.0):
-        return PidController(nxt.kp, nxt.ki, nxt.kd, nxt.output_limits,
-                             nxt.integral_limits, prev.integral, nxt.prev_error)
+        return successor(nxt, integral=prev.integral)
     return nxt
 
 
@@ -151,6 +157,12 @@ class Simulation:
 
         self._dp_integral = (0.0, 0.0)  # [N] nav frame
         self._dp_point: tuple[float, float] | None = None
+        # the per-run caches of the module docstring: each guidance target's
+        # (setpoint, target as floats), and the estimate last read into a
+        # VehicleState3DOF with that state (holding the estimate keeps its
+        # id from being reused by another object)
+        self._setpoints: dict = {}
+        self._est_read = (None, None)
 
         self.rows: list = []
         self.events: list = []
@@ -199,11 +211,10 @@ class Simulation:
             self._cmd_heading = ms.heading
             return wrap_angle(ms.heading - est_state.psi), ms.speed, None
         if ms.kind == LOITER_MISSION:
-            setpoint = guidance_for_loiter(scn, ms.point)
+            setpoint, point = self._setpoint("point", LOITER, ms.point)
         else:
-            setpoint = self._search_setpoint(est_pose)
+            setpoint, point = self._search_setpoint(est_pose)
         if setpoint.mode == LOITER:
-            point = (float(setpoint.target[0]), float(setpoint.target[1]))
             if point != self._dp_point:
                 self._dp_integral = (0.0, 0.0)
                 self._dp_point = point
@@ -222,24 +233,39 @@ class Simulation:
         self._cmd_heading = wrap_angle(est_state.psi + heading_error)
         return heading_error, speed_cmd, None
 
+    def _setpoint(self, key, mode: str, target):
+        """(setpoint, target as floats) of the guidance target `key`, built
+        from `mode` and `target` on first use and cached for the run."""
+        entry = self._setpoints.get(key)
+        if entry is None:
+            build = (guidance_for_loiter if mode == LOITER
+                     else guidance_for_waypoint)
+            setpoint = build(self.scn, target)
+            entry = (setpoint,
+                     (float(setpoint.target[0]), float(setpoint.target[1])))
+            self._setpoints[key] = entry
+        return entry
+
     def _search_setpoint(self, est_pose):
         scn = self.scn
         phase = self.mission_state.phase
         if phase is MissionPhase.PRE_MISSION:
-            return guidance_for_loiter(scn, self.start_pos)
+            return self._setpoint("home", LOITER, self.start_pos)
         if phase is MissionPhase.WIDE_AREA_SEARCH:
-            if self.wp_index < len(self.pattern.waypoints):
-                return guidance_for_waypoint(
-                    scn, self.pattern.waypoints[self.wp_index])
-            return guidance_for_loiter(scn, self.pattern.waypoints[-1])
+            waypoints = self.pattern.waypoints
+            if self.wp_index < len(waypoints):
+                return self._setpoint(self.wp_index, WAYPOINT,
+                                      waypoints[self.wp_index])
+            return self._setpoint("end", LOITER, waypoints[-1])
         if phase is MissionPhase.DETAILED_INSPECTION:
-            target = self.mission_state.current_target.position
+            target_ev = self.mission_state.current_target
+            target = target_ev.position
             offset = math.hypot(est_pose[0] - target[0], est_pose[1] - target[1])
-            if offset > 2.0 * scn.arrival_radius:
-                return guidance_for_waypoint(scn, target)
-            return guidance_for_loiter(scn, target)
+            mode = WAYPOINT if offset > 2.0 * scn.arrival_radius else LOITER
+            # one detection per object, so its id names the target
+            return self._setpoint((target_ev.object_id, mode), mode, target)
         # retrieval (and the final tick of a concluded run): head home
-        return guidance_for_loiter(scn, self.start_pos)
+        return self._setpoint("home", LOITER, self.start_pos)
 
     def _hexapod_phase(self, t: float, dt: float) -> bool:
         """Deploy / walk / confirm during detailed inspection.
@@ -326,7 +352,9 @@ class Simulation:
             # cell, mean wind off the anemometer, damping follows from the
             # estimated state; gusts and waves stay unmodeled and must be
             # absorbed as process noise
-            est_state = self._estimated_state()
+            est, est_state = self._est_read
+            if est is not self.est:  # reassigned since the last step
+                est_state = self._estimated_state()
             model_wrench = _wrench_sum(
                 self.ctrl_wrench, self.tow_wrench,
                 damping_wrench(est_state, scn.damping, current),
@@ -342,6 +370,7 @@ class Simulation:
 
         # (3) guidance + PID + allocation
         est_state = self._estimated_state()
+        self._est_read = (self.est, est_state)
         heading_error, speed_cmd, direct_surge = self._guidance(est_state)
         prev_heading_pid = self.heading_pid
         yaw_cmd, self.heading_pid = pid_step(self.heading_pid, heading_error, dt)
@@ -468,8 +497,7 @@ class Simulation:
                *est.x.tolist(), *est.P.diagonal().tolist(),
                self._cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                left, right,
-               realized.X, realized.Y, realized.N,
-               disturbance.X, disturbance.Y, disturbance.N]
+               *realized, *disturbance]
         if self.tuv is not None:
             row += [*self.tuv, *tension, self.towline.unstretched_length]
         else:

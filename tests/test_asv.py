@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,26 @@ def asv_derivative(state, params, wrench):
 @pytest.fixture
 def params():
     return AsvParams()
+
+
+def test_body_wrench_is_an_immutable_value():
+    # a named tuple, no longer a frozen dataclass: the forms callers use
+    # still build it, and it still cannot be changed in place
+    assert not dataclasses.is_dataclass(BodyWrench)
+    w = BodyWrench(1.0, -2.0, 0.5)
+    assert w == BodyWrench(X=1.0, Y=-2.0, N=0.5) == BodyWrench(1.0, N=0.5, Y=-2.0)
+    assert (w.X, w.Y, w.N) == (1.0, -2.0, 0.5)
+    assert BodyWrench(X=3.0) == BodyWrench(3.0, 0.0, 0.0)
+    assert BodyWrench() == ZERO_WRENCH == (0.0, 0.0, 0.0)
+    assert w != BodyWrench(1.0, -2.0, 0.25)
+    assert hash(w) == hash(BodyWrench(1.0, -2.0, 0.5))
+    assert len({w, BodyWrench(1.0, -2.0, 0.5), ZERO_WRENCH}) == 2
+    for name in ("X", "Y", "N"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 9.0)
+    with pytest.raises(AttributeError):
+        w.extra = 1.0
+    assert w == (1.0, -2.0, 0.5)
 
 
 def test_kinematics_example():

@@ -84,6 +84,16 @@ def test_pid_step_is_pure():
     out1, _ = pid_step(ctrl, 1.0, 0.1)
     out2, _ = pid_step(ctrl, 1.0, 0.1)
     assert out1 == out2 and ctrl.integral == 0.0
+    # the input controller keeps every field; the successor is a new value
+    ctrl = PidController(kp=2.0, ki=0.5, kd=0.1, output_limits=(-3.0, 3.0),
+                         integral_limits=(-1.0, 1.0), integral=0.25,
+                         prev_error=0.5)
+    before = dict(vars(ctrl))
+    _, nxt = pid_step(ctrl, 1.5, 0.1)
+    assert vars(ctrl) == before
+    assert nxt is not ctrl and vars(nxt) is not vars(ctrl)
+    assert nxt == PidController(2.0, 0.5, 0.1, (-3.0, 3.0), (-1.0, 1.0),
+                                0.25 + 0.5 * (1.5 + 0.5) * 0.1, 1.5)
 
 
 def test_waypoint_guidance_bearing():

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coastsim import asv, tuv
@@ -11,7 +12,8 @@ from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                           asv_step)
 from coastsim.core import (IntegrationFault, SeededRng, SimClock,
                            SimulationFault, rk4_stages, rotate_body_to_nav,
-                           rotate_nav_to_body, wrap_angle)
+                           rotate_nav_to_body, successor, wrap_angle)
+from coastsim.control import PidController
 from coastsim.environment import OutOfBounds
 from coastsim.nav import EstimatorDivergence, SingularCovariance
 from coastsim.tuv import DegenerateGeometry, TuvParams
@@ -87,6 +89,43 @@ def test_clock_has_no_drift():
 def test_clock_rejects_bad_dt():
     with pytest.raises(ValueError):
         SimClock(dt=0.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+limits = st.tuples(finite, finite).map(sorted).map(tuple)
+
+
+@settings(max_examples=300)
+@given(kp=finite, ki=finite, kd=finite, out=limits, integral_limits=limits,
+       integral=finite, prev=st.none() | finite,
+       new_integral=finite, new_prev=st.none() | finite)
+@example(kp=1.0, ki=0.0, kd=0.0, out=(-1.0, 1.0), integral_limits=(0.0, 0.0),
+         integral=-0.0, prev=None, new_integral=0.0, new_prev=-0.0)
+def test_successor_equals_dataclasses_replace(kp, ki, kd, out,
+                                              integral_limits, integral, prev,
+                                              new_integral, new_prev):
+    ctrl = PidController(kp, ki, kd, out, integral_limits, integral, prev)
+    changes = {"integral": new_integral, "prev_error": new_prev}
+    got = successor(ctrl, **changes)
+    expected = dataclasses.replace(ctrl, **changes)
+    assert type(got) is PidController
+    for f in dataclasses.fields(PidController):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        assert type(a) is type(b) and repr(a) == repr(b), f.name
+    assert got == expected and hash(got) == hash(expected)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.integral = 1.0
+    # the original is untouched
+    assert (ctrl.integral, ctrl.prev_error) == (integral, prev)
+
+
+def test_clock_tick_is_a_frozen_successor():
+    clock = SimClock(dt=0.05, step_count=3)
+    nxt = clock.tick()
+    assert nxt == dataclasses.replace(clock, step_count=4)
+    assert (clock.step_count, nxt.step_count, nxt.dt) == (3, 4, 0.05)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nxt.step_count = 0
 
 
 def test_seeded_rng_reproducible_and_independent():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from coastsim.asv import VehicleState3DOF, ZERO_WRENCH
 from coastsim.core import SeededRng
-from coastsim.environment import (MUD, RHO_AIR, ROCK, SAND, DampingCoeffs,
-                                  DisturbanceField, GustProcess, OutOfBounds,
-                                  TerrainMap, damping_wrench,
+from coastsim.environment import (MUD, RHO_AIR, ROCK, SAND, STREAM_GUST,
+                                  DampingCoeffs, DisturbanceField, GustProcess,
+                                  OutOfBounds, TerrainMap, damping_wrench,
                                   disturbance_wrench, load_terrain)
 
 
@@ -115,6 +115,19 @@ def test_zero_wind_gust_is_silent():
     fld = DisturbanceField(mean_wind_speed=0.0)
     gust = GustProcess(fld, SeededRng(1))
     assert all(gust.step(0.1) == 0.0 for _ in range(10))
+
+
+def test_gust_matches_the_recursion_when_the_step_size_changes():
+    # the process caches a and sigma sqrt(1 - a^2) per step size: a changed
+    # dt must recompute them, and the values must be the recursion's own
+    fld = DisturbanceField(mean_wind_speed=8.0, gust_tau=5.0)
+    gust = GustProcess(fld, SeededRng(9))
+    gen = SeededRng(9).stream(STREAM_GUST)
+    sigma, value = 0.1 * 8.0, 0.0
+    for dt in (0.1, 0.1, 0.05, 0.05, 0.1, 2.0, 0.1):
+        a = math.exp(-dt / 5.0)
+        value = a * value + sigma * math.sqrt(1.0 - a * a) * gen.standard_normal()
+        assert gust.step(dt) == value
 
 
 # --- damping and current -----------------------------------------------------

@@ -11,7 +11,8 @@ from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, _derivative
 from coastsim.core import SeededRng, cos_sin, wrap_angle
 from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           EstimatorState, SensorConfig, SensorReading,
-                          SingularCovariance, _stage_jacobian,
+                          SingularCovariance, _checked, _stage_jacobian,
+                          _symmetrized,
                           discrete_jacobian, dynamics_jacobian, ekf_predict,
                           ekf_update, initial_estimate, measurement_model,
                           predict_mean, sample_sensors)
@@ -295,6 +296,51 @@ def test_sqrt_of_dot_is_linalg_norm_bit_for_bit(v):
         expected = float(np.linalg.norm(v))
         got = math.sqrt(v.dot(v))
     assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+SQUARE6 = hnp.arrays(np.float64, (6, 6), elements=any_float)
+
+
+def _same_cells(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Bytes equal cell by cell, a NaN matching any NaN."""
+    return all(
+        (math.isnan(g) and math.isnan(e))
+        or struct.pack("<d", g) == struct.pack("<d", e)
+        for g, e in zip(got.ravel().tolist(), expected.ravel().tolist()))
+
+
+@settings(max_examples=500)
+@given(Q=SQUARE6)
+@example(Q=np.full((6, 6), -0.0))
+@example(Q=np.full((6, 6), 1e308))
+def test_symmetrized_matches_transposed_sum_bit_for_bit(Q):
+    # the old in-line form added a transposed operand; the two contiguous
+    # operands must give the same cells (a NaN's payload may differ)
+    before = Q.tobytes()
+    with np.errstate(all="ignore"):
+        expected = Q + Q.T
+        expected *= 0.5
+        got = _symmetrized(Q)
+    assert Q.tobytes() == before
+    assert got.flags.c_contiguous and not np.shares_memory(got, Q)
+    assert _same_cells(got, expected)
+
+
+@settings(max_examples=500)
+@given(P=SQUARE6)
+@example(P=np.full((6, 6), math.nan))
+@example(P=np.diag(np.full(6, math.inf)))
+def test_checked_rejects_exactly_the_non_finite_covariances(P):
+    # _checked counts finite cells instead of reducing with .all()
+    finite = bool(np.isfinite(P).all())
+    try:
+        est = _checked([1.0, 2.0, 7.0, 0.5, -0.5, 0.1], P, "test")
+    except EstimatorDivergence:
+        assert not finite
+    else:
+        assert finite
+        assert est.P is P
+        assert est.x.tolist() == [1.0, 2.0, wrap_angle(7.0), 0.5, -0.5, 0.1]
 
 
 def _correlated_estimate():

@@ -11,9 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coastsim.core import rotate_body_to_nav
+from coastsim import runner
+from coastsim.asv import VehicleState3DOF
+from coastsim.core import rotate_body_to_nav, wrap_angle
+from coastsim.environment import damping_wrench, disturbance_wrench
+from coastsim.nav import EstimatorState, ekf_predict
 from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_cell,
-                             emit_outputs, read_run, run_simulation)
+                             _wrench_sum, emit_outputs, read_run,
+                             run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -296,6 +301,56 @@ def test_towline_degenerate_geometry_aborts_with_partial_log():
     assert log.aborted is True
     assert "DegenerateGeometry" in log.metrics["abort_reason"]
     assert [e["event"] for e in log.events[-2:]] == ["abort", "run_end"]
+
+
+def _explicit_predict(sim, est):
+    """(model wrench, estimate) of the next step's predict from `est`, the
+    estimated state read from it afresh."""
+    scn = sim.scn
+    state = VehicleState3DOF.from_array(est.x.tolist())
+    wrench = _wrench_sum(sim.ctrl_wrench, sim.tow_wrench,
+                         damping_wrench(state, scn.damping, sim.current),
+                         disturbance_wrench(sim.known_field, state,
+                                            sim.clock.t, 0.0))
+    return wrench, ekf_predict(est, scn.asv_params, scn.ekf, wrench, scn.dt,
+                               sim.q_discrete)
+
+
+def test_predict_starts_from_the_current_estimate(monkeypatch):
+    # the step reuses the estimated state it read at the end of the last
+    # step, keyed on that estimate's identity: an estimate assigned in
+    # between must be read afresh
+    sim = Simulation(load_scenario(SCENARIO_DIR / "storm_loiter.yaml"))
+    for _ in range(20):
+        sim.step()
+    calls = []
+
+    def recording(est, params, ekf, wrench, dt, q):
+        out = ekf_predict(est, params, ekf, wrench, dt, q)
+        calls.append((est, wrench, out))
+        return out
+
+    monkeypatch.setattr(runner, "ekf_predict", recording)
+    for reassign in (False, True, False):
+        est = sim.est
+        if reassign:
+            x = est.x.copy()
+            x[2] = wrap_angle(x[2] + 0.7)
+            x[3] += 0.4
+            x[4] -= 0.2
+            x[5] += 0.05
+            est = EstimatorState(x, 2.0 * est.P)
+            stale, _ = _explicit_predict(sim, sim.est)
+            sim.est = est
+        wrench, expected = _explicit_predict(sim, est)
+        if reassign:
+            assert wrench != stale  # the test can tell the two apart
+        sim.step()
+        est_in, wrench_in, out = calls.pop()
+        assert est_in is est
+        assert wrench_in == wrench
+        assert out.x.tobytes() == expected.x.tobytes()
+        assert out.P.tobytes() == expected.P.tobytes()
 
 
 # --- mission end to end ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -8,6 +9,10 @@ import pytest
 import yaml
 
 import coastsim
+from coastsim.asv import BodyWrench
+from coastsim.control import GuidanceSetpoint, PidController
+from coastsim.core import SimClock
+from coastsim.runner import Simulation
 from coastsim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +79,47 @@ def test_package_exports_resolve():
     for module, name in exports:
         owner = importlib.import_module(f"coastsim.{module}")
         assert getattr(coastsim, name) is getattr(owner, name), name
+
+
+def _count_inits(monkeypatch, cls, record=lambda obj: None):
+    """The list that each later cls(...) appends record(new instance) to."""
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(record(self))
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["storm_loiter", "calm_cruise"])
+def test_steady_steps_build_no_value_objects(monkeypatch, name):
+    # past the first step, the step makes its controller and clock
+    # successors without their dataclass __init__ and reuses each guidance
+    # target's setpoint: a return to rebuilding them per step must fail
+    # here by name, not only on the benchmark
+    sim = Simulation(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+    sim.step()
+    built = {cls.__name__: _count_inits(monkeypatch, cls)
+             for cls in (PidController, SimClock, GuidanceSetpoint)}
+    for _ in range(200):
+        sim.step()
+    assert sim.clock.step_count == 201
+    assert {cls_name: len(calls) for cls_name, calls in built.items()} == {
+        "PidController": 0, "SimClock": 0, "GuidanceSetpoint": 0}
+    # wrenches are named tuples, several of them per step
+    assert not dataclasses.is_dataclass(BodyWrench)
+    assert isinstance(sim.ctrl_wrench, tuple)
+
+
+def test_search_builds_each_setpoint_once(monkeypatch):
+    # every phase of a search: home, each lane end and the inspected target
+    # (as a waypoint, then as a loiter point)
+    built = _count_inits(monkeypatch, GuidanceSetpoint,
+                         lambda sp: (sp.mode, tuple(sp.target.tolist())))
+    log = Simulation(load_scenario(SCENARIO_DIR / "calm_search.yaml")).run()
+    assert log.metrics["concluded"] and log.metrics["confirmations"] >= 1
+    assert len(built) == len(set(built))
+    assert {mode for mode, _ in built} == {"waypoint", "loiter"}
