@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asv import BodyWrench, VehicleState3DOF, ZERO_WRENCH
-from .core import (SeededRng, SimulationFault, rotate_body_to_nav,
-                   rotate_nav_to_body)
+from .core import SeededRng, SimulationFault, rotate_nav_to_body
 
 STREAM_GUST = 10
 
@@ -102,9 +101,13 @@ def disturbance_wrench(fld: DisturbanceField, state: VehicleState3DOF,
     if wind_speed > 0.0:
         wind_x = wind_speed * math.cos(fld.wind_direction)
         wind_y = wind_speed * math.sin(fld.wind_direction)
-        vel_x, vel_y = rotate_body_to_nav((state.u, state.v), state.psi)
-        rel_u, rel_v = rotate_nav_to_body((wind_x - vel_x, wind_y - vel_y),
-                                          state.psi)
+        # body->nav and back with one cos/sin (glibc's cos is even, sin odd)
+        c, s = math.cos(state.psi), math.sin(state.psi)
+        a = wind_x - (c * state.u - s * state.v)
+        b = wind_y - (s * state.u + c * state.v)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("disturbance_wrench requires finite inputs")
+        rel_u, rel_v = c * a + s * b, c * b - s * a
         mag = math.hypot(rel_u, rel_v)
         X += 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_u
         Y += 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_v

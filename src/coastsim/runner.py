@@ -674,19 +674,35 @@ def emit_outputs(log: RunLog, out_dir, formats=("csv", "json")) -> dict:
     return written
 
 
-def _parse_cell(column: str, cell: str):
-    if cell == "":
-        return None
-    if column == "phase":
-        return cell
-    # int() rejects every string holding ".", "e" or "n" (a repr'd float,
-    # inf, nan), so those go straight to float() without raising first
-    if "." in cell or "e" in cell or "n" in cell:
-        return float(cell)
+def _int_first(cell: str):
     try:
         return int(cell)
     except ValueError:
         return float(cell)
+
+
+def _records(fh):
+    """csv.reader's records of fh: a line with no quote, CR or NUL, within
+    csv's field limit, split on commas; csv.reader from the first other on."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(itertools.chain([line], fh))
+            return
+        yield line.rstrip("\n").split(",") if line != "\n" else []
+
+
+def _parse_row(cells: list, width: int, phase: list) -> list:
+    """The first width cells of a record: an empty one None, one at a phase
+    index its str, any other an int if an integer literal, else a float."""
+    aside = [(i, cells[i]) for i in phase if i < len(cells)]
+    for i, _ in aside:
+        cells[i] = ""
+    row = [float(c) if "." in c else None if not c else _int_first(c)
+           for c in cells[:width]]
+    for i, cell in aside:
+        row[i] = cell or None
+    return row
 
 
 def read_run(run_dir) -> RunLog:
@@ -696,10 +712,12 @@ def read_run(run_dir) -> RunLog:
     if not states.exists():
         raise FileNotFoundError(f"no {STATES_FILE} in {run}")
     with open(states, encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [[_parse_cell(col, cell) for col, cell in zip(columns, row)]
-                for row in reader]
+        records = _records(fh)
+        columns = next(records, None)
+        if columns is None:
+            raise ValueError(f"{states} is empty: it has no header line")
+        phase = [i for i, name in enumerate(columns) if name == "phase"]
+        rows = [_parse_row(cells, len(columns), phase) for cells in records]
     events = []
     events_path = run / EVENTS_FILE
     if events_path.exists():

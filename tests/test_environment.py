@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coastsim.asv import VehicleState3DOF, ZERO_WRENCH
-from coastsim.core import SeededRng
+from coastsim.core import SeededRng, rotate_body_to_nav, rotate_nav_to_body
 from coastsim.environment import (MUD, RHO_AIR, ROCK, SAND, STREAM_GUST,
-                                  DampingCoeffs, DisturbanceField, GustProcess,
-                                  OutOfBounds, TerrainMap, damping_wrench,
-                                  disturbance_wrench, load_terrain)
+                                  WIND_CW_AW, DampingCoeffs, DisturbanceField,
+                                  GustProcess, OutOfBounds, TerrainMap,
+                                  damping_wrench, disturbance_wrench,
+                                  load_terrain)
 
 
 # --- wind and waves ----------------------------------------------------------
@@ -55,6 +57,49 @@ def test_crosswind_maps_to_body_axes():
     mag = 0.5 * RHO_AIR * 0.4 * 25.0
     assert w.X == pytest.approx(0.0, abs=1e-12)
     assert w.Y == pytest.approx(mag, abs=1e-9)
+
+
+def reference_wind_wrench(fld, state, gust):
+    # reference: the wind term with the hull velocity rotated body->nav and
+    # the relative wind back nav->body by the two core rotations
+    wind_speed = max(0.0, fld.mean_wind_speed + gust)
+    if wind_speed == 0.0:
+        return (0.0, 0.0, 0.0)
+    wind_x = wind_speed * math.cos(fld.wind_direction)
+    wind_y = wind_speed * math.sin(fld.wind_direction)
+    vel_x, vel_y = rotate_body_to_nav((state.u, state.v), state.psi)
+    rel_u, rel_v = rotate_nav_to_body((wind_x - vel_x, wind_y - vel_y),
+                                      state.psi)
+    mag = math.hypot(rel_u, rel_v)
+    return (0.0 + 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_u,
+            0.0 + 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_v, 0.0)
+
+
+wide_floats = (st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0)
+               | st.sampled_from([0.0, -0.0, 5e-324, math.pi, -math.pi,
+                                  math.pi / 2, 1e22, math.inf, -math.inf,
+                                  math.nan]))
+
+
+@settings(max_examples=500)
+@given(u=wide_floats, v=wide_floats, psi=wide_floats,
+       wind=st.floats(1e-12, 1e3), direction=st.floats(-1e3, 1e3),
+       gust=st.floats(-1e3, 1e3))
+def test_wind_term_matches_the_two_rotations_bit_for_bit(u, v, psi, wind,
+                                                         direction, gust):
+    # one cos/sin pair for both rotations gives the same bytes, because
+    # cos(-psi) == cos(psi) and sin(-psi) == -sin(psi) exactly; non-finite
+    # inputs still raise ValueError
+    fld = DisturbanceField(mean_wind_speed=wind, wind_direction=direction)
+    state = VehicleState3DOF(psi=psi, u=u, v=v)
+
+    def outcome(wrench):
+        try:
+            return struct.pack("<3d", *wrench())
+        except ValueError:
+            return ValueError
+    assert outcome(lambda: disturbance_wrench(fld, state, 0.0, gust)) == (
+        outcome(lambda: reference_wind_wrench(fld, state, gust)))
 
 
 def test_wave_perturbation_closed_values():

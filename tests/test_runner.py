@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coastsim import runner
@@ -16,7 +16,7 @@ from coastsim.asv import VehicleState3DOF
 from coastsim.core import rotate_body_to_nav, wrap_angle
 from coastsim.environment import damping_wrench, disturbance_wrench
 from coastsim.nav import EstimatorState, ekf_predict
-from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_cell,
+from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_row,
                              _wrench_sum, emit_outputs, read_run,
                              run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
@@ -216,13 +216,112 @@ numeric_text = st.from_regex(
        | st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1E5",
                           "1_000", " 7 ", "1e", ".", "-", "0x1f", "\u0661"]))
 def test_parse_cell_matches_int_first_parser(column, cell):
+    # the cell rule read_run applies: a one-cell record, at a phase index
+    # when the column is "phase"
+    def cell_rule(column, cell):
+        return _parse_row([cell], 1, [0] if column == "phase" else [])[0]
+
     def outcome(parse):
         try:
             value = parse(column, cell)
         except ValueError as exc:
             return "ValueError", str(exc)
         return type(value), repr(value)
-    assert outcome(_parse_cell) == outcome(parse_cell_int_first)
+    assert outcome(cell_rule) == outcome(parse_cell_int_first)
+
+
+def reference_read_states(path):
+    # reference: states.csv as read_run read it through csv.reader, each
+    # cell through parse_cell_int_first, each row cut to the header by zip
+    with open(path, encoding="ascii", newline="") as fh:
+        reader = csv.reader(fh)
+        columns = next(reader)
+        rows = [[parse_cell_int_first(col, cell)
+                 for col, cell in zip(columns, row)] for row in reader]
+    return columns, rows
+
+
+def read_outcome(read, path):
+    try:
+        columns, rows = read(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return columns, [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+def read_states(path):
+    log = read_run(path.parent)
+    return log.columns, log.rows
+
+
+def assert_reads_as_reference(text):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "states.csv"
+        path.write_text(text, encoding="ascii", newline="")
+        assert read_outcome(read_states, path) == read_outcome(
+            reference_read_states, path)
+
+
+header_names = st.sampled_from(["t", "phase", "hex_faults", "est_x", "", "a b"])
+file_cells = st.one_of(
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "0", "-0", "1e-05", "inf", "-inf", "nan", " 7 ",
+                     "1_000", "+3", "pre_mission", "wide_area_search",
+                     "1.5.2", "x", ",", '"', '""', "\n", "\r", "\r\n",
+                     "a,b", 'say "hi"', "\0"]),
+    st.text(st.characters(max_codepoint=127), max_size=4))
+file_rows = st.lists(st.lists(file_cells, max_size=7), max_size=10)
+
+
+@st.composite
+def states_texts(draw):
+    """states.csv contents: written by csv.writer, or raw lines joined with
+    commas and line feeds (unquoted, so a comma, quote or line break in a
+    cell is bare), with or without a final line end."""
+    columns = draw(st.lists(header_names, max_size=6))
+    rows = draw(file_rows)
+    if draw(st.booleans()):
+        buf = io.StringIO(newline="")
+        terminator = draw(st.sampled_from(["\n", "\r\n"]))
+        writer = csv.writer(buf, lineterminator=terminator)
+        writer.writerow(columns)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(",".join(cells) for cells in [columns, *rows])
+        text += draw(st.sampled_from(["", "\n", "\n\n"]))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last record
+    return text
+
+
+@settings(max_examples=400)
+@given(text=states_texts())
+@example(text="t,phase\n1.5,wide_area_search\n\n2,\n3.0\n")
+@example(text="t,phase\n1.5,a,b,c\n,pre_mission,x\n2")
+@example(text='t,phase,phase\n1.5,"a\nb",\n2,x,"y,z"\n')
+@example(text="t,u\n1.5,x\n2,3\n")  # x does not parse: a ValueError
+@example(text="phase\n\n\n")
+def test_read_run_matches_csv_reader_and_int_first_parser(text):
+    assume(text != "")  # an empty file has no header: see the test below
+    assert_reads_as_reference(text)
+
+
+def test_read_run_takes_csv_field_limit():
+    # a field longer than csv's limit is csv.reader's error, as before
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        assert_reads_as_reference("t,phase\n1.5,abcdefghijkl\n")
+        assert_reads_as_reference("t,phase\n1.5,abcdefg\n")
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_read_run_rejects_an_empty_states_file(tmp_path):
+    (tmp_path / "states.csv").write_bytes(b"")
+    with pytest.raises(ValueError, match="states.csv is empty"):
+        read_run(tmp_path)
 
 
 @pytest.mark.parametrize("name, duration", [

@@ -9,10 +9,11 @@ import pytest
 import yaml
 
 import coastsim
+from coastsim import runner
 from coastsim.asv import BodyWrench
 from coastsim.control import GuidanceSetpoint, PidController
 from coastsim.core import SimClock
-from coastsim.runner import Simulation
+from coastsim.runner import Simulation, emit_outputs, read_run
 from coastsim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,3 +124,37 @@ def test_search_builds_each_setpoint_once(monkeypatch):
     assert log.metrics["concluded"] and log.metrics["confirmations"] >= 1
     assert len(built) == len(set(built))
     assert {mode for mode, _ in built} == {"waypoint", "loiter"}
+
+
+def test_read_run_splits_plain_lines_and_decides_each_cell_once(
+        monkeypatch, tmp_path):
+    # an emitted run has no quoted line, so read_run must split every line
+    # itself and call the int-first helper only for cells without a "."
+    # (hex_deployed and hex_faults here): a return to csv.reader or to one
+    # parser call per cell must fail here by name, not only on the benchmark
+    scn = dataclasses.replace(load_scenario(SCENARIO_DIR / "calm_cruise.yaml"),
+                              duration=0.5)
+    log = Simulation(scn).run()
+    emit_outputs(log, tmp_path, formats=("csv",))
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader on a file with no quoted line")
+
+    monkeypatch.setattr(runner.csv, "reader", no_reader)
+    seen = []
+    int_first = runner._int_first
+
+    def counting(cell):
+        seen.append(cell)
+        return int_first(cell)
+
+    monkeypatch.setattr(runner, "_int_first", counting)
+    back = read_run(tmp_path)
+    assert back.columns == log.columns and back.rows == log.rows
+    lines = (tmp_path / "states.csv").read_text(encoding="ascii").splitlines()
+    phase = lines[0].split(",").index("phase")
+    assert len(lines) == 1 + 50
+    assert seen == [cell for line in lines[1:]
+                    for i, cell in enumerate(line.split(","))
+                    if cell and "." not in cell and i != phase]
+    assert seen and all(cell == "0" for cell in seen)  # hex_deployed, faults
