@@ -16,22 +16,24 @@ evaluates each foot coordinate with the operations numpy applies to the
 whole-array expressions (`p0 + v_stance * (t - t_start)`, ...), in the same
 order, so every coordinate, signed zeros included, is bit-identical to the
 array form. `closed_gait_phase` and `gait_foot_position` are thin array
-wrappers over that core.
+wrappers over that core. `_gait_table` keeps each leg's (p0, v_stance,
+v_swing, phase offset) for the last 64 sets of gait inputs, built by the same
+expressions on the same floats, so no bit changes; it is keyed by the values
+(terrain speed, period, duty, home radius and height, with their types and the
+home zeros' signs), never by the mutable params.
 
 The inverse kinematics run on floats too: `_leg_ik` takes a target's three
 coordinates plus the law-of-cosines terms l1**2, l2**2 and 2*l1*l2, which
-`body_advance` computes once per step for all six legs (`leg_ik` is its
-public wrapper for one point). The reach test keeps the evaluation order
-(d*d + z*z - l1**2) - l2**2, the three joint-limit checks run in order
-theta1, theta2, theta3, and the frozen `LegConfiguration` gets its fields
-without going through its constructor. `body_advance` hands its foot
-targets straight to that core and builds the new `HexapodState` (position
-still an ndarray) without the constructor's `np.asarray` and heading wrap,
-which would give back the same bits.
+`body_advance` computes once per step (`leg_ik` is its public wrapper). It
+keeps the reach test's order (d*d + z*z - l1**2) - l2**2, clamps without the
+slow min/max builtins, checks the limits in order theta1, theta2, theta3 and
+fills the frozen `LegConfiguration` without its constructor, as `body_advance`
+does the new `HexapodState`: `np.asarray` and the heading wrap change no bits.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,8 +46,6 @@ log = logging.getLogger(__name__)
 
 PI = math.pi
 TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left; tripod B is 1, 3, 5
-# per leg: phase offset of its tripod's cycle, as a fraction of the period
-_PHASE_OFFSET = tuple(0.0 if leg in TRIPOD_A else 0.5 for leg in range(6))
 
 # longest leg link of the crawler [m]; it also keeps the law-of-cosines
 # terms of _link_constants far from overflow
@@ -132,7 +132,7 @@ def _leg_ik(x: float, y: float, z: float, geom: LegGeometry,
         raise WorkspaceViolation(
             f"target radius {r:.9f} m outside [{geom.reach_min:.9f}, "
             f"{geom.reach_max:.9f}] m", radius=r)
-    arg = min(max(arg, -1.0), 1.0)
+    arg = 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
     theta1 = math.atan2(y, x)
     theta2 = math.acos(arg)
     l1, l2 = geom.l1, geom.l2
@@ -258,8 +258,6 @@ MOUNTS = (
     math.radians(135.0),  # 4 rear-left
     math.radians(-135.0),  # 5 rear-right
 )
-# per leg: (cos, sin) of the mount yaw
-_MOUNT_COS_SIN = tuple((math.cos(yaw), math.sin(yaw)) for yaw in MOUNTS)
 
 DEFAULT_TERRAIN_SPEEDS = {"sand": 0.2, "rock": 0.1, "mud": 0.15}  # [m/s]
 
@@ -303,23 +301,39 @@ def stand_legs(params: HexapodParams) -> tuple:
     return (cfg,) * 6
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _build_gait_table(speed, period, duty, home_radius, home_height,
+                      radius_sign, height_sign) -> tuple:
+    """Per leg (p0, v_stance, v_swing, phase offset); signs only key it."""
+    if period <= 0.0 or not 0.0 < duty < 1.0:
+        raise ValueError("gait phase needs period > 0 and duty in (0, 1)")
+    # stance feet sweep back along body x at -speed, centred on the home point
+    half = 0.5 * duty * period
+    table = []
+    for leg, yaw in enumerate(MOUNTS):
+        v_st = (-speed * math.cos(yaw), speed * math.sin(yaw), 0.0)
+        p0 = (home_radius - v_st[0] * half, 0.0 - v_st[1] * half,
+              home_height - v_st[2] * half)
+        table.append((p0, v_st, _swing_velocity(v_st, duty),
+                      0.0 if leg in TRIPOD_A else 0.5))  # tripod B: half a cycle on
+    return tuple(table)
+
+
+def _gait_table(params: HexapodParams, speed: float, period: float) -> tuple:
+    """_build_gait_table of the gait inputs params holds now."""
+    r, h = params.home_radius, params.home_height
+    return _build_gait_table(speed, period, params.duty_factor, r, h,
+                             math.copysign(1.0, r), math.copysign(1.0, h))
+
+
 def _leg_foot_target(params: HexapodParams, leg: int, gait_t: float,
                      period: float, speed: float) -> tuple[float, float, float]:
     """Leg-frame foot target for the current instant of the gait cycle."""
-    tau = (gait_t / period + _PHASE_OFFSET[leg]) % 1.0
-    duty = params.duty_factor
-    if period <= 0.0 or not 0.0 < duty < 1.0:
-        raise ValueError("gait phase needs period > 0 and duty in (0, 1)")
-    # stance feet sweep backward through the body at -speed along body x,
-    # rotated into this leg's frame; the sweep is centred on the home point
-    c, s = _MOUNT_COS_SIN[leg]
-    v_st = (-speed * c, speed * s, 0.0)
-    half = 0.5 * duty * period
-    p0 = (params.home_radius - v_st[0] * half, 0.0 - v_st[1] * half,
-          params.home_height - v_st[2] * half)
-    return _foot_position(p0, v_st, _swing_velocity(v_st, duty),
-                          gait_t - tau * period, period, duty, gait_t,
-                          params.h_lift)
+    cycles = gait_t / period  # before the table: period 0 divides by zero
+    p0, v_st, v_sw, offset = _gait_table(params, speed, period)[leg]
+    t_start = gait_t - (cycles + offset) % 1.0 * period
+    return _foot_position(p0, v_st, v_sw, t_start, period, params.duty_factor,
+                          gait_t, params.h_lift)
 
 
 def body_advance(state: HexapodState, heading_cmd: float, dt: float,
@@ -343,13 +357,18 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
     heading = wrap_angle(state.heading + min(max(heading_err, -max_step), max_step))
 
     gait_t = state.gait_t + dt
+    cycles = gait_t / period
+    table = _gait_table(params, speed, period)
+    duty, h_lift = params.duty_factor, params.h_lift
     geom = params.geometry
     links = _link_constants(geom)
     legs = []
     try:
-        for leg in range(6):
-            legs.append(_leg_ik(*_leg_foot_target(params, leg, gait_t, period,
-                                                  speed), geom, links))
+        for leg, (p0, v_st, v_sw, offset) in enumerate(table):
+            t_start = gait_t - (cycles + offset) % 1.0 * period
+            legs.append(_leg_ik(*_foot_position(p0, v_st, v_sw, t_start,
+                                                period, duty, gait_t, h_lift),
+                                geom, links))
     except (WorkspaceViolation, JointLimitError) as exc:
         log.warning("gait halted: leg %d target unreachable (%s)", leg, exc)
         return HexapodState(state.position, state.heading, state.terrain,

@@ -38,8 +38,7 @@ from .asv import (BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
 from .control import (LOITER, WAYPOINT, guidance_step, pid_step,
                       station_keeping)
-from .core import (SeededRng, SimClock, SimulationFault, rotate_body_to_nav,
-                   rotate_nav_to_body, successor, wrap_angle)
+from .core import SeededRng, SimClock, SimulationFault, successor, wrap_angle
 from .environment import GustProcess, damping_wrench, disturbance_wrench
 from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
@@ -90,6 +89,24 @@ def _freeze_integral_if_pinned(prev, nxt, error, command, lo, hi):
     if (command >= hi and error > 0.0) or (command <= lo and error < 0.0):
         return successor(nxt, integral=prev.integral)
     return nxt
+
+
+def _tow_coupling(truth, x_a: float, tuv, line) -> tuple:
+    """(tension, hull reaction BodyWrench) at tow point x_a: the three core
+    rotations on one cos/sin pair, same bytes as glibc's cos is even, sin odd."""
+    a, b = truth.u, truth.v + truth.r * x_a
+    if not all(map(math.isfinite, (x_a, truth.psi, a, b))):
+        raise ValueError("tow coupling requires finite inputs")
+    c, s = math.cos(truth.psi), math.sin(truth.psi)
+    attach = (truth.x + (c * x_a - s * 0.0), truth.y + (s * x_a + c * 0.0),
+              0.0)
+    tension = _coupling_tension(attach, (c * a - s * b, s * a + c * b, 0.0),
+                                tuv[0:3], tuv[3:6], line)
+    a, b = -tension[0], -tension[1]
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("tow coupling requires finite inputs")
+    reaction_y = c * b - s * a
+    return tension, BodyWrench(c * a + s * b, reaction_y, x_a * reaction_y)
 
 
 @dataclass
@@ -408,22 +425,11 @@ class Simulation:
 
         # (5) towline coupling (tow point aft of the reference point, so the
         # cable pull also weathervanes the hull)
-        tension = None
-        tow_wrench = ZERO_WRENCH
+        tension, tow_wrench = None, ZERO_WRENCH
         if self.tuv is not None:
             self.towline = winch_set_length(self.towline, self.winch_cmd, dt)
-            truth = self.truth
-            x_a = scn.tow_attach_x
-            off_x, off_y = rotate_body_to_nav((x_a, 0.0), truth.psi)
-            attach = (truth.x + off_x, truth.y + off_y, 0.0)
-            vel_x, vel_y = rotate_body_to_nav(
-                (truth.u, truth.v + truth.r * x_a), truth.psi)
-            tension = _coupling_tension(attach, (vel_x, vel_y, 0.0),
-                                        self.tuv[0:3], self.tuv[3:6],
-                                        self.towline)
-            reaction_x, reaction_y = rotate_nav_to_body(
-                (-tension[0], -tension[1]), truth.psi)
-            tow_wrench = BodyWrench(reaction_x, reaction_y, x_a * reaction_y)
+            tension, tow_wrench = _tow_coupling(self.truth, scn.tow_attach_x,
+                                                self.tuv, self.towline)
 
         # log the step's state before integrating: one instant per row
         self._append_row(t, heading_error, speed_cmd, surge_cmd, yaw_cmd,

@@ -10,8 +10,8 @@ from coastsim.core import wrap_angle
 from coastsim.hexapod import (MOUNTS, TRIPOD_A, GaitPhase, GaitPhaseError,
                               HexapodParams, HexapodState,
                               JointLimitError, LegConfiguration, LegGeometry,
-                              WorkspaceViolation, _leg_foot_target,
-                              body_advance, closed_gait_phase,
+                              WorkspaceViolation, _gait_table,
+                              _leg_foot_target, body_advance, closed_gait_phase,
                               gait_foot_position, leg_fk, leg_ik, stand_legs)
 
 # limits opened up so the whole geometric annulus is legal; the workspace
@@ -558,6 +558,46 @@ def test_body_advance_matches_reference_walk_bit_for_bit():
         faults_seen = state.faults
     assert faults_seen == 1
 
+
+
+def test_body_advance_follows_params_mutated_in_place():
+    # one HexapodParams changed in place between steps: every gait input
+    # the gait table reads (terrain speed, stride, duty, home radius, home
+    # height flipping between 0.0 and -0.0) and h_lift, which it does not,
+    # must reach the next step; a table keyed by the params object, or by
+    # values missing one of these, fails here
+    params = HexapodParams()
+    state = ref = HexapodState(np.array([1.0, 2.0]), heading=-0.4,
+                               terrain="sand", legs=stand_legs(params))
+    for k in range(1200):
+        # speeds 0.2 and 0.1 with strides 0.08 and 0.04 share one period
+        params.terrain_speeds["sand"] = (0.2, 0.1, 0.15)[k // 5 % 3]
+        params.stride = (0.08, 0.04, 0.06)[k // 7 % 3]
+        params.duty_factor = (0.5, 0.55, 0.6)[k // 11 % 3]
+        params.home_radius = (0.165, 0.17, 0.168)[k // 13 % 3]
+        params.h_lift = (0.03, 0.0, 0.04)[k // 17 % 3]
+        params.home_height = (0.0, -0.0)[k % 2] if k % 300 < 150 else -0.06
+        cmd = 2.0 * math.sin(0.01 * k)
+        state = body_advance(state, cmd, 0.1, params)
+        ref = ref_body_advance(ref, cmd, 0.1, params)
+        assert _state_key(state) == _state_key(ref), k
+        # the targets agree for either zero; the table's p0 keeps its sign
+        speed = params.speed_for("sand")
+        p0_z = {p0[2] for p0, _, _, _ in
+                _gait_table(params, speed, params.stride / speed)}
+        assert same_bits(list(p0_z), [params.home_height - 0.0]), k
+    assert state.faults == 0
+    params.duty_factor = 1.0
+    with pytest.raises(ValueError) as expected:
+        ref_body_advance(state, 0.0, 0.1, params)
+    for _ in range(2):  # a failed build is never cached
+        with pytest.raises(ValueError) as info:
+            body_advance(state, 0.0, 0.1, params)
+        assert type(info.value) is ValueError
+        assert str(info.value) == str(expected.value)
+    params.duty_factor = 0.5
+    assert _state_key(body_advance(state, 0.0, 0.1, params)) == _state_key(
+        ref_body_advance(ref, 0.0, 0.1, params))
 
 # --- float IK core against the leg_ik it replaced -----------------------------
 

@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import io
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from coastsim import runner
 from coastsim.asv import VehicleState3DOF
-from coastsim.core import rotate_body_to_nav, wrap_angle
+from coastsim.core import rotate_body_to_nav, rotate_nav_to_body, wrap_angle
 from coastsim.environment import damping_wrench, disturbance_wrench
 from coastsim.nav import EstimatorState, ekf_predict
 from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_row,
-                             _wrench_sum, emit_outputs, read_run,
-                             run_simulation)
+                             _tow_coupling, _wrench_sum, emit_outputs,
+                             read_run, run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
+from coastsim.tuv import Towline, _coupling_tension
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -400,6 +402,48 @@ def test_towline_degenerate_geometry_aborts_with_partial_log():
     assert log.aborted is True
     assert "DegenerateGeometry" in log.metrics["abort_reason"]
     assert [e["event"] for e in log.events[-2:]] == ["abort", "run_end"]
+
+
+def reference_tow_coupling(truth, x_a, tuv, line):
+    # reference: the attach offset and velocity rotated body->nav and the
+    # reaction back nav->body by the three core rotations
+    off_x, off_y = rotate_body_to_nav((x_a, 0.0), truth.psi)
+    attach = (truth.x + off_x, truth.y + off_y, 0.0)
+    vel_x, vel_y = rotate_body_to_nav((truth.u, truth.v + truth.r * x_a),
+                                      truth.psi)
+    tension = _coupling_tension(attach, (vel_x, vel_y, 0.0), tuv[0:3],
+                                tuv[3:6], line)
+    reaction_x, reaction_y = rotate_nav_to_body((-tension[0], -tension[1]),
+                                                truth.psi)
+    return tension, (reaction_x, reaction_y, x_a * reaction_y)
+
+
+wide_floats = (st.floats(-1e300, 1e300) | st.floats(-40.0, 40.0)
+               | st.sampled_from([0.0, -0.0, 5e-324, math.pi, -math.pi,
+                                  math.pi / 2, 1e300, -1e300, math.inf,
+                                  -math.inf, math.nan]))
+
+
+@settings(max_examples=500)
+@given(pose=st.tuples(*[wide_floats] * 6), x_a=wide_floats,
+       tuv=st.tuples(*[wide_floats] * 6))
+@example(pose=(0.0, 0.0, -0.0, 0.0, -0.0, 0.0), x_a=-0.0,
+         tuv=(-35.0, 0.0, 8.0, 0.0, 0.0, 0.0))
+@example(pose=(-0.0, 0.0, -math.pi / 2, 0.0, 0.0, 0.0), x_a=-0.0,
+         tuv=(0.0, -40.0, 0.0, 0.0, 0.0, 0.0))  # the s * 0.0 term counts
+def test_tow_coupling_matches_the_three_rotations_bit_for_bit(pose, x_a, tuv):
+    # one cos/sin pair for the three rotations gives the same bytes, because
+    # cos(-psi) == cos(psi) and sin(-psi) == -sin(psi) exactly; non-finite
+    # inputs still raise ValueError before and after the tension
+    truth = VehicleState3DOF(*pose)
+
+    def outcome(coupling):
+        try:
+            tension, wrench = coupling(truth, x_a, list(tuv), Towline())
+        except ValueError as exc:
+            return type(exc)
+        return struct.pack("<6d", *tension, *wrench)
+    assert outcome(_tow_coupling) == outcome(reference_tow_coupling)
 
 
 def _explicit_predict(sim, est):

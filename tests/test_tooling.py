@@ -5,14 +5,16 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import coastsim
-from coastsim import runner
+from coastsim import hexapod, runner
 from coastsim.asv import BodyWrench
 from coastsim.control import GuidanceSetpoint, PidController
 from coastsim.core import SimClock
+from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
 from coastsim.runner import Simulation, emit_outputs, read_run
 from coastsim.scenario import load_scenario
 
@@ -158,3 +160,25 @@ def test_read_run_splits_plain_lines_and_decides_each_cell_once(
                     for i, cell in enumerate(line.split(","))
                     if cell and "." not in cell and i != phase]
     assert seen and all(cell == "0" for cell in seen)  # hex_deployed, faults
+
+
+def test_steady_walk_builds_one_gait_table_per_speed():
+    # the crawler builds its legs' gait constants once per set of gait
+    # inputs: a return to building them on every step must fail here by
+    # name, not only on the benchmark
+    params = HexapodParams()
+    state = HexapodState(np.zeros(2), terrain="sand", legs=stand_legs(params))
+    hexapod._build_gait_table.cache_clear()
+
+    def builds_after(terrain, steps):
+        nonlocal state
+        state.terrain = terrain
+        for _ in range(steps):
+            state = body_advance(state, 0.3, 0.1, params)
+        return hexapod._build_gait_table.cache_info().misses
+
+    assert builds_after("sand", 500) == 1
+    assert params.speed_for("rock") != params.speed_for("sand")
+    assert builds_after("rock", 50) == 2
+    assert builds_after("sand", 50) == 2
+    assert state.faults == 0 and state.gait_t > 59.0
