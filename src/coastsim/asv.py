@@ -133,7 +133,12 @@ def allocate_differential_thrust(surge_cmd: float, yaw_cmd: float,
     half = params.thruster_half_spacing
     left = 0.5 * (surge_cmd - yaw_cmd / half)
     right = 0.5 * (surge_cmd + yaw_cmd / half)
-    lim = params.max_thrust
-    left = min(max(left, -lim), lim)
-    right = min(max(right, -lim), lim)
+    # min(max(v, lo), hi) as conditionals, argument for argument: the same
+    # result for every float, NaN, signed zeros and lo > hi included
+    hi = params.max_thrust
+    lo = -hi
+    left = lo if lo > left else left
+    left = hi if hi < left else left
+    right = lo if lo > right else right
+    right = hi if hi < right else right
     return left, right, BodyWrench(left + right, 0.0, (right - left) * half)

@@ -1,5 +1,6 @@
-"""Shared simulation primitives: rotations, clock, seeded random streams,
-the RK4 step on six floats, the fault base, frozen-value successors.
+"""Shared simulation primitives: rotations, clock, seeded random streams
+(with block-drawn standard normals), the RK4 step on six floats, the fault
+base, frozen-value successors.
 
 Conventions used throughout the package:
   - navigation frame: x east, y north, z down (for the underwater vehicle),
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -105,6 +106,10 @@ def successor(value, **changes):
     return new
 
 
+# standard normals drawn per block by SeededRng.normal: 4 kB of floats
+_NORMAL_BLOCK = 128
+
+
 class SeededRng:
     """Per-consumer random streams derived from one master seed.
 
@@ -112,11 +117,19 @@ class SeededRng:
     counter-based (Philox keyed on (seed, stream id)), so identical
     (seed, stream, draw index) always yields the identical value and adding
     a new consumer never perturbs existing streams.
+
+    A consumer that takes one standard normal at a time reads it through
+    `normal(stream_id)`: the stream's values are drawn _NORMAL_BLOCK at a
+    time, on first use, with `standard_normal(n).tolist()`, which gives the
+    floats that n scalar `standard_normal()` calls give, bit for bit. The
+    block runs ahead of the generator's own position, so a stream read
+    through normal() is never also drawn through stream().
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._streams: dict[int, np.random.Generator] = {}
+        self._normals: dict[int, Iterator[float]] = {}  # the normal() blocks
 
     def stream(self, stream_id: int) -> np.random.Generator:
         sid = int(stream_id)
@@ -124,6 +137,17 @@ class SeededRng:
             key = np.array([self.seed, sid], dtype=np.uint64)
             self._streams[sid] = np.random.Generator(np.random.Philox(key=key))
         return self._streams[sid]
+
+    def normal(self, stream_id: int) -> float:
+        """The stream's next standard normal, as a Python float."""
+        try:
+            return next(self._normals[stream_id])
+        except (KeyError, StopIteration):
+            sid = int(stream_id)
+            block = iter(self.stream(sid).standard_normal(_NORMAL_BLOCK)
+                         .tolist())
+            self._normals[sid] = block
+            return next(block)
 
 
 def rk4_stages(f: Callable[..., tuple], state, dt: float,

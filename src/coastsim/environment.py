@@ -65,13 +65,14 @@ class GustProcess:
     Exact discretization: g_{k+1} = a g_k + sigma sqrt(1 - a^2) xi with
     a = exp(-dt / tau), which keeps the stationary variance at sigma^2 for
     any step size. tau and sigma are fixed at construction: the two
-    per-step constants are computed once per step size.
+    per-step constants are computed once per step size. The noise xi is
+    read through SeededRng.normal, a block-drawn standard normal per step.
     """
 
     def __init__(self, field: DisturbanceField, rng: SeededRng):
         self.tau = field.gust_tau
         self.sigma = field.gust_fraction * field.mean_wind_speed
-        self._gen = rng.stream(STREAM_GUST)
+        self._rng = rng
         self.value = 0.0
         self._dt = None  # the step size _a and _b were computed for
         self._a = self._b = 0.0
@@ -83,7 +84,8 @@ class GustProcess:
             a = math.exp(-dt / self.tau)
             self._a, self._b = a, self.sigma * math.sqrt(1.0 - a * a)
             self._dt = dt
-        self.value = self._a * self.value + self._b * self._gen.standard_normal()
+        self.value = (self._a * self.value
+                      + self._b * self._rng.normal(STREAM_GUST))
         return self.value
 
 

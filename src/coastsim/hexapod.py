@@ -23,12 +23,14 @@ expressions on the same floats, so no bit changes; it is keyed by the values
 home zeros' signs), never by the mutable params.
 
 The inverse kinematics run on floats too: `_leg_ik` takes a target's three
-coordinates plus the law-of-cosines terms l1**2, l2**2 and 2*l1*l2, which
-`body_advance` computes once per step (`leg_ik` is its public wrapper). It
-keeps the reach test's order (d*d + z*z - l1**2) - l2**2, clamps without the
-slow min/max builtins, checks the limits in order theta1, theta2, theta3 and
-fills the frozen `LegConfiguration` without its constructor, as `body_advance`
-does the new `HexapodState`: `np.asarray` and the heading wrap change no bits.
+coordinates plus the link lengths, the law-of-cosines terms l1**2, l2**2 and
+2*l1*l2 and the joint limits' bounds, which `body_advance` reads once per
+step (`leg_ik` is its public wrapper). It keeps the reach test's order
+(d*d + z*z - l1**2) - l2**2, clamps without the slow min/max builtins, wraps
+theta3 inline as `wrap_angle` does (a non-finite angle raises its ValueError),
+checks the limits in order theta1, theta2, theta3 and fills the frozen
+`LegConfiguration` without its constructor, as `body_advance` does the new
+`HexapodState`: `np.asarray` and the heading wrap change no bits.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import TWO_PI, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -113,16 +115,20 @@ def leg_fk(cfg: LegConfiguration, geom: LegGeometry) -> np.ndarray:
                      reach * math.sin(cfg.theta1), z])
 
 
-def _link_constants(geom: LegGeometry) -> tuple[float, float, float]:
-    """(l1 ** 2, l2 ** 2, 2 * l1 * l2): the law-of-cosines terms of _leg_ik."""
-    return geom.l1 ** 2, geom.l2 ** 2, 2.0 * geom.l1 * geom.l2
+def _link_constants(geom: LegGeometry) -> tuple:
+    """What _leg_ik reads of geom: l1, l2, the law-of-cosines terms l1 ** 2,
+    l2 ** 2 and 2 * l1 * l2, then the (low, high) bounds of theta1, theta2
+    and theta3 in turn."""
+    l1, l2 = geom.l1, geom.l2
+    return (l1, l2, l1 ** 2, l2 ** 2, 2.0 * l1 * l2, *geom.theta1_limits,
+            *geom.theta2_limits, *geom.theta3_limits)
 
 
 def _leg_ik(x: float, y: float, z: float, geom: LegGeometry,
-            links: tuple[float, float, float]) -> LegConfiguration:
+            links: tuple) -> LegConfiguration:
     """leg_ik of the leg-frame point (x, y, z), with `links` from
     _link_constants(geom)."""
-    l1sq, l2sq, two_l1l2 = links
+    l1, l2, l1sq, l2sq, two_l1l2, lo1, hi1, lo2, hi2, lo3, hi3 = links
     d = math.hypot(x, y)
     # (d^2 + z^2 - l1^2) - l2^2, as written: l1^2 + l2^2 in one term rounds
     # differently
@@ -135,19 +141,20 @@ def _leg_ik(x: float, y: float, z: float, geom: LegGeometry,
     arg = 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
     theta1 = math.atan2(y, x)
     theta2 = math.acos(arg)
-    l1, l2 = geom.l1, geom.l2
-    theta3 = wrap_angle(math.atan2(z, d)
-                        - math.atan2(l2 * math.sin(theta2),
-                                     l1 + l2 * math.cos(theta2)))
-    limits = geom.theta1_limits
-    if not limits[0] <= theta1 <= limits[1]:
-        raise JointLimitError("theta1", theta1, limits)
-    limits = geom.theta2_limits
-    if not limits[0] <= theta2 <= limits[1]:
-        raise JointLimitError("theta2", theta2, limits)
-    limits = geom.theta3_limits
-    if not limits[0] <= theta3 <= limits[1]:
-        raise JointLimitError("theta3", theta3, limits)
+    theta3 = (math.atan2(z, d)
+              - math.atan2(l2 * math.sin(theta2), l1 + l2 * math.cos(theta2)))
+    # wrap_angle(theta3), inline
+    if not math.isfinite(theta3):
+        raise ValueError(f"cannot wrap non-finite angle {theta3!r}")
+    theta3 %= TWO_PI
+    if theta3 > PI:
+        theta3 -= TWO_PI
+    if not lo1 <= theta1 <= hi1:
+        raise JointLimitError("theta1", theta1, (lo1, hi1))
+    if not lo2 <= theta2 <= hi2:
+        raise JointLimitError("theta2", theta2, (lo2, hi2))
+    if not lo3 <= theta3 <= hi3:
+        raise JointLimitError("theta3", theta3, (lo3, hi3))
     # the fields a frozen LegConfiguration's __init__ would set, without
     # its three object.__setattr__ calls
     cfg = object.__new__(LegConfiguration)
@@ -354,7 +361,10 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
 
     heading_err = wrap_angle(heading_cmd - state.heading)
     max_step = params.max_turn_rate * dt
-    heading = wrap_angle(state.heading + min(max(heading_err, -max_step), max_step))
+    # min(max(heading_err, -max_step), max_step), argument for argument
+    turn = -max_step if -max_step > heading_err else heading_err
+    turn = max_step if max_step < turn else turn
+    heading = wrap_angle(state.heading + turn)
 
     gait_t = state.gait_t + dt
     cycles = gait_t / period

@@ -23,6 +23,15 @@ gain is column i of P over S, and no matrix is inverted. GPS observes two
 states and solves its 2x2 innovation covariance. Every update and prediction
 checks that the estimate is finite before wrapping its heading, so a
 diverging filter raises EstimatorDivergence.
+
+Sampling and updating each have one core that the run loop calls directly:
+`_sample` returns the due readings as (kind, value) and `_update` returns
+(state, innovation, accepted). A compass or gyro value and its innovation
+travel as Python floats, a GPS value and its innovation as (2,) arrays.
+`sample_sensors` and `ekf_update` are thin wrappers over them that keep the
+public types: SensorReading and UpdateResult with ndarray values. Sensor noise
+is read one standard normal at a time through `SeededRng.normal`, which draws
+each stream in blocks with the bytes of one scalar draw after another.
 """
 
 from __future__ import annotations
@@ -100,21 +109,32 @@ def sample_sensors(truth: VehicleState3DOF, step: int, dt: float,
     periods is cfg.periods(dt), computed here when not given; a loop over
     many steps passes it to skip re-validating the rates every step.
     """
-    gps_period, compass_period, gyro_period = (
-        cfg.periods(dt) if periods is None else periods)
+    if periods is None:
+        periods = cfg.periods(dt)
     t = step * dt
-    out: list[SensorReading] = []
+    return [SensorReading(kind, t, value if kind == GPS else np.array([value]))
+            for kind, value in _sample(truth, step, periods, cfg, rng)]
+
+
+def _sample(truth: VehicleState3DOF, step: int,
+            periods: tuple[int, int, int], cfg: SensorConfig,
+            rng: SeededRng) -> list[tuple]:
+    """sample_sensors' readings as (kind, value): the value a float for
+    compass and gyro, a (2,) array for GPS."""
+    gps_period, compass_period, gyro_period = periods
+    out = []
     if step % gps_period == 0:
-        g = rng.stream(STREAM_GPS)
-        pos = np.array([truth.x, truth.y]) + cfg.gps_sigma * g.standard_normal(2)
-        out.append(SensorReading(GPS, t, pos))
+        # the stream's first draw goes to x, the second to y
+        sigma = cfg.gps_sigma
+        east = truth.x + sigma * rng.normal(STREAM_GPS)
+        out.append((GPS, np.array([east,
+                                   truth.y + sigma * rng.normal(STREAM_GPS)])))
     if step % compass_period == 0:
-        g = rng.stream(STREAM_COMPASS)
-        psi = wrap_angle(truth.psi + cfg.compass_sigma * g.standard_normal())
-        out.append(SensorReading(COMPASS, t, np.array([psi])))
+        out.append((COMPASS, wrap_angle(
+            truth.psi + cfg.compass_sigma * rng.normal(STREAM_COMPASS))))
     if step % gyro_period == 0:
-        g = rng.stream(STREAM_GYRO)
-        out.append(SensorReading(GYRO, t, np.array([truth.r + cfg.gyro_sigma * g.standard_normal()])))
+        out.append((GYRO,
+                    truth.r + cfg.gyro_sigma * rng.normal(STREAM_GYRO)))
     return out
 
 
@@ -292,15 +312,24 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
     caller can log the rejection.
     """
     kind = reading.kind
+    if kind == COMPASS or kind == GYRO:
+        state, y, accepted = _update(est, kind, float(reading.value[0]), ekf)
+        return UpdateResult(state, np.array([y]), accepted)
+    return UpdateResult(*_update(est, kind, reading.value, ekf))
+
+
+def _update(est: EstimatorState, kind: str, z,
+            ekf: EkfParams) -> tuple[EstimatorState, object, bool]:
+    """ekf_update of a reading's value as (state, innovation, accepted): z
+    and the innovation are floats for compass and gyro, arrays for GPS."""
     if kind == COMPASS:
-        return _scalar_update(est, kind, 2, float(reading.value[0]),
-                              ekf.compass_sigma, ekf.gate_sigma)
+        return _scalar_update(est, kind, 2, z, ekf.compass_sigma,
+                              ekf.gate_sigma)
     if kind == GYRO:
-        return _scalar_update(est, kind, 5, float(reading.value[0]),
-                              ekf.gyro_sigma, ekf.gate_sigma)
+        return _scalar_update(est, kind, 5, z, ekf.gyro_sigma, ekf.gate_sigma)
 
     z_hat, H = measurement_model(kind, est.x)
-    y = np.asarray(reading.value, dtype=float) - z_hat
+    y = np.asarray(z, dtype=float) - z_hat
     R = ekf.r_matrix(kind)
     S = H.dot(est.P).dot(H.T) + R
     try:
@@ -311,16 +340,16 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
     if d2 < 0.0 or not np.isfinite(d2):
         raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
     if d2 > ekf.gate_sigma ** 2:
-        return UpdateResult(est, y, False)
+        return est, y, False
     K = est.P.dot(H.T).dot(np.linalg.inv(S))
     x = est.x + K.dot(y)
     P = _symmetrized((_I6 - K.dot(H)).dot(est.P))
-    return UpdateResult(_checked(x.tolist(), P, f"{kind} update"), y, True)
+    return _checked(x.tolist(), P, f"{kind} update"), y, True
 
 
 def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
-                   sigma: float, gate_sigma: float) -> UpdateResult:
-    """ekf_update for a reading of the single state i (H = e_i, R = sigma^2).
+                   sigma: float, gate_sigma: float) -> tuple:
+    """_update for a reading of the single state i (H = e_i, R = sigma^2).
 
     Each step is the dense form's arithmetic with the zeros of H dropped:
     S = P[i, i] + sigma^2, solve(S, y) = y / S, inv(S) = 1 / S, K = P[:, i] / S
@@ -337,11 +366,11 @@ def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
     if not math.isfinite(d2):
         raise SingularCovariance(f"non-finite innovation distance for {kind}")
     if d2 > gate_sigma ** 2:
-        return UpdateResult(est, np.array([y]), False)
+        return est, y, False
     K = est.P[:, i] * (1.0 / S)
     # est.x + K * y, per component: the same two roundings
     x = [a + k * y for a, k in zip(est.x.tolist(), K.tolist())]
     M = _I6.copy()
     M[:, i] -= K
     P = _symmetrized(M.dot(est.P))
-    return UpdateResult(_checked(x, P, f"{kind} update"), np.array([y]), True)
+    return _checked(x, P, f"{kind} update"), y, True

@@ -44,8 +44,8 @@ from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
                       SweepSensor, WorldEvents, coverage_report,
                       generate_lawnmower, mission_step)
-from .nav import (COMPASS, GPS, GYRO, ekf_predict, ekf_update,
-                  initial_estimate, sample_sensors)
+from .nav import (COMPASS, GPS, GYRO, _sample, _update, ekf_predict,
+                  initial_estimate)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
 from .tuv import _coupling_tension, _step as _tuv_step, winch_set_length
@@ -209,9 +209,6 @@ class Simulation:
 
     # -- per-step pieces -------------------------------------------------------
 
-    def _estimated_state(self) -> VehicleState3DOF:
-        return VehicleState3DOF.from_array(self.est.x.tolist())
-
     def _guidance(self, est_state: VehicleState3DOF):
         """(heading_error, speed_cmd, direct_surge) for the current phase.
 
@@ -358,9 +355,9 @@ class Simulation:
         step_idx = self.clock.step_count
         current = self.current
 
-        # (1) sensors
-        readings = sample_sensors(self.truth, step_idx, dt, scn.sensors,
-                                  self.rng, self.sensor_periods)
+        # (1) sensors: (kind, value) pairs, compass and gyro as floats
+        readings = _sample(self.truth, step_idx, self.sensor_periods,
+                           scn.sensors, self.rng)
 
         # (2) navigation filter: propagate with the modeled (known) forces,
         # then absorb this step's measurements
@@ -371,7 +368,7 @@ class Simulation:
             # absorbed as process noise
             est, est_state = self._est_read
             if est is not self.est:  # reassigned since the last step
-                est_state = self._estimated_state()
+                est_state = VehicleState3DOF.from_array(self.est.x.tolist())
             model_wrench = _wrench_sum(
                 self.ctrl_wrench, self.tow_wrench,
                 damping_wrench(est_state, scn.damping, current),
@@ -379,14 +376,15 @@ class Simulation:
             self.est = ekf_predict(self.est, scn.asv_params, scn.ekf,
                                    model_wrench, dt, self.q_discrete)
         innovations = {GPS: None, COMPASS: None, GYRO: None}
-        for reading in readings:
-            result = ekf_update(self.est, reading, scn.ekf)
-            self.est = result.state
-            if result.accepted:
-                innovations[reading.kind] = result.innovation
+        for kind, value in readings:
+            self.est, innovation, accepted = _update(self.est, kind, value,
+                                                     scn.ekf)
+            if accepted:
+                innovations[kind] = innovation
 
         # (3) guidance + PID + allocation
-        est_state = self._estimated_state()
+        est_x = self.est.x.tolist()
+        est_state = VehicleState3DOF.from_array(est_x)
         self._est_read = (self.est, est_state)
         heading_error, speed_cmd, direct_surge = self._guidance(est_state)
         prev_heading_pid = self.heading_pid
@@ -414,7 +412,9 @@ class Simulation:
             self.speed_pid = _freeze_integral_if_pinned(
                 prev_speed_pid, self.speed_pid, speed_error, surge_cmd,
                 -headroom, headroom)
-        surge_cmd = max(-headroom, min(headroom, surge_cmd))
+        # max(-headroom, min(headroom, surge_cmd)), argument for argument
+        surge_cmd = surge_cmd if surge_cmd < headroom else headroom
+        surge_cmd = surge_cmd if surge_cmd > -headroom else -headroom
         left, right, realized = allocate_differential_thrust(
             surge_cmd, yaw_cmd, scn.asv_params)
 
@@ -432,8 +432,8 @@ class Simulation:
                                                 self.tuv, self.towline)
 
         # log the step's state before integrating: one instant per row
-        self._append_row(t, heading_error, speed_cmd, surge_cmd, yaw_cmd,
-                         left, right, realized, disturbance, tension,
+        self._append_row(t, est_x, heading_error, speed_cmd, surge_cmd,
+                         yaw_cmd, left, right, realized, disturbance, tension,
                          innovations)
 
         # (6) integrate both hulls
@@ -493,14 +493,16 @@ class Simulation:
         self.tow_wrench = tow_wrench
         self.clock = self.clock.tick()
 
-    def _append_row(self, t, heading_error, speed_cmd, surge_cmd, yaw_cmd,
-                    left, right, realized, disturbance, tension, innovations):
+    def _append_row(self, t, est_x, heading_error, speed_cmd, surge_cmd,
+                    yaw_cmd, left, right, realized, disturbance, tension,
+                    innovations):
         # every cell a plain Python value: _format_cell writes repr(), and a
-        # numpy scalar's repr is not a number read_run can parse
-        truth, est = self.truth, self.est
+        # numpy scalar's repr is not a number read_run can parse; est_x is
+        # the estimated mean as the list of floats guidance read
+        truth = self.truth
         row = [t,
                truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
-               *est.x.tolist(), *est.P.diagonal().tolist(),
+               *est_x, *self.est.P.diagonal().tolist(),
                self._cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                left, right,
                *realized, *disturbance]
@@ -509,8 +511,9 @@ class Simulation:
         else:
             row += [None] * 10
         if self.hexapod is not None:
-            row += [1, *self.hexapod.position.tolist(),
-                    self.hexapod.heading, self.hexapod.faults]
+            # faults are cumulative: the recovered crawlers' and this one's
+            row += [1, *self.hexapod.position.tolist(), self.hexapod.heading,
+                    self.hexapod_faults + self.hexapod.faults]
             for cfg in self.hexapod.legs:
                 row += [cfg.theta1, cfg.theta2, cfg.theta3]
             if not self.hexapod.legs:
@@ -519,12 +522,9 @@ class Simulation:
             row += [0, None, None, None, self.hexapod_faults] + [None] * 18
         row.append(self.mission_state.phase.value)
         gps = innovations[GPS]
-        row += ([float(gps[0]), float(gps[1])] if gps is not None
-                else [None, None])
-        compass = innovations[COMPASS]
-        row.append(float(compass[0]) if compass is not None else None)
-        gyro = innovations[GYRO]
-        row.append(float(gyro[0]) if gyro is not None else None)
+        row += gps.tolist() if gps is not None else [None, None]
+        row.append(innovations[COMPASS])  # a float, or None
+        row.append(innovations[GYRO])
 
         self.rows.append(row)
         self.track.append((truth.x, truth.y))
@@ -576,7 +576,9 @@ class Simulation:
             "distance_traveled": distance,
             "detections": detections,
             "confirmations": self.confirmations,
-            "hexapod_faults": self.hexapod_faults,
+            # a crawler still deployed at the end counts its faults too
+            "hexapod_faults": self.hexapod_faults + (
+                self.hexapod.faults if self.hexapod is not None else 0),
         }
         if scn.mission.kind == SEARCH and self.coverage_track:
             report = coverage_report(np.array(self.coverage_track),

@@ -282,7 +282,9 @@ def winch_set_length(line: Towline, commanded_length: float, dt: float) -> Towli
     _check_cable_length(commanded_length)
     step = line.max_slew_rate * dt
     delta = commanded_length - line.unstretched_length
-    delta = min(max(delta, -step), step)
+    # min(max(delta, -step), step), argument for argument
+    delta = -step if -step > delta else delta
+    delta = step if step < delta else delta
     if delta == 0.0:
         return line
     return Towline(line.unstretched_length + delta, line.stiffness,

@@ -142,6 +142,24 @@ def test_seeded_rng_reproducible_and_independent():
     assert SeededRng(42).stream(1).random(5).tolist() != SeededRng(42).stream(2).random(5).tolist()
 
 
+def test_normal_gives_the_scalar_draws_across_blocks():
+    # block-drawn normals are the values one standard_normal() call after
+    # another gives, over more than three blocks, with the streams
+    # interleaved and one stream read in pairs that straddle each boundary
+    from coastsim.core import _NORMAL_BLOCK
+    n = 3 * _NORMAL_BLOCK + 5
+    rng = SeededRng(42)
+    got = {1: [rng.normal(np.int64(1))], 3: []}
+    for _ in range(n):
+        got[3].append(rng.normal(3))
+        got[1] += [rng.normal(1), rng.normal(1)]
+    for sid, values in got.items():
+        ref = SeededRng(42).stream(sid)
+        want = [ref.standard_normal() for _ in values]
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == [w.hex() for w in want]
+
+
 def _decay(s):
     # six decoupled decays, xdot_i = -x_i
     return (-s[0], -s[1], -s[2], -s[3], -s[4], -s[5])

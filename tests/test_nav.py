@@ -16,6 +16,7 @@ from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           discrete_jacobian, dynamics_jacobian, ekf_predict,
                           ekf_update, initial_estimate, measurement_model,
                           predict_mean, sample_sensors)
+from coastsim.nav import STREAM_COMPASS, STREAM_GPS, STREAM_GYRO
 
 
 @pytest.fixture
@@ -84,6 +85,31 @@ def test_compass_reading_is_wrapped():
         for reading in sample_sensors(truth, step, 0.01, cfg, rng):
             if reading.kind == COMPASS:
                 assert -math.pi < reading.value[0] <= math.pi
+
+
+def test_readings_are_the_scalar_draw_form_across_noise_blocks():
+    # every sensor due on every step, one GPS draw taken first so that the
+    # GPS pairs straddle each block boundary: each reading is the array
+    # form on one standard_normal() call after another
+    from coastsim.core import _NORMAL_BLOCK
+    cfg = SensorConfig(gps_rate=100.0, compass_rate=100.0)
+    truth = VehicleState3DOF(x=5.0, y=-2.0, psi=3.1, r=0.05)
+    rng = SeededRng(17)
+    gens = {kind: SeededRng(17).stream(sid) for kind, sid in
+            ((GPS, STREAM_GPS), (COMPASS, STREAM_COMPASS), (GYRO, STREAM_GYRO))}
+    assert rng.normal(STREAM_GPS) == gens[GPS].standard_normal()
+    for step in range(2 * _NORMAL_BLOCK):  # four GPS blocks
+        readings = sample_sensors(truth, step, 0.01, cfg, rng)
+        assert [r.kind for r in readings] == [GPS, COMPASS, GYRO]
+        gps, compass, gyro = (r.value for r in readings)
+        want = (np.array([truth.x, truth.y])
+                + cfg.gps_sigma * gens[GPS].standard_normal(2))
+        assert gps.tobytes() == want.tobytes()
+        psi = wrap_angle(truth.psi
+                         + cfg.compass_sigma * gens[COMPASS].standard_normal())
+        assert compass.tobytes() == np.array([psi]).tobytes()
+        r = truth.r + cfg.gyro_sigma * gens[GYRO].standard_normal()
+        assert gyro.tobytes() == np.array([r]).tobytes()
 
 
 # --- EKF predict -----------------------------------------------------------

@@ -542,6 +542,23 @@ def test_short_search_is_truncated_not_concluded():
     assert log.events[-1]["reason"] == "duration_cap"
 
 
+def test_crawler_faults_are_cumulative_and_counted_when_still_deployed():
+    # a 10 m stride puts every foot target out of reach: the crawler halts
+    # on each step it is deployed and the run ends truncated with it still
+    # on the seabed; the row is captured before the step's crawler advance,
+    # so the end-of-run count also holds the last step's halt
+    tree = search_tree(duration=60.0)
+    tree["hexapod"] = {"stride": 10.0}
+    log = run_simulation(parse_scenario(tree))
+    m = log.metrics
+    assert m["truncated"] is True and m["confirmations"] == 0
+    faults = col(log, "hex_faults")
+    deployed_steps = sum(col(log, "hex_deployed"))
+    assert deployed_steps > 1
+    assert faults == sorted(faults)
+    assert m["hexapod_faults"] == deployed_steps == faults[-1] + 1
+
+
 @pytest.mark.parametrize("tuv, platform", [(True, "tuv"), (False, "asv")])
 def test_detections_name_the_survey_platform(tuv, platform):
     # one object beside the ASV's start, one beside the towed body's (it

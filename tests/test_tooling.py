@@ -10,11 +10,14 @@ import pytest
 import yaml
 
 import coastsim
-from coastsim import hexapod, runner
+from coastsim import core, hexapod, runner
 from coastsim.asv import BodyWrench
 from coastsim.control import GuidanceSetpoint, PidController
-from coastsim.core import SimClock
+from coastsim.core import SeededRng, SimClock
+from coastsim.environment import STREAM_GUST
 from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
+from coastsim.nav import (STREAM_COMPASS, STREAM_GPS, STREAM_GYRO,
+                          SensorReading, UpdateResult)
 from coastsim.runner import Simulation, emit_outputs, read_run
 from coastsim.scenario import load_scenario
 
@@ -115,6 +118,72 @@ def test_steady_steps_build_no_value_objects(monkeypatch, name):
     # wrenches are named tuples, several of them per step
     assert not dataclasses.is_dataclass(BodyWrench)
     assert isinstance(sim.ctrl_wrench, tuple)
+
+
+def _count_news(monkeypatch, cls):
+    """The list that each later cls(...) appends cls to (a named tuple is
+    built by its __new__)."""
+    built = []
+    new = cls.__new__
+
+    def counting(klass, *args, **kwargs):
+        built.append(klass)
+        return new(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    return built
+
+
+class _CountingGenerator:
+    """A stream's Generator that records the size of each standard_normal
+    call (None for a scalar draw)."""
+
+    def __init__(self, gen, sizes):
+        self._gen, self._sizes = gen, sizes
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self._sizes.append(size)
+        return self._gen.standard_normal(size, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_steady_steps_build_no_readings_and_draw_noise_in_blocks(monkeypatch):
+    # the step reads sensors and updates the estimate through the float
+    # cores, and the sensor and gust noise comes from pre-drawn blocks: a
+    # return to SensorReading / UpdateResult per reading or to one
+    # Generator call per draw must fail here by name, not only on the
+    # benchmark
+    noise = (STREAM_GPS, STREAM_COMPASS, STREAM_GYRO, STREAM_GUST)
+    sizes = {sid: [] for sid in noise}
+    stream = SeededRng.stream
+
+    def counting_stream(self, stream_id):
+        gen = stream(self, stream_id)
+        if stream_id not in sizes:
+            return gen
+        return _CountingGenerator(gen, sizes[stream_id])
+
+    monkeypatch.setattr(SeededRng, "stream", counting_stream)
+    sim = Simulation(load_scenario(SCENARIO_DIR / "storm_loiter.yaml"))
+    sim.step()
+    built = {cls.__name__: _count_news(monkeypatch, cls)
+             for cls in (SensorReading, UpdateResult)}
+    for sid in noise:
+        sizes[sid].clear()
+    for _ in range(200):
+        sim.step()
+    assert sim.clock.step_count == 201
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "SensorReading": 0, "UpdateResult": 0}
+    # compass, gyro and gust draw once per step, GPS a pair a second: only
+    # block-sized calls reach the Generator, at most one per block drawn
+    block = core._NORMAL_BLOCK
+    for sid in noise:
+        assert all(size == block for size in sizes[sid]), sid
+        assert len(sizes[sid]) <= -(-200 // block), sid
+    assert sizes[STREAM_GUST]  # 200 draws cross a block boundary
 
 
 def test_search_builds_each_setpoint_once(monkeypatch):
