@@ -333,16 +333,6 @@ def _gait_table(params: HexapodParams, speed: float, period: float) -> tuple:
                              math.copysign(1.0, r), math.copysign(1.0, h))
 
 
-def _leg_foot_target(params: HexapodParams, leg: int, gait_t: float,
-                     period: float, speed: float) -> tuple[float, float, float]:
-    """Leg-frame foot target for the current instant of the gait cycle."""
-    cycles = gait_t / period  # before the table: period 0 divides by zero
-    p0, v_st, v_sw, offset = _gait_table(params, speed, period)[leg]
-    t_start = gait_t - (cycles + offset) % 1.0 * period
-    return _foot_position(p0, v_st, v_sw, t_start, period, params.duty_factor,
-                          gait_t, params.h_lift)
-
-
 def body_advance(state: HexapodState, heading_cmd: float, dt: float,
                  params: HexapodParams) -> HexapodState:
     """Advance the walking body one step toward a commanded heading.

@@ -8,6 +8,11 @@ compatible with the step size) are validated before the simulation starts.
 `seed` is the one field with no default: runs must be reproducible on
 purpose, not by accident.
 
+`SCHEMA` is the single source of every number a scenario sets: a key's row
+holds its default, unit table and bounds, and the loaders read numbers only
+through it (`_Section.numbers`). The README's schema table is generated from
+it, and a test checks the two row for row.
+
 Files are parsed with libyaml's C parser (`yaml.CSafeLoader`) where PyYAML
 was built with it. Both it and the pure-Python `yaml.SafeLoader` build the
 tree with PyYAML's own constructor and resolver, so they give the same tree;
@@ -18,7 +23,7 @@ colon (`a:\t1`), which the pure loader rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,109 @@ SPEED_UNITS = {"m/s": 1.0, "km/h": 1.0 / 3.6, "kn": 0.514444}
 ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 TIME_UNITS = {"s": 1.0, "min": 60.0, "h": 3600.0}
 LENGTH_UNITS = {"m": 1.0, "km": 1000.0}
+
+# a lower bound of POSITIVE is open at zero; a number is a closed bound
+POSITIVE = "positive"
+# the coverage grid is the track's bounding box grown by the swath, in
+# 0.25 m cells: a 1 km swath keeps the default 100 m area's grid near
+# (1,100 m / 0.25 m)**2, about 19 M cells
+MAX_SWATH = 1000.0
+
+# Every number a scenario sets, one row per key: (section, key, default,
+# unit table, lower bound, upper bound). The section is the key's path in the
+# tree (`mission:<kind>` for a mission kind's keys, `mission.objects[]` for
+# each object's). A default of None makes the key optional; a bound of None
+# is no bound. The README's schema table is this table, row for row.
+SCHEMA = (
+    ("run", "dt", 0.01, TIME_UNITS, POSITIVE, None),
+    ("run", "duration", 600.0, TIME_UNITS, 0.0, None),
+    ("world", "water_density", 1025.0, None, POSITIVE, None),
+    ("world.damping", "d11", 12.0, None, 0.0, None),
+    ("world.damping", "d22", 35.0, None, 0.0, None),
+    ("world.damping", "d33", 8.0, None, 0.0, None),
+    ("world.disturbances", "mean_wind_speed", 0.0, SPEED_UNITS, 0.0, None),
+    ("world.disturbances", "wind_direction", 0.0, ANGLE_UNITS, None, None),
+    ("world.disturbances", "gust_tau", 10.0, TIME_UNITS, POSITIVE, None),
+    ("world.disturbances", "gust_fraction", 0.1, None, 0.0, None),
+    ("world.disturbances", "wave_height", 0.0, LENGTH_UNITS, 0.0, None),
+    ("world.disturbances", "wave_period", 4.0, TIME_UNITS, POSITIVE, None),
+    ("world.disturbances", "current_speed", 0.0, SPEED_UNITS, 0.0, None),
+    ("world.disturbances", "current_direction", 0.0, ANGLE_UNITS, None, None),
+    ("world.terrain", "extent", 1000.0, LENGTH_UNITS, POSITIVE, None),
+    ("world.terrain", "depth", None, LENGTH_UNITS, None, None),
+    ("asv", "m11", 50.0, None, POSITIVE, None),
+    ("asv", "m22", 60.0, None, POSITIVE, None),
+    ("asv", "m33", 20.0, None, POSITIVE, None),
+    ("asv", "thruster_half_spacing", 0.35, LENGTH_UNITS, POSITIVE, None),
+    ("asv", "max_thrust", 40.0, None, POSITIVE, None),
+    ("asv.initial", "x", 0.0, LENGTH_UNITS, None, None),
+    ("asv.initial", "y", 0.0, LENGTH_UNITS, None, None),
+    ("asv.initial", "psi", 0.0, ANGLE_UNITS, None, None),
+    ("asv.initial", "u", 0.0, SPEED_UNITS, None, None),
+    ("asv.initial", "v", 0.0, SPEED_UNITS, None, None),
+    ("asv.initial", "r", 0.0, None, None, None),
+    ("tuv", "m_b", 12.0, None, POSITIVE, None),
+    ("tuv", "added_mass", 3.0, None, 0.0, None),
+    ("tuv", "foil_area", 0.1, None, POSITIVE, None),
+    ("tuv", "c_lift", 0.2, None, 0.0, None),
+    ("tuv", "c_drag", 0.08, None, 0.0, None),
+    ("tuv", "bluff_cda", 0.01, None, 0.0, None),
+    ("tuv", "buoyancy_fraction", 0.98, None, 0.0, None),
+    ("tuv.towline", "length", 30.0, LENGTH_UNITS, POSITIVE, MAX_CABLE_LENGTH),
+    ("tuv.towline", "stiffness", 800.0, None, POSITIVE, None),
+    ("tuv.towline", "damping", 50.0, None, 0.0, None),
+    ("tuv.towline", "max_slew_rate", 0.5, SPEED_UNITS, POSITIVE, None),
+    ("tuv.towline", "attach_x", -0.5, LENGTH_UNITS, None, None),
+    ("hexapod.geometry", "l1", 0.08, LENGTH_UNITS, POSITIVE, MAX_LINK_LENGTH),
+    ("hexapod.geometry", "l2", 0.12, LENGTH_UNITS, POSITIVE, MAX_LINK_LENGTH),
+    ("hexapod.terrain_speeds", "sand", 0.2, SPEED_UNITS, POSITIVE, None),
+    ("hexapod.terrain_speeds", "rock", 0.1, SPEED_UNITS, POSITIVE, None),
+    ("hexapod.terrain_speeds", "mud", 0.15, SPEED_UNITS, POSITIVE, None),
+    ("hexapod", "stride", 0.08, LENGTH_UNITS, POSITIVE, None),
+    ("hexapod", "duty_factor", 0.5, None, 0.05, 0.95),
+    ("hexapod", "h_lift", 0.03, LENGTH_UNITS, 0.0, None),
+    ("hexapod", "max_turn_rate", 0.3, None, POSITIVE, None),
+    ("hexapod", "home_radius", 0.16, LENGTH_UNITS, POSITIVE, None),
+    ("hexapod", "home_height", -0.06, LENGTH_UNITS, None, None),
+    ("controllers.heading_pid", "kp", 12.0, None, 0.0, None),
+    ("controllers.heading_pid", "ki", 0.5, None, 0.0, None),
+    ("controllers.heading_pid", "kd", 24.0, None, 0.0, None),
+    ("controllers.speed_pid", "kp", 12.0, None, 0.0, None),
+    ("controllers.speed_pid", "ki", 2.0, None, 0.0, None),
+    ("controllers.speed_pid", "kd", 0.0, None, 0.0, None),
+    ("controllers.sensors", "gps_rate", 1.0, None, POSITIVE, None),
+    ("controllers.sensors", "compass_rate", 10.0, None, POSITIVE, None),
+    ("controllers.sensors", "gyro_rate", 100.0, None, POSITIVE, None),
+    ("controllers.sensors", "gps_sigma", 1.25, None, 0.0, None),
+    ("controllers.sensors", "compass_sigma", 0.02, None, 0.0, None),
+    ("controllers.sensors", "gyro_sigma", 0.005, None, 0.0, None),
+    ("controllers.ekf", "gate_sigma", 5.0, None, POSITIVE, None),
+    ("controllers", "cruise_speed", 2.0, SPEED_UNITS, POSITIVE, None),
+    ("controllers", "arrival_radius", 2.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission.area", "x", 0.0, LENGTH_UNITS, None, None),
+    ("mission.area", "y", 0.0, LENGTH_UNITS, None, None),
+    ("mission.area", "width", 100.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission.area", "height", 100.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission:search", "swath", 10.0, LENGTH_UNITS, POSITIVE, MAX_SWATH),
+    ("mission:search", "p_detect", 1.0, None, 0.0, 1.0),
+    ("mission:search", "footprint", 5.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission:search", "position_sigma", 1.0, LENGTH_UNITS, 0.0, None),
+    ("mission:search", "deploy_time", 5.0, TIME_UNITS, 0.0, None),
+    ("mission:search", "recovery_radius", 3.0, LENGTH_UNITS, POSITIVE, None),
+    # the winch pays the line out to this length at each find
+    ("mission:search", "inspection_standoff", 5.0, LENGTH_UNITS, POSITIVE,
+     MAX_CABLE_LENGTH),
+    ("mission:search", "tether_reach", 30.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission:search", "confirm_radius", 0.5, LENGTH_UNITS, POSITIVE, None),
+    ("mission.objects[]", "detectability_radius", 0.0, LENGTH_UNITS, 0.0,
+     None),
+    ("mission:cruise", "heading", 0.0, ANGLE_UNITS, None, None),
+    ("mission:cruise", "speed", 2.0, SPEED_UNITS, POSITIVE, None),
+)
+# the rows of each section, in table order, without the section
+_SECTIONS: dict[str, list] = {}
+for _row in SCHEMA:
+    _SECTIONS.setdefault(_row[0], []).append(_row[1:])
 
 # seeds key a Philox generator as a uint64
 SEED_LIMIT = 2 ** 64
@@ -105,53 +213,55 @@ def _quantity(value, path: str, units: dict[str, float] | None = None) -> float:
     return number
 
 
-def _mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise _err(path, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(mapping: dict, path: str, allowed):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        # keys may mix types (`5: x`, `null: y`): order them as text
-        raise _err(f"{path}.{sorted(unknown, key=str)[0]}",
-                   f"unknown key; allowed keys are {sorted(allowed)}")
-
-
 class _Section:
     """One mapping of the tree: typed reads with schema enforcement."""
 
     def __init__(self, mapping: dict, path: str):
-        self.mapping = _mapping(mapping, path)
+        if mapping is not None and not isinstance(mapping, dict):
+            raise _err(path, f"expected a mapping, got {type(mapping).__name__}")
+        self.mapping = mapping or {}
         self.path = path
         self._read: set[str] = set()
 
     def finish(self):
-        _check_keys(self.mapping, self.path, self._read)
+        unknown = set(self.mapping) - self._read
+        if unknown:
+            # keys may mix types (`5: x`, `null: y`): order them as text
+            raise _err(f"{self.path}.{sorted(unknown, key=str)[0]}",
+                       f"unknown key; allowed keys are {sorted(self._read)}")
 
-    def _get(self, key, default):
+    def raw(self, key: str, default=None):
         self._read.add(key)
         return self.mapping.get(key, default)
 
-    def number(self, key: str, default=None, units=None, minimum=None,
-               maximum=None, positive=False) -> float:
-        raw = self._get(key, default)
-        if raw is None:
-            raise _err(f"{self.path}.{key}", "required field is missing")
-        value = _quantity(raw, f"{self.path}.{key}", units)
-        if positive and value <= 0.0:
-            raise _err(f"{self.path}.{key}", f"must be positive, got {value}")
-        if minimum is not None and value < minimum:
-            raise _err(f"{self.path}.{key}", f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise _err(f"{self.path}.{key}", f"must be <= {maximum}, got {value}")
-        return value
+    def numbers(self, group: str) -> dict:
+        """The values of the `SCHEMA` rows of section `group`, by key, in
+        row order. An absent key takes its default as it stands: each is an
+        SI float within its bounds, or None."""
+        values = {}
+        for key, default, units, low, high in _SECTIONS[group]:
+            self._read.add(key)
+            raw = self.mapping.get(key)
+            if raw is None:  # absent, or a null where None is the default
+                if default is not None and key in self.mapping:
+                    raise _err(f"{self.path}.{key}",
+                               "required field is missing")
+                values[key] = default
+                continue
+            path = f"{self.path}.{key}"
+            value = _quantity(raw, path, units)
+            if low is POSITIVE:
+                if value <= 0.0:
+                    raise _err(path, f"must be positive, got {value}")
+            elif low is not None and value < low:
+                raise _err(path, f"must be >= {low}, got {value}")
+            if high is not None and value > high:
+                raise _err(path, f"must be <= {high}, got {value}")
+            values[key] = value
+        return values
 
     def integer(self, key: str, default=None) -> int:
-        raw = self._get(key, default)
+        raw = self.raw(key, default)
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
         if isinstance(raw, bool) or not isinstance(raw, int):
@@ -160,14 +270,14 @@ class _Section:
         return raw
 
     def boolean(self, key: str, default: bool) -> bool:
-        raw = self._get(key, default)
+        raw = self.raw(key, default)
         if not isinstance(raw, bool):
             raise _err(f"{self.path}.{key}",
                        f"expected true/false, got {_shown(raw)}")
         return raw
 
     def string(self, key: str, default=None, choices=None) -> str:
-        raw = self._get(key, default)
+        raw = self.raw(key, default)
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
         if not isinstance(raw, str):
@@ -179,7 +289,7 @@ class _Section:
         return raw
 
     def point(self, key: str, default=None) -> np.ndarray:
-        raw = self._get(key, default)
+        raw = self.raw(key, default)
         if raw is None:
             raise _err(f"{self.path}.{key}", "required field is missing")
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
@@ -191,31 +301,27 @@ class _Section:
         self._read.add(key)
         return _Section(self.mapping.get(key), f"{self.path}.{key}")
 
-    def raw(self, key: str, default=None):
-        return self._get(key, default)
-
 
 @dataclass
 class MissionSpec:
-    kind: str = SEARCH
-    # search
-    area: SearchArea | None = None
-    swath: float = 10.0
-    entry: str = "sw"
-    objects: list = field(default_factory=list)
-    p_detect: float = 1.0
-    footprint: float = 5.0
-    position_sigma: float = 1.0
-    deploy_time: float = 5.0
-    recovery_radius: float = 3.0
-    inspection_standoff: float = 5.0
-    tether_reach: float = 30.0
-    confirm_radius: float = 0.5
-    # loiter
-    point: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    # cruise
-    heading: float = 0.0
-    speed: float = 2.0
+    """The mission; fields of the other kinds hold their `SCHEMA` defaults."""
+
+    kind: str
+    area: SearchArea | None
+    swath: float
+    entry: str
+    objects: list
+    p_detect: float
+    footprint: float
+    position_sigma: float
+    deploy_time: float
+    recovery_radius: float
+    inspection_standoff: float
+    tether_reach: float
+    confirm_radius: float
+    point: np.ndarray
+    heading: float
+    speed: float
 
 
 @dataclass
@@ -247,8 +353,7 @@ class Scenario:
 
 def _load_run(sec: _Section) -> tuple[str, float, float, int]:
     name = sec.string("name", default="run")
-    dt = sec.number("dt", default=0.01, units=TIME_UNITS, positive=True)
-    duration = sec.number("duration", default=600.0, units=TIME_UNITS, minimum=0.0)
+    dt, duration = sec.numbers("run").values()
     seed = sec.integer("seed")  # mandatory: reproducibility is part of the run
     sec.finish()
     # the run directory is <out>/<name>-seed<seed>: one path component
@@ -287,64 +392,30 @@ def _load_terrain_entry(sec: _Section, base_dir: Path) -> TerrainMap:
             raise _err(f"{sec.path}.terrain", str(exc)) from None
     uni = _Section(raw, f"{sec.path}.terrain")
     terrain = uni.string("uniform", choices=TERRAIN_CLASSES)
-    extent = uni.number("extent", default=1000.0, units=LENGTH_UNITS, positive=True)
+    extent, depth = uni.numbers("world.terrain").values()
     origin = uni.point("origin", default=[-extent / 2.0, -extent / 2.0])
-    depth_raw = uni.raw("depth")
     uni.finish()
-    depth = None if depth_raw is None else _quantity(
-        depth_raw, f"{uni.path}.depth", LENGTH_UNITS)
-    return TerrainMap.uniform(terrain, extent=extent,
-                              origin=tuple(origin), depth=depth)
+    return TerrainMap.uniform(terrain, extent=extent, origin=tuple(origin),
+                              depth=depth)
 
 
 def _load_world(sec: _Section, base_dir: Path):
-    water_density = sec.number("water_density", default=1025.0, positive=True)
-
+    water_density = sec.numbers("world")["water_density"]
     d = sec.section("damping")
-    damping = DampingCoeffs(
-        d11=d.number("d11", default=12.0, minimum=0.0),
-        d22=d.number("d22", default=35.0, minimum=0.0),
-        d33=d.number("d33", default=8.0, minimum=0.0))
+    damping = DampingCoeffs(**d.numbers("world.damping"))
     d.finish()
-
     w = sec.section("disturbances")
-    disturbances = DisturbanceField(
-        mean_wind_speed=w.number("mean_wind_speed", default=0.0,
-                                 units=SPEED_UNITS, minimum=0.0),
-        wind_direction=w.number("wind_direction", default=0.0, units=ANGLE_UNITS),
-        gust_tau=w.number("gust_tau", default=10.0, units=TIME_UNITS, positive=True),
-        gust_fraction=w.number("gust_fraction", default=0.1, minimum=0.0),
-        wave_height=w.number("wave_height", default=0.0, units=LENGTH_UNITS,
-                             minimum=0.0),
-        wave_period=w.number("wave_period", default=4.0, units=TIME_UNITS,
-                             positive=True),
-        current_speed=w.number("current_speed", default=0.0, units=SPEED_UNITS,
-                               minimum=0.0),
-        current_direction=w.number("current_direction", default=0.0,
-                                   units=ANGLE_UNITS))
+    disturbances = DisturbanceField(**w.numbers("world.disturbances"))
     w.finish()
-
     terrain = _load_terrain_entry(sec, base_dir)
     sec.finish()
     return water_density, damping, disturbances, terrain
 
 
 def _load_asv(sec: _Section):
-    params = AsvParams(
-        m11=sec.number("m11", default=50.0, positive=True),
-        m22=sec.number("m22", default=60.0, positive=True),
-        m33=sec.number("m33", default=20.0, positive=True),
-        thruster_half_spacing=sec.number("thruster_half_spacing", default=0.35,
-                                         units=LENGTH_UNITS, positive=True),
-        max_thrust=sec.number("max_thrust", default=40.0, positive=True))
+    params = AsvParams(**sec.numbers("asv"))
     i = sec.section("initial")
-    initial = VehicleState3DOF(
-        x=i.number("x", default=0.0, units=LENGTH_UNITS),
-        y=i.number("y", default=0.0, units=LENGTH_UNITS),
-        psi=i.number("psi", default=0.0, units=ANGLE_UNITS),
-        u=i.number("u", default=0.0, units=SPEED_UNITS),
-        v=i.number("v", default=0.0, units=SPEED_UNITS),
-        r=i.number("r", default=0.0))
+    initial = VehicleState3DOF(**i.numbers("asv.initial"))
     i.finish()
     sec.finish()
     return params, initial
@@ -352,27 +423,14 @@ def _load_asv(sec: _Section):
 
 def _load_tuv(sec: _Section, water_density: float):
     enabled = sec.boolean("enabled", default=True)
-    params = TuvParams(
-        m_b=sec.number("m_b", default=12.0, positive=True),
-        added_mass=sec.number("added_mass", default=3.0, minimum=0.0),
-        rho=water_density,
-        foil_area=sec.number("foil_area", default=0.1, positive=True),
-        c_lift=sec.number("c_lift", default=0.2, minimum=0.0),
-        c_drag=sec.number("c_drag", default=0.08, minimum=0.0),
-        bluff_cda=sec.number("bluff_cda", default=0.01, minimum=0.0),
-        buoyancy_fraction=sec.number("buoyancy_fraction", default=0.98,
-                                     minimum=0.0))
+    params = TuvParams(rho=water_density, **sec.numbers("tuv"))
     t = sec.section("towline")
-    towline = Towline(
-        unstretched_length=t.number("length", default=30.0, units=LENGTH_UNITS,
-                                    positive=True, maximum=MAX_CABLE_LENGTH),
-        stiffness=t.number("stiffness", default=800.0, positive=True),
-        damping=t.number("damping", default=50.0, minimum=0.0),
-        max_slew_rate=t.number("max_slew_rate", default=0.5, units=SPEED_UNITS,
-                               positive=True))
+    line = t.numbers("tuv.towline")
+    length = line.pop("length")
     # tow point sits aft of the reference point: the moment arm weathervanes
     # the hull into the cable pull, which a CG attach cannot do
-    attach_x = t.number("attach_x", default=-0.5, units=LENGTH_UNITS)
+    attach_x = line.pop("attach_x")
+    towline = Towline(unstretched_length=length, **line)
     t.finish()
     sec.finish()
     return enabled, params, towline, attach_x
@@ -380,35 +438,16 @@ def _load_tuv(sec: _Section, water_density: float):
 
 def _load_hexapod(sec: _Section) -> HexapodParams:
     g = sec.section("geometry")
-    geometry = LegGeometry(
-        l1=g.number("l1", default=0.08, units=LENGTH_UNITS, positive=True,
-                    maximum=MAX_LINK_LENGTH),
-        l2=g.number("l2", default=0.12, units=LENGTH_UNITS, positive=True,
-                    maximum=MAX_LINK_LENGTH))
+    geometry = LegGeometry(**g.numbers("hexapod.geometry"))
     g.finish()
-    speeds_raw = _mapping(sec.raw("terrain_speeds"), f"{sec.path}.terrain_speeds")
-    speeds = {"sand": 0.2, "rock": 0.1, "mud": 0.15}
-    for key, value in speeds_raw.items():
+    s = sec.section("terrain_speeds")
+    for key in s.mapping:
         if key not in TERRAIN_CLASSES:
-            raise _err(f"{sec.path}.terrain_speeds.{key}",
-                       f"unknown terrain class; expected {sorted(TERRAIN_CLASSES)}")
-        speed = _quantity(value, f"{sec.path}.terrain_speeds.{key}",
-                          SPEED_UNITS)
-        if speed <= 0.0:
-            raise _err(f"{sec.path}.terrain_speeds.{key}",
-                       f"must be positive, got {speed}")
-        speeds[key] = speed
-    params = HexapodParams(
-        geometry=geometry,
-        terrain_speeds=speeds,
-        stride=sec.number("stride", default=0.08, units=LENGTH_UNITS, positive=True),
-        duty_factor=sec.number("duty_factor", default=0.5, minimum=0.05,
-                               maximum=0.95),
-        h_lift=sec.number("h_lift", default=0.03, units=LENGTH_UNITS, minimum=0.0),
-        max_turn_rate=sec.number("max_turn_rate", default=0.3, positive=True),
-        home_radius=sec.number("home_radius", default=0.16, units=LENGTH_UNITS,
-                               positive=True),
-        home_height=sec.number("home_height", default=-0.06, units=LENGTH_UNITS))
+            raise _err(f"{s.path}.{key}", f"unknown terrain class; "
+                                          f"expected {sorted(TERRAIN_CLASSES)}")
+    params = HexapodParams(geometry=geometry,
+                           terrain_speeds=s.numbers("hexapod.terrain_speeds"),
+                           **sec.numbers("hexapod"))
     sec.finish()
     # the crawler stands up at deploy: its home foot point must be reachable
     # (WorkspaceViolation or JointLimitError)
@@ -423,15 +462,14 @@ def _load_hexapod(sec: _Section) -> HexapodParams:
     return params
 
 
-def _load_pid(sec: _Section, default_gains, output_limit: float) -> PidController:
-    kp = sec.number("kp", default=default_gains[0], minimum=0.0)
-    ki = sec.number("ki", default=default_gains[1], minimum=0.0)
-    kd = sec.number("kd", default=default_gains[2], minimum=0.0)
+def _load_pid(sec: _Section, group: str, output_limit: float) -> PidController:
+    gains = sec.numbers(group)
     sec.finish()
+    ki = gains["ki"]
     # bound the integral state so its term alone never exceeds half the
     # actuator authority — windup past that turns saturation into limit cycles
     integral_limit = 0.5 * output_limit / ki if ki > 0.0 else output_limit
-    return PidController(kp=kp, ki=ki, kd=kd,
+    return PidController(kp=gains["kp"], ki=ki, kd=gains["kd"],
                          output_limits=(-output_limit, output_limit),
                          integral_limits=(-integral_limit, integral_limit))
 
@@ -441,35 +479,26 @@ def _load_controllers(sec: _Section, asv: AsvParams, dt: float):
     yaw_limit = 2.0 * asv.max_thrust * asv.thruster_half_spacing
     # the bare hull is directionally unstable at cruise speed (the sway-yaw
     # inertia coupling feeds back positively, ~0.25 u^2), so the heading loop
-    # carries heavy rate feedback: these gains keep the Routh test stable
-    # through ~2.4 m/s
-    heading_pid = _load_pid(sec.section("heading_pid"), (12.0, 0.5, 24.0),
-                            yaw_limit)
+    # carries heavy rate feedback: its default gains keep the Routh test
+    # stable through ~2.4 m/s
+    heading_pid = _load_pid(sec.section("heading_pid"),
+                            "controllers.heading_pid", yaw_limit)
     # the runner adds damping + winch-load feedforward, so the speed loop
     # only trims residuals; modest gains keep estimator jitter out of thrust
-    speed_pid = _load_pid(sec.section("speed_pid"), (12.0, 2.0, 0.0),
+    speed_pid = _load_pid(sec.section("speed_pid"), "controllers.speed_pid",
                           surge_limit)
 
     s = sec.section("sensors")
-    sensors = SensorConfig(
-        gps_rate=s.number("gps_rate", default=1.0, positive=True),
-        compass_rate=s.number("compass_rate", default=10.0, positive=True),
-        gyro_rate=s.number("gyro_rate", default=100.0, positive=True),
-        gps_sigma=s.number("gps_sigma", default=1.25, minimum=0.0),
-        compass_sigma=s.number("compass_sigma", default=0.02, minimum=0.0),
-        gyro_sigma=s.number("gyro_sigma", default=0.005, minimum=0.0))
+    sensors = SensorConfig(**s.numbers("controllers.sensors"))
     s.finish()
-    for label, rate in (("gps_rate", sensors.gps_rate),
-                        ("compass_rate", sensors.compass_rate),
-                        ("gyro_rate", sensors.gyro_rate)):
+    for label in ("gps_rate", "compass_rate", "gyro_rate"):
         try:
-            sensors.period_steps(rate, dt)
+            sensors.period_steps(getattr(sensors, label), dt)
         except ValueError as exc:
             raise _err(f"{sec.path}.sensors.{label}", str(exc)) from None
 
     e = sec.section("ekf")
     q_raw = e.raw("q_psd")
-    defaults = EkfParams()
     if q_raw is None:
         # the runner feeds the filter its realized thrust, winch load and
         # modeled damping, so unmodeled accelerations are just wind/wave
@@ -480,19 +509,13 @@ def _load_controllers(sec: _Section, asv: AsvParams, dt: float):
             raise _err(f"{e.path}.q_psd", "expected six spectral densities")
         q_psd = tuple(_quantity(v, f"{e.path}.q_psd[{i}]")
                       for i, v in enumerate(q_raw))
-    ekf = EkfParams(
-        q_psd=q_psd,
-        gps_sigma=sensors.gps_sigma,
-        compass_sigma=sensors.compass_sigma,
-        gyro_sigma=sensors.gyro_sigma,
-        gate_sigma=e.number("gate_sigma", default=defaults.gate_sigma,
-                            positive=True))
+    ekf = EkfParams(q_psd=q_psd, gps_sigma=sensors.gps_sigma,
+                    compass_sigma=sensors.compass_sigma,
+                    gyro_sigma=sensors.gyro_sigma,
+                    **e.numbers("controllers.ekf"))
     e.finish()
 
-    cruise_speed = sec.number("cruise_speed", default=2.0, units=SPEED_UNITS,
-                              positive=True)
-    arrival_radius = sec.number("arrival_radius", default=2.0,
-                                units=LENGTH_UNITS, positive=True)
+    cruise_speed, arrival_radius = sec.numbers("controllers").values()
     sec.finish()
     return heading_pid, speed_pid, sensors, ekf, cruise_speed, arrival_radius
 
@@ -511,8 +534,7 @@ def _load_objects(raw, path: str) -> list[PlantedObject]:
             position=o.point("position"),
             object_class=o.string("class", default="other",
                                   choices=OBJECT_CLASSES),
-            detectability_radius=o.number("detectability_radius", default=0.0,
-                                          units=LENGTH_UNITS, minimum=0.0))
+            **o.numbers("mission.objects[]"))
         o.finish()
         if obj.object_id in seen:
             raise _err(f"{path}[{i}].id", f"duplicate object id {obj.object_id!r}")
@@ -523,54 +545,30 @@ def _load_objects(raw, path: str) -> list[PlantedObject]:
 
 def _load_mission(sec: _Section) -> MissionSpec:
     kind = sec.string("kind", default=SEARCH, choices=MISSION_KINDS)
-    spec = MissionSpec(kind=kind)
+    numbers = {key: default for group in ("mission:search", "mission:cruise")
+               for key, default, *_ in _SECTIONS[group]}
+    area, entry, objects, point = None, "sw", [], np.zeros(2)
     if kind == SEARCH:
         a = sec.section("area")
-        spec.area = SearchArea(
-            x=a.number("x", default=0.0, units=LENGTH_UNITS),
-            y=a.number("y", default=0.0, units=LENGTH_UNITS),
-            width=a.number("width", default=100.0, units=LENGTH_UNITS,
-                           positive=True),
-            height=a.number("height", default=100.0, units=LENGTH_UNITS,
-                            positive=True))
+        area = SearchArea(**a.numbers("mission.area"))
         a.finish()
-        spec.swath = sec.number("swath", default=10.0, units=LENGTH_UNITS,
-                                positive=True)
-        spec.entry = sec.string("entry", default="sw",
-                                choices=("sw", "se", "nw", "ne"))
-        spec.objects = _load_objects(sec.raw("objects"), f"{sec.path}.objects")
-        spec.p_detect = sec.number("p_detect", default=1.0, minimum=0.0,
-                                   maximum=1.0)
-        spec.footprint = sec.number("footprint", default=5.0,
-                                    units=LENGTH_UNITS, positive=True)
-        spec.position_sigma = sec.number("position_sigma", default=1.0,
-                                         units=LENGTH_UNITS, minimum=0.0)
-        spec.deploy_time = sec.number("deploy_time", default=5.0,
-                                      units=TIME_UNITS, minimum=0.0)
-        spec.recovery_radius = sec.number("recovery_radius", default=3.0,
-                                          units=LENGTH_UNITS, positive=True)
-        # the winch pays the line out to this length at each find
-        spec.inspection_standoff = sec.number("inspection_standoff", default=5.0,
-                                              units=LENGTH_UNITS, positive=True,
-                                              maximum=MAX_CABLE_LENGTH)
-        spec.tether_reach = sec.number("tether_reach", default=30.0,
-                                       units=LENGTH_UNITS, positive=True)
-        spec.confirm_radius = sec.number("confirm_radius", default=0.5,
-                                         units=LENGTH_UNITS, positive=True)
-        for obj in spec.objects:
-            inside = (spec.area.x <= obj.position[0] <= spec.area.x + spec.area.width
-                      and spec.area.y <= obj.position[1] <= spec.area.y + spec.area.height)
+        numbers.update(sec.numbers("mission:search"))
+        entry = sec.string("entry", default="sw",
+                           choices=("sw", "se", "nw", "ne"))
+        objects = _load_objects(sec.raw("objects"), f"{sec.path}.objects")
+        for obj in objects:
+            inside = (area.x <= obj.position[0] <= area.x + area.width
+                      and area.y <= obj.position[1] <= area.y + area.height)
             if not inside:
                 raise _err(f"{sec.path}.objects",
                            f"object {obj.object_id!r} lies outside the search area")
     elif kind == LOITER_MISSION:
-        spec.point = sec.point("point", default=[0.0, 0.0])
+        point = sec.point("point", default=[0.0, 0.0])
     else:  # cruise
-        spec.heading = sec.number("heading", default=0.0, units=ANGLE_UNITS)
-        spec.speed = sec.number("speed", default=2.0, units=SPEED_UNITS,
-                                positive=True)
+        numbers.update(sec.numbers("mission:cruise"))
     sec.finish()
-    return spec
+    return MissionSpec(kind=kind, area=area, entry=entry, objects=objects,
+                       point=point, **numbers)
 
 
 def parse_scenario(tree: dict, base_dir: Path | str = ".") -> Scenario:

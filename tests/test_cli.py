@@ -277,6 +277,20 @@ def test_overlong_leg_link_exits_1_with_field_path(link, command, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("swath", [2 ** 63, 1.0e18], ids=["2**63", "1e18"])
+def test_overwide_swath_exits_1_with_field_path(swath, command, tmp_path,
+                                                capsys):
+    # a swath of 2**63 m once passed validate and then ended simulate in a
+    # ValueError traceback from the coverage grid, sized by the swath
+    text = _shipped_with("calm_search.yaml", ("mission", "swath"), swath)
+    assert _probe(tmp_path, command, text) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: scenario.mission.swath: must be <= 1000.0, got {float(swath)}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize("name, keys, value, field", [
     # once exited 0 and wrote "Infinity"/"NaN" into metrics.json
     ("storm_loiter.yaml", ("mission", "point"), [float("inf"), 0],

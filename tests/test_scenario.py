@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from coastsim import scenario
 from coastsim.control import LOITER, WAYPOINT
+from coastsim.environment import TerrainMap
 from coastsim.scenario import (ScenarioError, guidance_for_loiter,
                                guidance_for_waypoint, load_scenario,
                                parse_scenario)
@@ -617,3 +620,106 @@ def test_directory_path_names_the_path(tmp_path):
     with pytest.raises(ScenarioError,
                        match=rf"{tmp_path.name}: cannot read the file"):
         load_scenario(tmp_path)
+
+
+# --- the schema table ---------------------------------------------------------
+
+def _tree_at(section):
+    """A minimal tree that holds SCHEMA section `section`, that section's
+    mapping in it, and the section's field path."""
+    path, _, kind = section.partition(":")
+    tree = minimal_tree(mission={"kind": kind} if kind else {})
+    node = tree
+    for part in path.split("."):
+        if part.endswith("[]"):  # the one entry of a list
+            entry = {"id": "o1", "position": [1, 1]}
+            node[part[:-2]] = [entry]
+            node = entry
+        else:
+            node = node.setdefault(part, {})
+    if path == "world.terrain":
+        node["uniform"] = "sand"
+    return tree, node, f"scenario.{path.replace('[]', '[0]')}"
+
+
+def _past_bounds():
+    for section, key, _, _, low, high in scenario.SCHEMA:
+        if low is scenario.POSITIVE:
+            yield pytest.param(section, key, 0.0, "must be positive, got 0.0",
+                               id=f"{section}.{key}-low")
+        elif low is not None:
+            below = math.nextafter(low, -math.inf)
+            yield pytest.param(section, key, below,
+                               f"must be >= {low}, got {below}",
+                               id=f"{section}.{key}-low")
+        if high is not None:
+            above = math.nextafter(high, math.inf)
+            yield pytest.param(section, key, above,
+                               f"must be <= {high}, got {above}",
+                               id=f"{section}.{key}-high")
+
+
+@pytest.mark.parametrize("section, key, value, message", list(_past_bounds()))
+def test_every_bound_rejects_the_next_number_past_it(section, key, value,
+                                                     message):
+    tree, node, path = _tree_at(section)
+    node[key] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(tree)
+    assert str(info.value) == f"{path}.{key}: {message}"
+
+
+@pytest.mark.parametrize("section, key, default",
+                         [pytest.param(*row[:3], id=f"{row[0]}.{row[1]}")
+                          for row in scenario.SCHEMA])
+def test_every_row_is_read_with_its_default(section, key, default):
+    # the loader reads the key (an unread key is unknown), and writing its
+    # default out changes nothing
+    tree, node, _ = _tree_at(section)
+    implicit = _canonical(parse_scenario(tree))
+    node[key] = default
+    assert _canonical(parse_scenario(tree)) == implicit
+
+
+def _canonical(value):
+    """`value` as nested tuples of type names and reprs: equal exactly when
+    every field, type, signed zero and array byte is."""
+    if isinstance(value, TerrainMap):
+        return ("TerrainMap", _canonical(value.grid),
+                _canonical(value.cell_size), _canonical(value.origin),
+                _canonical(value.depths))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, tuple(
+            (f.name, _canonical(getattr(value, f.name)))
+            for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes().hex())
+    if isinstance(value, dict):
+        return ("dict", tuple((_canonical(k), _canonical(v))
+                              for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_canonical(v) for v in value))
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return (type(value).__name__, repr(value))
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+# sha256 of repr(_canonical(parsed scenario)), pinned from the loader as it
+# was before its numbers moved into one table: a change to any parsed field
+# of these inputs must be deliberate and re-pinned here
+PARSED = {
+    "minimal": "6e7214407ca4f50f621302cb88cafc56115a21a232e7a60025bc16e2db46af8f",
+    "calm_cruise": "39be7807e59a416cf36b8137c485378e176b52ac6a5e764a86a50578c2b72af4",
+    "calm_search": "481a8586b4215d8f3077fc1e4dd21885a76285fee720f008897d3730d9e5c6cd",
+    "storm_loiter": "92b3e0d96d08101003c2d5b3bf4408d3267389d6de3ec852a0cf38cd00fe03e4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSED))
+def test_parsed_scenarios_match_their_pinned_dumps(name):
+    if name == "minimal":
+        scn = parse_scenario(minimal_tree())
+    else:
+        scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    text = repr(_canonical(scn))
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSED[name]

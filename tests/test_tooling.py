@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import coastsim
-from coastsim import core, hexapod, runner
+from coastsim import core, hexapod, runner, scenario
 from coastsim.asv import BodyWrench
 from coastsim.control import GuidanceSetpoint, PidController
 from coastsim.core import SeededRng, SimClock
@@ -72,6 +72,44 @@ def test_readme_library_names_resolve():
     assert {"load_scenario", "run_simulation", "body_advance"} <= names
     missing = sorted(name for name in names if not hasattr(coastsim, name))
     assert not missing, f"README names no coastsim export: {missing}"
+
+
+def _number(value) -> str:
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _schema_cells(row):
+    """(path, default, unit, range) of a scenario.SCHEMA row as the README's
+    schema table shows them; the unit is its table's SI unit."""
+    section, key, default, units, low, high = row
+    lower = ("(-inf" if low is None else "(0" if low is scenario.POSITIVE
+             else f"[{_number(low)}")
+    upper = "inf)" if high is None else f"{_number(high)}]"
+    return (f"{section.partition(':')[0]}.{key}",
+            "—" if default is None else _number(default),
+            "—" if units is None else next(
+                name for name, factor in units.items() if factor == 1.0),
+            f"{lower}, {upper}")
+
+
+def _readme_schema_cells():
+    """The first four cells of each row of the README's schema table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Schema reference", 1)[1].split("\n### ", 1)[0]
+    return [tuple(cell.strip().strip("`")
+                  for cell in line.strip("|").split("|")[:4])
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_schema_table_matches_the_loader_table():
+    # the README documents every number the loader reads, with the default,
+    # unit and range the loader applies: a row the table gains, loses or
+    # changes must show in the README too
+    readme = _readme_schema_cells()
+    assert len(readme) == len(scenario.SCHEMA)
+    for row, cells in zip(scenario.SCHEMA, readme):
+        assert cells == _schema_cells(row), row
 
 
 def test_package_exports_resolve():
