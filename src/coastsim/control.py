@@ -5,6 +5,7 @@ yaw-moment command and speed error to surge-force command. Waypoint guidance
 turns a setpoint plus the current state estimate into those two errors.
 Station keeping holds a loiter point: it turns the estimate into a heading
 error plus a surge force, which bypasses the speed loop.
+Both run on floats and math (hypot, atan2), not numpy's SIMD-dispatched ufuncs.
 """
 
 from __future__ import annotations
@@ -91,13 +92,13 @@ def guidance_step(setpoint: GuidanceSetpoint, est_pose: np.ndarray
     target at cruise speed until inside the arrival radius. A loiter point
     is held by station_keeping instead.
     """
-    x, y, psi = float(est_pose[0]), float(est_pose[1]), float(est_pose[2])
-    offset = setpoint.target - np.array([x, y])
-    dist = float(np.hypot(offset[0], offset[1]))
-    if dist <= setpoint.arrival_radius:
+    target = setpoint.target
+    dx = float(target[0]) - float(est_pose[0])
+    dy = float(target[1]) - float(est_pose[1])
+    if math.hypot(dx, dy) <= setpoint.arrival_radius:
         return 0.0, 0.0, True
-    bearing = float(np.arctan2(offset[1], offset[0]))
-    return wrap_angle(bearing - psi), setpoint.cruise_speed, False
+    return (wrap_angle(math.atan2(dy, dx) - float(est_pose[2])),
+            setpoint.cruise_speed, False)
 
 
 # station-keeping force law (nav frame): the integral term ends up carrying
@@ -137,7 +138,7 @@ def station_keeping(point: tuple[float, float], est,
     int_y = hi if hi < int_y else int_y
     force_x = DP_KP * err_x - DP_KD * v_x + int_x
     force_y = DP_KP * err_y - DP_KD * v_y + int_y
-    magnitude = float(np.hypot(force_x, force_y))
+    magnitude = math.hypot(force_x, force_y)
     if magnitude < 1e-9:
         return 0.0, 0.0, (int_x, int_y)
     desired = math.atan2(force_y, force_x)

@@ -18,23 +18,25 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SeededRng
+from .core import SeededRng, SimulationFault
 
 STREAM_DETECTION = 20
 STREAM_ENV_SAMPLER = 21
 
 COVERAGE_CELL = 0.25  # grid resolution for swept-area accounting [m]
+MAX_COVERAGE_CELLS = 100_000_000  # 5x a 1 km swath on a 100 m area (19 M)
 
-# the environmental sampler's synthetic water: base value plus a linear
-# gradient over nav-frame (x, y) for each field, and Gaussian noise
+# the environmental sampler's synthetic water: per field a base value plus a
+# linear gradient over nav-frame (x, y), as (base, d/dx, d/dy), and noise
 SAMPLE_CADENCE = 5.0  # [s]
-TEMPERATURE_BASE = 18.0  # [deg C]
-TEMPERATURE_GRADIENT = np.array((0.005, 0.0))  # [deg C/m]
-TURBIDITY_BASE = 5.0  # [NTU]
-TURBIDITY_GRADIENT = np.array((0.0, 0.01))  # [NTU/m]
-SALINITY_BASE = 33.0  # [PSU]
-SALINITY_GRADIENT = np.array((0.0, 0.0))  # [PSU/m]
+WATER_FIELDS = ((18.0, 0.005, 0.0),  # temperature [deg C], per m
+                (5.0, 0.0, 0.01),  # turbidity [NTU], per m
+                (33.0, 0.0, 0.0))  # salinity [PSU], per m
 SAMPLE_NOISE_SIGMA = 0.05
+
+
+class CoverageTooLarge(SimulationFault, ValueError):
+    """A track (a diverged platform's) needs over MAX_COVERAGE_CELLS cells."""
 
 
 class IllegalTransition(RuntimeError):
@@ -181,14 +183,14 @@ class SweepSensor:
 
     def sweep(self, vehicle_pos, t: float) -> list[DetectionEvent]:
         """Advance one step; returns new detections made at this instant."""
-        pos = np.asarray(vehicle_pos, dtype=float)
+        px, py = float(vehicle_pos[0]), float(vehicle_pos[1])
         events = []
         for obj in self.objects:
             if obj.object_id in self.detected:
                 continue
             reach = max(self.footprint, obj.detectability_radius)
-            gap = obj.position - pos
-            inside = math.sqrt(gap.dot(gap)) <= reach
+            inside = math.hypot(float(obj.position[0]) - px,
+                                float(obj.position[1]) - py) <= reach
             if inside and obj.object_id not in self._in_pass:
                 self._in_pass.add(obj.object_id)
                 if self._gen.random() < self.p_detect:
@@ -230,11 +232,12 @@ def transition(state: MissionState, target: MissionPhase) -> MissionState:
 
 
 def _pop_nearest(queue: list, reference) -> DetectionEvent:
-    ref = np.asarray(reference, dtype=float) if reference is not None else None
-    if ref is None:
+    if reference is None:
         return queue.pop(0)
+    rx, ry = float(reference[0]), float(reference[1])
     idx = min(range(len(queue)),
-              key=lambda i: float(np.linalg.norm(queue[i].position - ref)))
+              key=lambda i: math.hypot(float(queue[i].position[0]) - rx,
+                                       float(queue[i].position[1]) - ry))
     return queue.pop(idx)
 
 
@@ -307,12 +310,13 @@ class EnvironmentalSampler:
             return None
         self._last_sample_t = t
         pos = np.asarray(position, dtype=float)
+        x, y = pos.tolist()
         noise = self._gen.standard_normal(3) * SAMPLE_NOISE_SIGMA
-        return EnvironmentalSample(
-            t, pos,
-            temperature=TEMPERATURE_BASE + float(TEMPERATURE_GRADIENT @ pos) + noise[0],
-            turbidity=max(0.0, TURBIDITY_BASE + float(TURBIDITY_GRADIENT @ pos) + noise[1]),
-            salinity=SALINITY_BASE + float(SALINITY_GRADIENT @ pos) + noise[2])
+        temperature, turbidity, salinity = (
+            base + (gx * x + gy * y) + n
+            for (base, gx, gy), n in zip(WATER_FIELDS, noise))
+        return EnvironmentalSample(t, pos, temperature, max(0.0, turbidity),
+                                   salinity)
 
 
 # the coverage grid tests up to _COVER_CHUNK consecutive segments together,
@@ -335,8 +339,13 @@ def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
     x_max = pts[:, 0].max() + half
     y_min = pts[:, 1].min() - half
     y_max = pts[:, 1].max() + half
-    nx = max(1, int(math.ceil((x_max - x_min) / cell)))
-    ny = max(1, int(math.ceil((y_max - y_min) / cell)))
+    x_cells, y_cells = (x_max - x_min) / cell, (y_max - y_min) / cell
+    # nx <= x_cells + 1 and ny <= y_cells + 1; an inf span fails here too
+    if not (x_cells + 1.0) * (y_cells + 1.0) <= MAX_COVERAGE_CELLS:
+        raise CoverageTooLarge(f"coverage grid of {x_cells:.3g} x {y_cells:.3g} "
+                               f"cells exceeds {MAX_COVERAGE_CELLS} cells")
+    nx = max(1, int(math.ceil(x_cells)))
+    ny = max(1, int(math.ceil(y_cells)))
     covered = np.zeros((nx, ny), dtype=bool)
 
     keep = lengths > 1e-12
@@ -398,7 +407,8 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
 
     The searched area is the union of swath-wide corridors around the track
     segments, measured on a 0.25 m occupancy grid (cell centres within half a
-    swath of any segment count). Raises on an empty or non-finite track.
+    swath of any segment count). Raises on an empty or non-finite track, and
+    CoverageTooLarge on a grid of more than MAX_COVERAGE_CELLS.
 
     The grid is filled a chunk of consecutive segments at a time: each
     chunk tests every still-uncovered cell of the union of its segments'

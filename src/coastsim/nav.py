@@ -8,21 +8,21 @@ chain-ruled through the same four RK4 stages the mean was computed from. Only
 Jacobian is a zero template filled from those cells, and the chain rule's
 matrix products are the dense ones, on the same operands.
 
-Every matrix product goes through `ndarray.dot` rather than the `@` operator:
-on float64 arrays both make the same BLAS call (dgemm, dgemv or ddot) on the
-same operands and return the same bytes, and `dot` skips the generalized-ufunc
-dispatch that makes `@` about twice as slow on a 6x6 product. The mean is
-checked and its heading wrapped as a list of floats; each new covariance is
+BLAS serves the covariance algebra only (predict's F P F^T and stage
+chain, the scalar updates' (I - K H) P), through `ndarray.dot`: the same call
+and bytes as `@` with less dispatch. Its kernel is the one host dependence of
+the bytes; scalars and 2-vectors are float arithmetic. The mean is checked
+and its heading wrapped as a list of floats; each new covariance is
 symmetrized from a transposed copy, so the add reads two contiguous arrays.
 
 Updates are sequential per reading (GPS position, compass heading, gyro yaw
 rate) with Mahalanobis gating; heading innovations are wrapped. Compass and
 gyro each observe one state, so their updates are scalar (Bierman's
 sequential processing): the innovation variance is S = P[i, i] + sigma^2, the
-gain is column i of P over S, and no matrix is inverted. GPS observes two
-states and solves its 2x2 innovation covariance. Every update and prediction
-checks that the estimate is finite before wrapping its heading, so a
-diverging filter raises EstimatorDivergence.
+gain is column i of P over S, and no matrix is inverted. GPS observes x and
+y, and its 2x2 innovation covariance is inverted in closed form. Every update
+and prediction checks that the estimate is finite before wrapping its
+heading, so a diverging filter raises EstimatorDivergence.
 
 Sampling and updating each have one core that the run loop calls directly:
 `_sample` returns the due readings as (kind, value) and `_update` returns
@@ -150,15 +150,6 @@ class EkfParams:
     def q_discrete(self, dt: float) -> np.ndarray:
         return np.diag(np.asarray(self.q_psd, dtype=float)) * dt
 
-    def r_matrix(self, kind: str) -> np.ndarray:
-        if kind == GPS:
-            return np.eye(2) * self.gps_sigma ** 2
-        if kind == COMPASS:
-            return np.array([[self.compass_sigma ** 2]])
-        if kind == GYRO:
-            return np.array([[self.gyro_sigma ** 2]])
-        raise ValueError(f"unknown sensor kind {kind!r}")
-
 
 @dataclass
 class EstimatorState:
@@ -281,22 +272,6 @@ def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
     return _checked(x_next, _symmetrized(Q), "prediction")
 
 
-_H_GPS = np.zeros((2, 6)); _H_GPS[0, 0] = 1.0; _H_GPS[1, 1] = 1.0
-_H_COMPASS = np.zeros((1, 6)); _H_COMPASS[0, 2] = 1.0
-_H_GYRO = np.zeros((1, 6)); _H_GYRO[0, 5] = 1.0
-
-
-def measurement_model(kind: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted measurement, H) for one sensor kind."""
-    if kind == GPS:
-        return x[0:2].copy(), _H_GPS
-    if kind == COMPASS:
-        return np.array([x[2]]), _H_COMPASS
-    if kind == GYRO:
-        return np.array([x[5]]), _H_GYRO
-    raise ValueError(f"unknown sensor kind {kind!r}")
-
-
 class UpdateResult(NamedTuple):
     state: EstimatorState
     innovation: np.ndarray
@@ -321,30 +296,37 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
 def _update(est: EstimatorState, kind: str, z,
             ekf: EkfParams) -> tuple[EstimatorState, object, bool]:
     """ekf_update of a reading's value as (state, innovation, accepted): z
-    and the innovation are floats for compass and gyro, arrays for GPS."""
+    and the innovation are floats for compass and gyro, arrays for GPS.
+
+    GPS (H = [I2 0], R = sigma^2 I2) inverts S = P[0:2, 0:2] + sigma^2 I in
+    closed form, and the gain K and P - K P[0:2, :] are elementwise ufuncs.
+    """
     if kind == COMPASS:
         return _scalar_update(est, kind, 2, z, ekf.compass_sigma,
                               ekf.gate_sigma)
     if kind == GYRO:
         return _scalar_update(est, kind, 5, z, ekf.gyro_sigma, ekf.gate_sigma)
-
-    z_hat, H = measurement_model(kind, est.x)
-    y = np.asarray(z, dtype=float) - z_hat
-    R = ekf.r_matrix(kind)
-    S = H.dot(est.P).dot(H.T) + R
-    try:
-        S_inv_y = np.linalg.solve(S, y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"innovation covariance singular for {kind}") from exc
-    d2 = float(y.dot(S_inv_y))
-    if d2 < 0.0 or not np.isfinite(d2):
+    P, r = est.P, ekf.gps_sigma ** 2
+    (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
+    s00, s11 = s00 + r, s11 + r
+    det = s00 * s11 - s01 * s10
+    if not 0.0 < det < math.inf:
+        raise SingularCovariance(f"innovation covariance singular for {kind}")
+    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+    x = est.x.tolist()
+    y0, y1 = float(z[0]) - x[0], float(z[1]) - x[1]
+    d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i10 * y0 + i11 * y1)
+    if not (0.0 <= d2 < math.inf and s00 > 0.0):
         raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+    y = np.array((y0, y1))
     if d2 > ekf.gate_sigma ** 2:
         return est, y, False
-    K = est.P.dot(H.T).dot(np.linalg.inv(S))
-    x = est.x + K.dot(y)
-    P = _symmetrized((_I6 - K.dot(H)).dot(est.P))
-    return _checked(x.tolist(), P, f"{kind} update"), y, True
+    K0 = P[:, 0] * i00 + P[:, 1] * i10
+    K1 = P[:, 0] * i01 + P[:, 1] * i11
+    x = [a + (k0 * y0 + k1 * y1)
+         for a, k0, k1 in zip(x, K0.tolist(), K1.tolist())]
+    P = _symmetrized(P - K0[:, None] * P[0] - K1[:, None] * P[1])
+    return _checked(x, P, f"{kind} update"), y, True
 
 
 def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,

@@ -300,8 +300,7 @@ class Simulation:
             est = self.est.x
             arrived = (math.hypot(est[0] - target[0], est[1] - target[1])
                        <= 2.0 * scn.arrival_radius)
-            gap = asv_pos - target
-            if arrived and math.sqrt(gap.dot(gap)) <= scn.mission.tether_reach:
+            if arrived and math.hypot(*(asv_pos - target)) <= scn.mission.tether_reach:
                 terrain, _ = scn.terrain.terrain_at(asv_pos)
                 self.hexapod = HexapodState(
                     position=asv_pos.copy(), heading=self.truth.psi,
@@ -312,7 +311,7 @@ class Simulation:
             return False
 
         vec = target - self.hexapod.position
-        distance = math.sqrt(vec.dot(vec))
+        distance = math.hypot(*vec)
         if distance > scn.mission.confirm_radius:
             terrain, _ = scn.terrain.terrain_at(self.hexapod.position)
             self.hexapod.terrain = terrain
@@ -320,7 +319,7 @@ class Simulation:
             self.hexapod = body_advance(self.hexapod, heading_cmd, dt,
                                         scn.hexapod_params)
             vec = target - self.hexapod.position
-            distance = math.sqrt(vec.dot(vec))
+            distance = math.hypot(*vec)
         if distance <= scn.mission.confirm_radius:
             self.confirmations += 1
             self._log_event(t, "confirmation", object_id=target_ev.object_id,
@@ -474,8 +473,8 @@ class Simulation:
         if self.scn.mission.kind == SEARCH:
             recovered = False
             if self.mission_state.phase is MissionPhase.RETRIEVAL:
-                home = np.array([self.truth.x, self.truth.y]) - self.start_pos
-                recovered = (math.sqrt(home.dot(home))
+                recovered = (math.hypot(self.truth.x - self.start_pos[0],
+                                        self.truth.y - self.start_pos[1])
                              <= scn.mission.recovery_radius)
             events = WorldEvents(
                 deployment_complete=t >= scn.mission.deploy_time,
@@ -541,22 +540,39 @@ class Simulation:
             try:
                 self.step()
             except SimulationFault as exc:
-                self.aborted = True
-                self.abort_reason = f"{type(exc).__name__}: {exc}"
-                self._log_event(self.clock.t, "abort", reason=self.abort_reason)
+                self._abort(exc)
                 break
 
+        # the coverage report can fault too (a diverged survey platform's
+        # grid is too large), and aborts the run like a step would
+        report = None
+        if scn.mission.kind == SEARCH and self.coverage_track:
+            try:
+                report = coverage_report(
+                    np.array(self.coverage_track), scn.mission.swath,
+                    active_time=max(self.search_time, scn.dt))
+            except SimulationFault as exc:
+                self._abort(exc)
         concluded = self.mission_state.phase is MissionPhase.CONCLUDED
         truncated = (scn.mission.kind == SEARCH and not concluded
                      and not self.aborted)
         reason = ("aborted" if self.aborted
                   else "concluded" if concluded else "duration_cap")
         self._log_event(self.clock.t, "run_end", reason=reason)
-        metrics = self._metrics(concluded, truncated)
+        metrics = self._metrics(concluded, truncated, report)
         return RunLog(columns=list(COLUMNS), rows=self.rows,
                       events=self.events, metrics=metrics)
 
-    def _metrics(self, concluded: bool, truncated: bool) -> dict:
+    def _abort(self, exc: SimulationFault):
+        """Log a fault as an abort event; the run's abort_reason is its
+        first fault's."""
+        reason = f"{type(exc).__name__}: {exc}"
+        self._log_event(self.clock.t, "abort", reason=reason)
+        if not self.aborted:
+            self.aborted, self.abort_reason = True, reason
+
+    def _metrics(self, concluded: bool, truncated: bool,
+                 report: dict | None) -> dict:
         scn = self.scn
         track = np.array(self.track) if self.track else np.zeros((0, 2))
         distance = (float(np.sum(np.linalg.norm(np.diff(track, axis=0), axis=1)))
@@ -580,17 +596,13 @@ class Simulation:
             "hexapod_faults": self.hexapod_faults + (
                 self.hexapod.faults if self.hexapod is not None else 0),
         }
-        if scn.mission.kind == SEARCH and self.coverage_track:
-            report = coverage_report(np.array(self.coverage_track),
-                                     scn.mission.swath,
-                                     active_time=max(self.search_time, scn.dt),
-                                     detections=detections,
-                                     confirmations=self.confirmations)
+        if report is not None:
             metrics["area_searched"] = report["area_searched"]
             metrics["area_per_hour"] = report["area_per_hour"]
         elif scn.mission.kind == SEARCH:
-            metrics["area_searched"] = 0.0
-            metrics["area_per_hour"] = 0.0
+            # nothing searched, or a grid too large to measure (aborted)
+            area = None if self.coverage_track else 0.0
+            metrics["area_searched"] = metrics["area_per_hour"] = area
         if scn.mission.kind == LOITER_MISSION and len(track):
             offsets = np.linalg.norm(track - scn.mission.point, axis=1)
             metrics["loiter_max_offset"] = float(np.max(offsets))

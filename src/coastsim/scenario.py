@@ -34,7 +34,7 @@ from .control import LOITER, WAYPOINT, GuidanceSetpoint, PidController
 from .environment import (TERRAIN_CLASSES, DampingCoeffs, DisturbanceField,
                           TerrainMap, load_terrain)
 from .hexapod import MAX_LINK_LENGTH, HexapodParams, LegGeometry, stand_legs
-from .mission import PlantedObject, SearchArea
+from .mission import COVERAGE_CELL, PlantedObject, SearchArea
 from .nav import EkfParams, SensorConfig
 from .tuv import MAX_CABLE_LENGTH, Towline, TuvParams
 
@@ -55,7 +55,8 @@ LENGTH_UNITS = {"m": 1.0, "km": 1000.0}
 POSITIVE = "positive"
 # the coverage grid is the track's bounding box grown by the swath, in
 # 0.25 m cells: a 1 km swath keeps the default 100 m area's grid near
-# (1,100 m / 0.25 m)**2, about 19 M cells
+# (1,100 m / 0.25 m)**2, about 19 M cells, and a swath below one cell is
+# finer than the grid resolves
 MAX_SWATH = 1000.0
 
 # Every number a scenario sets, one row per key: (section, key, default,
@@ -133,7 +134,7 @@ SCHEMA = (
     ("mission.area", "y", 0.0, LENGTH_UNITS, None, None),
     ("mission.area", "width", 100.0, LENGTH_UNITS, POSITIVE, None),
     ("mission.area", "height", 100.0, LENGTH_UNITS, POSITIVE, None),
-    ("mission:search", "swath", 10.0, LENGTH_UNITS, POSITIVE, MAX_SWATH),
+    ("mission:search", "swath", 10.0, LENGTH_UNITS, COVERAGE_CELL, MAX_SWATH),
     ("mission:search", "p_detect", 1.0, None, 0.0, 1.0),
     ("mission:search", "footprint", 5.0, LENGTH_UNITS, POSITIVE, None),
     ("mission:search", "position_sigma", 1.0, LENGTH_UNITS, 0.0, None),

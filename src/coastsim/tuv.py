@@ -8,17 +8,11 @@ bluff-body drag term, with lift fixed as a depressor (pushes the body deeper).
 The towline is a massless tension-only spring-damper; its reaction on the
 towing vehicle is exactly the negative of the force applied here.
 
-The body and the line run on Python floats, component by component, in the
-order numpy's 3-vector arithmetic evaluates them, so every result is
-bit-identical to the whole-array form; the public functions still take and
-return arrays. The one operation plain float arithmetic does not reproduce
-is a 3-vector dot product (and so a norm, the square root of one): np.dot
-of two float64 3-vectors, with the OpenBLAS kernel numpy 2.4 uses on x86-64
-(Haswell), evaluates fma(a2, b2, fma(a1, b1, a0 * b0)), rounding once per
-fused multiply-add, where a0*b0 + a1*b1 + a2*b2 rounds five times and
-differs in about one dot in three. `_dot3` computes that fused form itself,
-exactly, so the finite-valued tow dynamics no longer depend on which BLAS
-kernel numpy dispatches; the pinned output digests were made with it.
+The body and the line run on Python floats, component by component; the
+public functions still take and return arrays. A 3-vector dot product is the
+plain left-to-right sum a0*b0 + a1*b1 + a2*b2 and a norm its square root, so
+the tow dynamics are IEEE double arithmetic alone (math.sqrt rounds
+correctly), whatever BLAS kernel or SIMD target numpy dispatches.
 """
 
 from __future__ import annotations
@@ -32,9 +26,6 @@ from .core import IntegrationFault, SimulationFault, rk4_stages
 
 G = 9.81  # [m/s^2]
 MAX_CABLE_LENGTH = 30.0  # physical cable on the winch drum [m]
-
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for a 53-bit significand
-_TINY = 2.0 ** -968  # below this a product's rounding error can underflow
 
 
 class DegenerateGeometry(SimulationFault, ValueError):
@@ -103,46 +94,13 @@ def _floats(vec) -> list:
 
 
 def _dot3(a0, a1, a2, b0, b1, b2) -> float:
-    """The dot product of two 3-vectors given as floats, as np.dot rounds it.
-
-    That is fma(a2, b2, fma(a1, b1, a0 * b0)) with the sum started at +0.0.
-    Each fused multiply-add is emulated exactly: TwoProduct (Dekker, with a
-    Veltkamp split) gives p + e == a * b with no rounding, and math.fsum
-    rounds p + e + c once. That holds for finite inputs whose nonzero
-    products are at least _TINY and whose result is finite; anywhere else
-    (inf, nan, inf - inf, overflow, such tiny products) the value is np.dot's
-    own, computed without raising.
-    """
-    p0 = a0 * b0
-    p1 = a1 * b1
-    p2 = a2 * b2
-    if not (0.0 < abs(p0) < _TINY or 0.0 < abs(p1) < _TINY
-            or 0.0 < abs(p2) < _TINY):
-        try:
-            t = _SPLIT * a1
-            ah = t - (t - a1)
-            t = _SPLIT * b1
-            bh = t - (t - b1)
-            al, bl = a1 - ah, b1 - bh
-            s = math.fsum((p1, ((ah * bh - p1) + ah * bl + al * bh) + al * bl,
-                           p0 + 0.0))
-            t = _SPLIT * a2
-            ah = t - (t - a2)
-            t = _SPLIT * b2
-            bh = t - (t - b2)
-            al, bl = a2 - ah, b2 - bh
-            s = math.fsum((p2, ((ah * bh - p2) + ah * bl + al * bh) + al * bl,
-                           s))
-        except (OverflowError, ValueError):  # fsum: overflow, inf - inf
-            s = math.nan
-        if math.isfinite(s):
-            return s
-    with np.errstate(all="ignore"):
-        return float(np.dot(np.array((a0, a1, a2)), np.array((b0, b1, b2))))
+    """The dot product of two 3-vectors given as floats, summed left to
+    right."""
+    return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def _norm3(x, y, z) -> float:
-    """np.linalg.norm of a 3-vector given as floats: sqrt of its dot."""
+    """The length of a 3-vector given as floats: sqrt of its dot."""
     return math.sqrt(_dot3(x, y, z, x, y, z))
 
 

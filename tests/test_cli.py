@@ -290,6 +290,42 @@ def test_overwide_swath_exits_1_with_field_path(swath, command, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("stiffness", 2 ** 63), ("damping", 2 ** 63), ("stiffness", 1.0e18)],
+    ids=["stiffness-2**63", "damping-2**63", "stiffness-1e18"])
+def test_diverged_tow_coverage_aborts_with_exit_2(key, value, tmp_path,
+                                                  capsys):
+    # a towed body that diverges while searching once ended simulate in a
+    # ValueError traceback from the coverage grid sized over its track
+    tree = yaml.safe_load(
+        _shipped_with("calm_search.yaml", ("tuv", "towline", key), value))
+    tree["mission"]["deploy_time"] = 0
+    assert _probe(tmp_path, "simulate", yaml.safe_dump(tree),
+                  extra=("--duration", "10")) == 2
+    assert "ABORTED: " in capsys.readouterr().err
+    run_dir = next((tmp_path / "out").iterdir())
+    events = [json.loads(line) for line in
+              (run_dir / "events.jsonl").read_text().splitlines()]
+    aborts = [ev["reason"] for ev in events if ev["event"] == "abort"]
+    assert aborts[-1].startswith("CoverageTooLarge: ")
+    assert events[-1]["event"] == "run_end"
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    assert metrics["aborted"] and metrics["area_searched"] is None
+    assert metrics["steps"] > 0 and (run_dir / "states.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_subcell_swath_exits_1_with_field_path(command, tmp_path, capsys):
+    # a swath of 1e-320 m once passed validate and then ended simulate in an
+    # OverflowError traceback from the lawnmower's lane count
+    text = _shipped_with("calm_search.yaml", ("mission", "swath"), 1.0e-320)
+    assert _probe(tmp_path, command, text) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: scenario.mission.swath: must be >= 0.25, got 1e-320"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize("name, keys, value, field", [
     # once exited 0 and wrote "Infinity"/"NaN" into metrics.json

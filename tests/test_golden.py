@@ -4,15 +4,21 @@ Byte identity within one build is checked by test_runner; these digests
 catch a change that quietly alters results across builds. A change that
 moves a digest on purpose says why in CHANGES.md and re-pins it here.
 
-The digests are for numpy 2.4.x on x86-64 Linux: another platform or numpy
-release may round a transcendental or a matrix product differently in the
-last bit. The estimator's products go through `ndarray.dot`, the same BLAS
-call as the `@` operator with less dispatch; test_nav checks that the two
-agree bit for bit, so a numpy that routes them apart fails there by name.
+The digests are for numpy 2.4.x on x86-64 Linux. Scalars and short vectors
+are Python float arithmetic, so the bytes still depend on glibc's libm (the
+transcendentals), CPython's math.hypot and float repr, numpy's axis
+reductions, and the OpenBLAS kernel that computes the EKF's covariance
+products. That kernel is the one dependence on the host left: numpy's SIMD
+dispatch target does not move a digest (the AVX2-only test below), and
+test_nav checks that `ndarray.dot` and `@` agree bit for bit, so a numpy
+that routes them apart fails there by name.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +35,19 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # scenario -> sha256 of (states.csv, events.jsonl, metrics.json)
 GOLDEN = {
     "calm_cruise": (
-        "b1a227eeffabb8199ec4d4b5b8a9eb5552ec48c1b18a43508a1017d82b17d192",
-        "6aff799a2d6ba601f42d0c48976fcc06957e8a85979f7cac97029b6235bf7e33",
+        "277ce4294e1db96b206b2275a7a0abcbb2463b465efac0ae0c07377e2027cc8a",
+        "f4982964661bd5842c902582875b5e320b75ac59d300529156a02a67219f9af9",
         "0eeeb4d22c545dea9cada90031b79eaf394140688e7979a47c8937b37457edfd",
     ),
     "storm_loiter": (
-        "50ce510ea1fb723d3b1f56d66a15f7e36e44caa60cabc6464bf1c2021bfa45dd",
-        "639d9fe60da71f8a98483ff0a2f33981e229cd7e8562a59fbec01b57a622a7fb",
-        "f02b1ff2fe43776e4d8eb0cb4eef22b85c5b9adf97b7b5d036a3c92cb176b1b1",
+        "1e26a8e23f19ac5530ae75bee93360219d44fc6988f6d1b4275ad2536c615510",
+        "af6455de472b8dcfa4eee06002e5274d936353ea0cf29022806d4ff2de972866",
+        "c6899930611ddfdf5ebfa916f38ae29525029f0b9e1977b4d03fdf7807c61892",
     ),
     "calm_search": (
-        "08df9651eb45067036a87178b53fcc0fca3822507af3a864cc00769d26a8c172",
-        "fc3f527291b69cab3f63676b0f9c1665ea2b587dc2831250f7f4de6d72127409",
-        "02f4c7b8583092ef061ec496ffca1584131309ae945e8dbdb203d5b6e8b86f01",
+        "dcc4cf8614834896fc8ad3a7670d11b305960142d4c2bdddb5cd3922e8014c62",
+        "3c69ece06a943086d4d29ef7db7a14d53948647c1d3578bf37b44ba167834ec5",
+        "2eebd104ba31a4916863484224805771b3e2f2e5cb2874acee3b7fca03926f61",
     ),
 }
 
@@ -53,6 +59,32 @@ def test_shipped_scenario_digests(name, tmp_path):
     digests = tuple(hashlib.sha256(Path(written[kind]).read_bytes()).hexdigest()
                     for kind in ("states", "events", "metrics"))
     assert digests == GOLDEN[name]
+
+
+# numpy's AVX-512 dispatch targets; disabling them runs numpy's ufuncs as on
+# an AVX2-only host
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _dispatch_targets() -> set:
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        return set()
+    return set(_multiarray_umath.__cpu_dispatch__)
+
+
+@pytest.mark.skipif(not set(AVX512_TARGETS) <= _dispatch_targets(),
+                    reason="numpy has no AVX-512 dispatch targets to disable")
+def test_shipped_scenario_digests_on_avx2_only_dispatch():
+    # the same pinned digests, all three runs in one process with numpy's
+    # AVX-512 targets switched off
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_shipped_scenario_digests"],
+        cwd=SCENARIO_DIR.parent, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
 
 
 # A library-level crawler walk: body_advance over the cove toward fixed

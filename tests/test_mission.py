@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coastsim.core import SeededRng
+from coastsim.core import SeededRng, SimulationFault
 from coastsim.mission import (COVERAGE_CELL, SAMPLE_CADENCE,
                               SAMPLE_NOISE_SIGMA, STREAM_ENV_SAMPLER,
-                              DetectionEvent, EnvironmentalSampler,
+                              CoverageTooLarge, DetectionEvent,
+                              EnvironmentalSampler,
                               IllegalTransition, MissionPhase, MissionState,
                               PlantedObject, SearchArea, SweepSensor,
                               WorldEvents,
@@ -379,6 +380,17 @@ def test_coverage_report_validation():
         coverage_report(np.array([[0.0, 0.0]]), swath=0.0, active_time=1.0)
     with pytest.raises(ValueError):
         coverage_report(np.array([[0.0, 0.0]]), swath=1.0, active_time=0.0)
+
+
+@pytest.mark.parametrize("track, swath", [
+    ([[0.0, 0.0], [1e6, 1e6]], 1.0),  # a diverged platform's track
+    ([[0.0, 0.0]], math.inf),  # an infinite span
+])
+def test_coverage_report_faults_before_allocating_too_large_a_grid(track,
+                                                                   swath):
+    with pytest.raises(CoverageTooLarge, match="exceeds 100000000 cells"):
+        coverage_report(np.array(track), swath, active_time=1.0)
+    assert issubclass(CoverageTooLarge, SimulationFault)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

