@@ -8,11 +8,12 @@ bluff-body drag term, with lift fixed as a depressor (pushes the body deeper).
 The towline is a massless tension-only spring-damper; its reaction on the
 towing vehicle is exactly the negative of the force applied here.
 
-The body and the line run on Python floats, component by component; the
-public functions still take and return arrays. A 3-vector dot product is the
-plain left-to-right sum a0*b0 + a1*b1 + a2*b2 and a norm its square root, so
-the tow dynamics are IEEE double arithmetic alone (math.sqrt rounds
-correctly), whatever BLAS kernel or SIMD target numpy dispatches.
+The body and the line run on Python floats, component by component in the
+whole-array form's order; the public functions still take and return arrays.
+A 3-vector dot product is the plain left-to-right sum a0*b0 + a1*b1 + a2*b2
+and a norm its square root, so the tow dynamics are IEEE double arithmetic
+alone (math.sqrt rounds correctly), whatever BLAS kernel or SIMD target numpy
+dispatches.
 """
 
 from __future__ import annotations
