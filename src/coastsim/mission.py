@@ -325,6 +325,21 @@ _COVER_CHUNK = 32
 _COVER_ELEMENTS = 8192
 
 
+def _grid_shape(pts: np.ndarray, half: float) -> tuple:
+    """(x_min, y_min, nx, ny) of the coverage grid of a track swept half a
+    swath either side, or CoverageTooLarge; in float arithmetic, so a track
+    too wide for the grid raises no numpy overflow warning."""
+    (x_lo, y_lo), (x_hi, y_hi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    x_min, y_min = x_lo - half, y_lo - half
+    x_cells = (x_hi + half - x_min) / COVERAGE_CELL
+    y_cells = (y_hi + half - y_min) / COVERAGE_CELL
+    # nx <= x_cells + 1 and ny <= y_cells + 1; an inf span fails here too
+    if not (x_cells + 1.0) * (y_cells + 1.0) <= MAX_COVERAGE_CELLS:
+        raise CoverageTooLarge(f"coverage grid of {x_cells:.3g} x {y_cells:.3g} "
+                               f"cells exceeds {MAX_COVERAGE_CELLS} cells")
+    return x_min, y_min, max(1, math.ceil(x_cells)), max(1, math.ceil(y_cells))
+
+
 def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
                   half: float) -> np.ndarray:
     """Occupancy grid of the track's swept corridor (see coverage_report).
@@ -335,17 +350,7 @@ def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
     y_min are the track's least coordinates less half.
     """
     cell = COVERAGE_CELL
-    x_min = pts[:, 0].min() - half
-    x_max = pts[:, 0].max() + half
-    y_min = pts[:, 1].min() - half
-    y_max = pts[:, 1].max() + half
-    x_cells, y_cells = (x_max - x_min) / cell, (y_max - y_min) / cell
-    # nx <= x_cells + 1 and ny <= y_cells + 1; an inf span fails here too
-    if not (x_cells + 1.0) * (y_cells + 1.0) <= MAX_COVERAGE_CELLS:
-        raise CoverageTooLarge(f"coverage grid of {x_cells:.3g} x {y_cells:.3g} "
-                               f"cells exceeds {MAX_COVERAGE_CELLS} cells")
-    nx = max(1, int(math.ceil(x_cells)))
-    ny = max(1, int(math.ceil(y_cells)))
+    x_min, y_min, nx, ny = _grid_shape(pts, half)
     covered = np.zeros((nx, ny), dtype=bool)
 
     keep = lengths > 1e-12
@@ -431,6 +436,7 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
     if swath <= 0.0 or active_time <= 0.0:
         raise ValueError("swath and active_time must be positive")
 
+    _grid_shape(pts, 0.5 * swath)  # a too large grid faults before any length
     lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
     distance = float(lengths.sum())
     covered = _covered_grid(pts, lengths, 0.5 * swath)

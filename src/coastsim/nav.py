@@ -8,30 +8,33 @@ chain-ruled through the same four RK4 stages the mean was computed from. Only
 Jacobian is a zero template filled from those cells, and the chain rule's
 matrix products are the dense ones, on the same operands.
 
-BLAS serves the covariance algebra only (predict's F P F^T and stage
-chain, the scalar updates' (I - K H) P), through `ndarray.dot`: the same call
-and bytes as `@` with less dispatch. Its kernel is the one host dependence of
-the bytes; scalars and 2-vectors are float arithmetic. The mean is checked
-and its heading wrapped as a list of floats; each new covariance is
-symmetrized from a transposed copy, so the add reads two contiguous arrays.
+BLAS serves the prediction only (its F P F^T and stage chain), through
+`ndarray.dot`: the same call and bytes as `@` with less dispatch. Its kernel
+is the one host dependence of the bytes; scalars and 2-vectors are float
+arithmetic. The mean is checked and its heading wrapped as a list of floats;
+each predicted covariance is symmetrized from a transposed copy, so the add
+reads two contiguous arrays.
 
 Updates are sequential per reading (GPS position, compass heading, gyro yaw
-rate) with Mahalanobis gating; heading innovations are wrapped. Compass and
-gyro each observe one state, so their updates are scalar (Bierman's
-sequential processing): the innovation variance is S = P[i, i] + sigma^2, the
-gain is column i of P over S, and no matrix is inverted. GPS observes x and
-y, and its 2x2 innovation covariance is inverted in closed form. Every update
-and prediction checks that the estimate is finite before wrapping its
-heading, so a diverging filter raises EstimatorDivergence.
+rate) with Mahalanobis gating; heading innovations are wrapped. `_observe`
+applies an accepted reading one observed state i at a time (Bierman's
+sequential processing): with p = P[:, i] and S = P[i, i] + sigma^2, the mean
+moves by (p / S) y and the covariance becomes P - q q^T, q = p / sqrt(S).
+Each cell of q q^T is one product of two floats, the same at (r, c) and
+(c, r), so a symmetric P stays exactly symmetric. GPS gates on its
+closed-form 2x2 innovation covariance, then observes x and then y (their
+noise is independent). Every update and prediction checks that the estimate
+is finite before wrapping its heading, so a diverging filter raises
+EstimatorDivergence.
 
-Sampling and updating each have one core that the run loop calls directly:
-`_sample` returns the due readings as (kind, value) and `_update` returns
-(state, innovation, accepted). A compass or gyro value and its innovation
-travel as Python floats, a GPS value and its innovation as (2,) arrays.
-`sample_sensors` and `ekf_update` are thin wrappers over them that keep the
-public types: SensorReading and UpdateResult with ndarray values. Sensor noise
-is read one standard normal at a time through `SeededRng.normal`, which draws
-each stream in blocks with the bytes of one scalar draw after another.
+The run loop calls `sample_sensors`, which returns the due readings as
+(kind, value), and `_update`, which returns (state, innovation, accepted). A
+compass or gyro value and its innovation travel as Python floats, a GPS
+value and its innovation as (2,) arrays. `ekf_update` is a thin wrapper over
+`_update` that keeps the public types: SensorReading and UpdateResult with
+ndarray values. Sensor noise is read one standard normal at a time through
+`SeededRng.normal`, which draws each stream in blocks with the bytes of one
+scalar draw after another.
 """
 
 from __future__ import annotations
@@ -100,27 +103,12 @@ class SensorReading(NamedTuple):
     value: np.ndarray
 
 
-def sample_sensors(truth: VehicleState3DOF, step: int, dt: float,
-                   cfg: SensorConfig, rng: SeededRng,
-                   periods: tuple[int, int, int] | None = None
-                   ) -> list[SensorReading]:
-    """Noisy readings due at this step (step 0 samples everything).
-
-    periods is cfg.periods(dt), computed here when not given; a loop over
-    many steps passes it to skip re-validating the rates every step.
-    """
-    if periods is None:
-        periods = cfg.periods(dt)
-    t = step * dt
-    return [SensorReading(kind, t, value if kind == GPS else np.array([value]))
-            for kind, value in _sample(truth, step, periods, cfg, rng)]
-
-
-def _sample(truth: VehicleState3DOF, step: int,
-            periods: tuple[int, int, int], cfg: SensorConfig,
-            rng: SeededRng) -> list[tuple]:
-    """sample_sensors' readings as (kind, value): the value a float for
-    compass and gyro, a (2,) array for GPS."""
+def sample_sensors(truth: VehicleState3DOF, step: int,
+                   periods: tuple[int, int, int], cfg: SensorConfig,
+                   rng: SeededRng) -> list[tuple]:
+    """Noisy readings due at this step (step 0 samples everything) as
+    (kind, value): the value a float for compass and gyro, a (2,) array for
+    GPS. periods is cfg.periods(dt)."""
     gps_period, compass_period, gyro_period = periods
     out = []
     if step % gps_period == 0:
@@ -164,14 +152,14 @@ def initial_estimate(state: VehicleState3DOF) -> EstimatorState:
     return EstimatorState(state.as_array(), P0)
 
 
-# the cells of dynamics_jacobian that depend on the state, (row, column) in
-# the order _jacobian_cells lists them; the one constant nonzero cell,
-# d(psidot)/dr = 1, sits in the template
+# the cells of the continuous Jacobian d(state derivative)/d(state) that
+# depend on the state, (row, column) in the order _jacobian_cells lists them;
+# the one constant nonzero cell, d(psidot)/dr = 1, sits in the template
 _CELLS = ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
           (3, 4), (3, 5), (4, 3), (4, 5), (5, 3), (5, 4))
-# their flat indices into one 6x6 Jacobian, and into a stack of four
-_CELL_FLAT = np.array([6 * row + col for row, col in _CELLS])
-_STAGE_CELL_FLAT = np.concatenate([36 * k + _CELL_FLAT for k in range(4)])
+# their flat indices into a stack of four 6x6 Jacobians, one per RK4 stage
+_STAGE_CELL_FLAT = np.array([36 * k + 6 * row + col
+                             for k in range(4) for row, col in _CELLS])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -179,16 +167,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-_J_TEMPLATE = np.zeros((6, 6))
-_J_TEMPLATE[2, 5] = 1.0
-_read_only(_J_TEMPLATE)
-_STAGE_TEMPLATE = _read_only(np.stack([_J_TEMPLATE] * 4))
+_STAGE_TEMPLATE = np.zeros((4, 6, 6))
+_STAGE_TEMPLATE[:, 2, 5] = 1.0
+_read_only(_STAGE_TEMPLATE)
 # the 6x6 identity, read-only: copy it before writing into it
 _I6 = _read_only(np.eye(6))
 
 
 def _jacobian_cells(x, params: AsvParams) -> tuple:
-    """The 12 state-dependent cells of dynamics_jacobian, in _CELLS order."""
+    """The 12 state-dependent cells of the continuous Jacobian at x, in
+    _CELLS order."""
     psi, u, v, r = x[2], x[3], x[4], x[5]
     c, s = cos_sin(psi)
     m11, m22, m33 = params.m11, params.m22, params.m33
@@ -197,13 +185,6 @@ def _jacobian_cells(x, params: AsvParams) -> tuple:
             (m33 - m22) * r / m11, (m33 - m22) * v / m11,
             (m11 - m33) * r / m22, (m11 - m33) * u / m22,
             (m22 - m11) * v / m33, (m22 - m11) * u / m33)
-
-
-def dynamics_jacobian(x, params: AsvParams) -> np.ndarray:
-    """Analytic d(state derivative)/d(state) for the 6-state model."""
-    J = _J_TEMPLATE.copy()
-    J.put(_CELL_FLAT, _jacobian_cells(x, params))
-    return J
 
 
 def _stage_jacobian(stages, params: AsvParams, dt: float) -> np.ndarray:
@@ -298,61 +279,55 @@ def _update(est: EstimatorState, kind: str, z,
     """ekf_update of a reading's value as (state, innovation, accepted): z
     and the innovation are floats for compass and gyro, arrays for GPS.
 
-    GPS (H = [I2 0], R = sigma^2 I2) inverts S = P[0:2, 0:2] + sigma^2 I in
-    closed form, and the gain K and P - K P[0:2, :] are elementwise ufuncs.
+    Compass and gyro observe the single state i (H = e_i, R = sigma^2), so
+    S = P[i, i] + sigma^2. GPS (H = [I2 0], R = sigma^2 I2) gates on the
+    inverse of its 2x2 S in closed form and logs the prior innovation.
     """
-    if kind == COMPASS:
-        return _scalar_update(est, kind, 2, z, ekf.compass_sigma,
-                              ekf.gate_sigma)
-    if kind == GYRO:
-        return _scalar_update(est, kind, 5, z, ekf.gyro_sigma, ekf.gate_sigma)
-    P, r = est.P, ekf.gps_sigma ** 2
-    (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
-    s00, s11 = s00 + r, s11 + r
-    det = s00 * s11 - s01 * s10
-    if not 0.0 < det < math.inf:
-        raise SingularCovariance(f"innovation covariance singular for {kind}")
-    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
-    x = est.x.tolist()
-    y0, y1 = float(z[0]) - x[0], float(z[1]) - x[1]
-    d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i10 * y0 + i11 * y1)
-    if not (0.0 <= d2 < math.inf and s00 > 0.0):
-        raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
-    y = np.array((y0, y1))
-    if d2 > ekf.gate_sigma ** 2:
-        return est, y, False
-    K0 = P[:, 0] * i00 + P[:, 1] * i10
-    K1 = P[:, 0] * i01 + P[:, 1] * i11
-    x = [a + (k0 * y0 + k1 * y1)
-         for a, k0, k1 in zip(x, K0.tolist(), K1.tolist())]
-    P = _symmetrized(P - K0[:, None] * P[0] - K1[:, None] * P[1])
+    x, P = est.x.tolist(), est.P
+    if kind == GPS:
+        r = ekf.gps_sigma ** 2
+        (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
+        s00, s11 = s00 + r, s11 + r
+        det = s00 * s11 - s01 * s10
+        if not 0.0 < det < math.inf:
+            raise SingularCovariance(f"innovation covariance singular for {kind}")
+        i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+        y0, y1 = float(z[0]) - x[0], float(z[1]) - x[1]
+        d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i10 * y0 + i11 * y1)
+        if not (0.0 <= d2 < math.inf and s00 > 0.0):
+            raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+        y = np.array((y0, y1))
+        if d2 > ekf.gate_sigma ** 2:
+            return est, y, False
+        x, P = _observe(x, P, 0, y0, s00)
+        # the y variance given the x reading, P+[1, 1] + sigma^2, as det / s00:
+        # positive, since a finite d2 needs a finite i11 = s00 / det
+        x, P = _observe(x, P, 1, float(z[1]) - x[1], det / s00)
+    else:
+        i, sigma = ((2, ekf.compass_sigma) if kind == COMPASS
+                    else (5, ekf.gyro_sigma))
+        S = P[i, i].item() + sigma ** 2
+        if not 0.0 < S < math.inf:
+            raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+        y = z - x[i]
+        if kind == COMPASS and math.isfinite(y):  # a non-finite y fails on d2
+            y = wrap_angle(y)
+        d2 = y * (y / S)
+        if not math.isfinite(d2):
+            raise SingularCovariance(f"non-finite innovation distance for {kind}")
+        if d2 > ekf.gate_sigma ** 2:
+            return est, y, False
+        x, P = _observe(x, P, i, y, S)
     return _checked(x, P, f"{kind} update"), y, True
 
 
-def _scalar_update(est: EstimatorState, kind: str, i: int, z: float,
-                   sigma: float, gate_sigma: float) -> tuple:
-    """_update for a reading of the single state i (H = e_i, R = sigma^2).
-
-    Each step is the dense form's arithmetic with the zeros of H dropped:
-    S = P[i, i] + sigma^2, solve(S, y) = y / S, inv(S) = 1 / S, K = P[:, i] / S
-    and I - K H is the identity with K subtracted from column i, so the
-    result is bit-identical to the dense update.
-    """
-    S = float(est.P[i, i]) + sigma ** 2
-    if not 0.0 < S < math.inf:
-        raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
-    y = z - float(est.x[i])
-    if kind == COMPASS and math.isfinite(y):  # a non-finite y fails on d2
-        y = wrap_angle(y)
-    d2 = y * (y / S)
-    if not math.isfinite(d2):
-        raise SingularCovariance(f"non-finite innovation distance for {kind}")
-    if d2 > gate_sigma ** 2:
-        return est, y, False
-    K = est.P[:, i] * (1.0 / S)
-    # est.x + K * y, per component: the same two roundings
-    x = [a + k * y for a, k in zip(est.x.tolist(), K.tolist())]
-    M = _I6.copy()
-    M[:, i] -= K
-    P = _symmetrized(M.dot(est.P))
-    return _checked(x, P, f"{kind} update"), y, True
+def _observe(x: list, P: np.ndarray, i: int, y: float,
+             S: float) -> tuple[list, np.ndarray]:
+    """Mean and covariance after a reading of state i with innovation y and
+    innovation variance S (positive and finite): x + (p / S) y and
+    P - q q^T, p = P[:, i], q = p / sqrt(S). Scaling p before the product,
+    not p p^T after it, keeps a p^2 beyond the float range from overflowing
+    where p^2 / S would not."""
+    p = P[:, i]
+    q = p / math.sqrt(S)
+    return [a + b / S * y for a, b in zip(x, p.tolist())], P - q[:, None] * q

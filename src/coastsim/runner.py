@@ -44,8 +44,8 @@ from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
                       SweepSensor, WorldEvents, coverage_report,
                       generate_lawnmower, mission_step)
-from .nav import (COMPASS, GPS, GYRO, _sample, _update, ekf_predict,
-                  initial_estimate)
+from .nav import (COMPASS, GPS, GYRO, _update, ekf_predict, initial_estimate,
+                  sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
 from .tuv import _coupling_tension, _step as _tuv_step, winch_set_length
@@ -355,8 +355,8 @@ class Simulation:
         current = self.current
 
         # (1) sensors: (kind, value) pairs, compass and gyro as floats
-        readings = _sample(self.truth, step_idx, self.sensor_periods,
-                           scn.sensors, self.rng)
+        readings = sample_sensors(self.truth, step_idx, self.sensor_periods,
+                                  scn.sensors, self.rng)
 
         # (2) navigation filter: propagate with the modeled (known) forces,
         # then absorb this step's measurements

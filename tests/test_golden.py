@@ -7,8 +7,8 @@ moves a digest on purpose says why in CHANGES.md and re-pins it here.
 The digests are for numpy 2.4.x on x86-64 Linux. Scalars and short vectors
 are Python float arithmetic, so the bytes still depend on glibc's libm (the
 transcendentals), CPython's math.hypot and float repr, numpy's axis
-reductions, and the OpenBLAS kernel that computes the EKF's covariance
-products. That kernel is the one dependence on the host left: numpy's SIMD
+reductions, and the OpenBLAS kernel that computes the EKF prediction's
+covariance products. That kernel is the one dependence on the host left: numpy's SIMD
 dispatch target does not move a digest (the AVX2-only test below), and
 test_nav checks that `ndarray.dot` and `@` agree bit for bit, so a numpy
 that routes them apart fails there by name.
@@ -35,19 +35,19 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # scenario -> sha256 of (states.csv, events.jsonl, metrics.json)
 GOLDEN = {
     "calm_cruise": (
-        "277ce4294e1db96b206b2275a7a0abcbb2463b465efac0ae0c07377e2027cc8a",
-        "f4982964661bd5842c902582875b5e320b75ac59d300529156a02a67219f9af9",
-        "0eeeb4d22c545dea9cada90031b79eaf394140688e7979a47c8937b37457edfd",
+        "94bdda86016d43dbe1ea83e3cd4e1e6cd89bdab63bbe231cc5bb536dfdbaa55c",
+        "74143557ed934016f95ccb674c7e3d0268702c82e96656e2d8af1385ddf2331b",
+        "7c8eaa1ae20d867ecad7cc0234f15f864b042ea0679bd6a754f65f98368fe500",
     ),
     "storm_loiter": (
-        "1e26a8e23f19ac5530ae75bee93360219d44fc6988f6d1b4275ad2536c615510",
-        "af6455de472b8dcfa4eee06002e5274d936353ea0cf29022806d4ff2de972866",
-        "c6899930611ddfdf5ebfa916f38ae29525029f0b9e1977b4d03fdf7807c61892",
+        "9b14e43ca1cdabfd0562106789588260ec25b61c94584c181d9da35e97702190",
+        "9b6ce8eebbbf98f54e13772aef3053fd7cff402fd54a4c81803856ad2d710d83",
+        "6405aa5828a79a6f58c0780bec4b9c15a35a0cb371791e68c9eae79054f27d77",
     ),
     "calm_search": (
-        "dcc4cf8614834896fc8ad3a7670d11b305960142d4c2bdddb5cd3922e8014c62",
-        "3c69ece06a943086d4d29ef7db7a14d53948647c1d3578bf37b44ba167834ec5",
-        "2eebd104ba31a4916863484224805771b3e2f2e5cb2874acee3b7fca03926f61",
+        "b91ff9ecb350de66c5113937208fa3e3fe2f1d9cc30caa9b11380ba0627728bd",
+        "df847173824ebf060e3f1fb5100d1e500a17956f7f574269f8182b895dbcb55b",
+        "df2b3988663a8fe5e2293528b6217a252298f10e542c1e1bd8253736d12702ad",
     ),
 }
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,16 @@ def test_coverage_report_faults_before_allocating_too_large_a_grid(track,
     with pytest.raises(CoverageTooLarge, match="exceeds 100000000 cells"):
         coverage_report(np.array(track), swath, active_time=1.0)
     assert issubclass(CoverageTooLarge, SimulationFault)
+
+
+def test_coverage_report_faults_before_overflowing_segment_lengths():
+    # this track's segment length overflows a float: the grid budget must
+    # fault first, with no RuntimeWarning on the way
+    track = np.array([[0.0, 0.0], [1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoverageTooLarge, match="exceeds 100000000 cells"):
+            coverage_report(track, swath=1.0, active_time=1.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
