@@ -486,6 +486,122 @@ def test_accepted_updates_keep_covariance_exactly_symmetric(A, diag, x, z,
         assert P_post.tobytes() == P_post.T.copy().tobytes(), kind
 
 
+def test_scalar_update_matches_dense_form_bit_for_bit():
+    # reference: the dense equations with H and R, the gain P H^T S^-1 and
+    # the covariance P - (P H^T / sqrt(S)) (P H^T / sqrt(S))^T; with H a unit
+    # row every product of H is one cell times 1, and every cell of the outer
+    # product is one product, so the compass / gyro updates match to the bit
+    rng = np.random.default_rng(43)
+    ekf = EkfParams(gate_sigma=1e9)
+    for kind in (COMPASS, GYRO):
+        for _ in range(100):
+            A = rng.normal(size=(6, 6))
+            P = A @ A.T * rng.uniform(1e-4, 1.0) + 1e-3 * np.eye(6)
+            x = rng.normal(size=6)
+            x[2] = wrap_angle(x[2])
+            z = np.array([rng.normal()])
+            result = ekf_update(EstimatorState(x.copy(), P.copy()),
+                                SensorReading(kind, 0.0, z), ekf)
+
+            H, R = _dense_model(kind, ekf)
+            y = z - H @ x
+            if kind == COMPASS:
+                y[0] = wrap_angle(y[0])
+            S = (H @ P @ H.T + R)[0, 0]
+            PHt = P @ H.T
+            x_post = x + (PHt / S) @ y
+            x_post[2] = wrap_angle(x_post[2])
+            q = PHt / math.sqrt(S)
+            P_post = P - q @ q.T
+
+            assert result.accepted
+            assert np.array_equal(result.innovation, y)
+            assert result.state.x.tobytes() == x_post.tobytes()
+            assert result.state.P.tobytes() == P_post.tobytes()
+
+
+def test_gps_update_matches_two_scalar_readings():
+    # GPS observes x and y with independent noise, so its update is the x
+    # reading followed by the y reading; the y variance it uses, det / s00,
+    # is P[1, 1] + sigma^2 after the x reading
+    rng = np.random.default_rng(47)
+    ekf = EkfParams(gate_sigma=1e9)
+    r = ekf.gps_sigma ** 2
+    for _ in range(100):
+        A = rng.normal(size=(6, 6))
+        P = A @ A.T + 0.1 * np.eye(6)
+        x = rng.normal(size=6)
+        z = rng.normal(size=2)
+        result = ekf_update(EstimatorState(x, P),
+                            SensorReading(GPS, 0.0, z), ekf)
+
+        ref_x, ref_P = x.copy(), P.copy()
+        for i in (0, 1):
+            S = ref_P[i, i] + r
+            p = ref_P[:, i].copy()
+            ref_x = ref_x + p * ((z[i] - ref_x[i]) / S)
+            ref_P = ref_P - np.outer(p, p) / S
+        ref_x[2] = wrap_angle(ref_x[2])
+
+        assert result.accepted
+        assert np.array_equal(result.innovation, z - x[:2])
+        assert np.allclose(result.state.x, ref_x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(result.state.P, ref_P, rtol=1e-12, atol=1e-12)
+
+
+def test_update_scales_the_gain_column_before_its_outer_product():
+    # p p^T overflows here (p[5]^2 = 1e600) where q q^T, q = p / sqrt(S),
+    # does not: the update must stay finite and carry the right variances
+    P = np.eye(6)
+    P[4, 4] = P[5, 5] = 1e300
+    P[4, 5] = P[5, 4] = 1e299
+    result = ekf_update(EstimatorState(np.zeros(6), P),
+                        SensorReading(GYRO, 0.0, np.array([0.0])),
+                        EkfParams(gyro_sigma=1.0))
+    assert result.accepted
+    P_post = result.state.P
+    assert np.count_nonzero(np.isfinite(P_post)) == P_post.size
+    # P[4, 4] - P[4, 5]^2 / S with S = 1e300 + 1
+    assert P_post[4, 4] == pytest.approx(0.99e300, rel=1e-12)
+    # the true 1.0 is lost to cancellation at the prior's scale, not to
+    # overflow: what is left is a few ulps of 1e300
+    assert abs(P_post[5, 5]) <= 4 * math.ulp(1e300)
+    assert P_post.tobytes() == P_post.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("kind, value", [
+    (COMPASS, [-3.1]),
+    (GYRO, [0.05]),
+    (GPS, [3.2, -2.1]),
+])
+def test_ekf_update_is_the_run_loop_update_bit_for_bit(kind, value):
+    # the run loop updates through _update on the raw value (a float for
+    # compass and gyro); ekf_update wraps it for readings: the same estimate
+    est = _correlated_estimate()
+    ekf = EkfParams()
+    result = ekf_update(est, SensorReading(kind, 0.0, np.array(value)), ekf)
+    raw = value[0] if kind != GPS else np.array(value)
+    state, innovation, accepted = _update(est, kind, raw, ekf)
+    assert accepted and result.accepted
+    assert type(innovation) is (np.ndarray if kind == GPS else float)
+    assert np.asarray(innovation, dtype=float).tobytes() == \
+        result.innovation.tobytes()
+    assert state.x.tobytes() == result.state.x.tobytes()
+    assert state.P.tobytes() == result.state.P.tobytes()
+
+
+def test_sample_sensors_returns_floats_and_a_gps_pair():
+    cfg = SensorConfig()
+    readings = sample_sensors(VehicleState3DOF(x=1.0, y=2.0, psi=0.5, r=0.1),
+                              0, cfg.periods(0.01), cfg, SeededRng(5))
+    kinds = {kind: value for kind, value in readings}
+    assert sorted(kinds) == sorted((GPS, COMPASS, GYRO))
+    assert type(kinds[COMPASS]) is float
+    assert type(kinds[GYRO]) is float
+    assert type(kinds[GPS]) is np.ndarray
+    assert kinds[GPS].shape == (2,) and kinds[GPS].dtype == np.float64
+
+
 @pytest.mark.parametrize("kind", [COMPASS, GYRO])
 @pytest.mark.parametrize("p_ii, sigma, z", [
     (0.0, 0.0, 0.1),  # zero innovation variance
