@@ -11,7 +11,7 @@ from .asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
 from .control import (GuidanceSetpoint, PidController, guidance_step,
                       pid_step, station_keeping)
-from .core import (IntegrationFault, SeededRng, SimClock, SimulationFault,
+from .core import (IntegrationFault, SeededRng, SimulationFault,
                    rotate_body_to_nav, rotate_nav_to_body, wrap_angle)
 from .environment import (DampingCoeffs, DisturbanceField, GustProcess,
                           OutOfBounds, TerrainMap, damping_wrench,

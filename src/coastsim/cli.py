@@ -12,9 +12,11 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .runner import EVENTS_FILE, METRICS_FILE, emit_outputs, run_simulation
+from .runner import (EVENTS_FILE, METRICS_FILE, RunFileError, emit_outputs,
+                     read_records, run_simulation)
 from .scenario import SEED_LIMIT, ScenarioError, load_scenario
 
 OUT_DIR_ENV = "COASTSIM_OUT"
@@ -106,47 +108,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-class _BadRunFile(ValueError):
-    """A run directory file that report cannot read."""
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="ascii")
-    except (OSError, ValueError) as exc:  # ValueError: not ASCII
-        raise _BadRunFile(f"{path}: cannot read the file ({exc})") from None
-
-
-def _load_json(where: str, text: str):
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise _BadRunFile(f"{where}: not valid JSON ({exc})") from None
-
-
 def _cmd_report(args) -> int:
     """Print metrics.json and a count of events.jsonl per event kind."""
     run = Path(args.run_dir)
     metrics_path, events_path = run / METRICS_FILE, run / EVENTS_FILE
     if not (metrics_path.exists() or events_path.exists()):
         raise FileNotFoundError(f"no {METRICS_FILE} or {EVENTS_FILE} in {run}")
-    metrics = {}
-    if metrics_path.exists():
-        metrics = _load_json(str(metrics_path), _read_text(metrics_path))
-        if not isinstance(metrics, dict):
-            raise _BadRunFile(f"{metrics_path}: not a JSON object")
-    counts: dict = {}
-    if events_path.exists():
-        lines = _read_text(events_path).splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            where = f"{events_path}:{lineno}"
-            event = _load_json(where, line)
-            kind = event.get("event") if isinstance(event, dict) else None
-            if not (isinstance(kind, str) and kind.isprintable()):
-                raise _BadRunFile(f"{where}: not an event record")
-            counts[kind] = counts.get(kind, 0) + 1
+    events, metrics = read_records(run)
+    counts = Counter(event["event"] for event in events)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     for name in sorted(counts):
         print(f"{name}: {counts[name]}")
@@ -159,7 +128,7 @@ def main(argv=None) -> int:
                 "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, FileNotFoundError, _BadRunFile) as exc:
+    except (ScenarioError, FileNotFoundError, RunFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

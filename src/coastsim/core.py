@@ -1,6 +1,10 @@
-"""Shared simulation primitives: rotations, clock, seeded random streams
-(with block-drawn standard normals), the RK4 step on six floats, the fault
-base, frozen-value successors.
+"""Shared simulation primitives: rotations, seeded random streams (with
+block-drawn standard normals), the RK4 step on six floats, the fault base,
+frozen-value successors.
+
+Simulation time has no type of its own: runner.Simulation keeps an int step
+count and takes t = step_count * dt, which does not drift as a sum of dt
+does (the runner docstring says what else it keeps, and why).
 
 Conventions used throughout the package:
   - navigation frame: x east, y north, z down (for the underwater vehicle),
@@ -12,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -70,25 +73,6 @@ def rotate_nav_to_body(vec, psi: float) -> tuple[float, float]:
     return rotate_body_to_nav(vec, -psi)
 
 
-@dataclass(frozen=True)
-class SimClock:
-    """Drift-free simulation clock: t is always step_count * dt."""
-
-    dt: float  # fixed step [s]
-    step_count: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"clock dt must be positive, got {self.dt}")
-
-    @property
-    def t(self) -> float:
-        return self.step_count * self.dt
-
-    def tick(self) -> "SimClock":
-        return successor(self, step_count=self.step_count + 1)
-
-
 def successor(value, **changes):
     """A copy of the frozen dataclass instance `value` with `changes` set.
 
@@ -96,7 +80,7 @@ def successor(value, **changes):
     the generated __init__, its object.__setattr__ per field or
     __post_init__: the new instance's __dict__ is filled directly. Nothing
     is validated, so it is only for changes __post_init__ does not check --
-    a controller's integral, a clock's step count -- on a value that passed
+    a controller's integral and previous error -- on a value that passed
     its checks when it was first built. Unknown field names are not caught.
     """
     new = object.__new__(type(value))

@@ -13,7 +13,14 @@ filter propagates with the forces the vehicle knows about: its own realized
 control wrench from the previous step plus modeled damping on the estimated
 state. Wind, waves, gusts and the cable are disturbances it must reject.
 
-A Simulation keeps two per-run caches, both filled on first use rather than
+A Simulation keeps each fact of a run once: the metrics read the steps and
+distance off its rows, the confirmations off its events, the time off an int
+step count (t = step_count * dt) and an abort off a non-empty abort_reason.
+Two values no record holds stay: search_time, a repeated float sum of dt
+(n * dt is not the same float), and coverage_track, the survey platform's
+positions after each step's integration (a row holds the state before it).
+
+It also keeps two per-run caches, both filled on first use rather than
 at set-up. Each guidance target (the loiter point, home, each lawnmower
 waypoint, the pattern end, each inspected object as waypoint and as loiter
 point) gets its GuidanceSetpoint built once. The estimated state read after
@@ -38,7 +45,7 @@ from .asv import (BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
 from .control import (LOITER, WAYPOINT, guidance_step, pid_step,
                       station_keeping)
-from .core import SeededRng, SimClock, SimulationFault, successor, wrap_angle
+from .core import SeededRng, SimulationFault, successor, wrap_angle
 from .environment import GustProcess, damping_wrench, disturbance_wrench
 from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
@@ -130,7 +137,7 @@ class Simulation:
         scn = scenario
         self.scn = scn
         self.rng = SeededRng(scn.seed)
-        self.clock = SimClock(scn.dt)
+        self.step_count = 0  # t is step_count * dt: no drift
         self.truth = scn.asv_initial
         self.est = initial_estimate(scn.asv_initial)
         self.heading_pid = scn.heading_pid
@@ -183,12 +190,9 @@ class Simulation:
 
         self.rows: list = []
         self.events: list = []
-        self.track: list = []  # truth ASV positions, one per row
         self.coverage_track: list = []  # survey-platform positions during search
         self.search_time = 0.0
-        self.confirmations = 0
-        self.aborted = False
-        self.abort_reason = ""
+        self.abort_reason = ""  # the first fault's; "" while none
 
     # -- construction helpers -------------------------------------------------
 
@@ -210,20 +214,21 @@ class Simulation:
     # -- per-step pieces -------------------------------------------------------
 
     def _guidance(self, est_state: VehicleState3DOF):
-        """(heading_error, speed_cmd, direct_surge) for the current phase.
+        """(heading_error, cmd_heading, speed_cmd, direct_surge, leg_boundary)
+        for the current phase.
 
         direct_surge is None on transit legs (the speed loop runs) and a
-        body-x force [N] while station-keeping. Advances the waypoint cursor
-        and records the leg-boundary/pattern flags as side effects.
+        body-x force [N] while station-keeping; leg_boundary is True on the
+        step the ASV reaches the far end of a lawnmower leg. Advances the
+        waypoint cursor as a side effect.
         """
         scn = self.scn
         ms = scn.mission
-        self._leg_boundary = False
         est_pose = (est_state.x, est_state.y, est_state.psi)
 
         if ms.kind == CRUISE:
-            self._cmd_heading = ms.heading
-            return wrap_angle(ms.heading - est_state.psi), ms.speed, None
+            return (wrap_angle(ms.heading - est_state.psi), ms.heading,
+                    ms.speed, None, False)
         if ms.kind == LOITER_MISSION:
             setpoint, point = self._setpoint("point", LOITER, ms.point)
         else:
@@ -236,16 +241,16 @@ class Simulation:
                 point, est_state, self._dp_integral, scn.dt)
             # a zero command gives back est_state.psi itself: it is already
             # wrapped, and wrap_angle returns its own outputs unchanged
-            self._cmd_heading = wrap_angle(est_state.psi + heading_error)
-            return heading_error, 0.0, surge
+            return (heading_error, wrap_angle(est_state.psi + heading_error),
+                    0.0, surge, False)
         heading_error, speed_cmd, arrived = guidance_step(setpoint, est_pose)
+        leg_boundary = False
         if (self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH
                 and arrived and self.wp_index < len(self.pattern.waypoints)):
-            if self.wp_index % 2 == 1:  # reached the far end of a leg
-                self._leg_boundary = True
+            leg_boundary = self.wp_index % 2 == 1  # the far end of a leg
             self.wp_index += 1
-        self._cmd_heading = wrap_angle(est_state.psi + heading_error)
-        return heading_error, speed_cmd, None
+        return (heading_error, wrap_angle(est_state.psi + heading_error),
+                speed_cmd, None, leg_boundary)
 
     def _setpoint(self, key, mode: str, target):
         """(setpoint, target as floats) of the guidance target `key`, built
@@ -321,7 +326,6 @@ class Simulation:
             vec = target - self.hexapod.position
             distance = math.hypot(*vec)
         if distance <= scn.mission.confirm_radius:
-            self.confirmations += 1
             self._log_event(t, "confirmation", object_id=target_ev.object_id,
                             position=[float(target[0]), float(target[1])])
             self.hexapod_faults += self.hexapod.faults
@@ -350,8 +354,8 @@ class Simulation:
     def step(self):
         scn = self.scn
         dt = scn.dt
-        t = self.clock.t
-        step_idx = self.clock.step_count
+        step_idx = self.step_count
+        t = step_idx * dt
         current = self.current
 
         # (1) sensors: (kind, value) pairs, compass and gyro as floats
@@ -385,7 +389,8 @@ class Simulation:
         est_x = self.est.x.tolist()
         est_state = VehicleState3DOF.from_array(est_x)
         self._est_read = (self.est, est_state)
-        heading_error, speed_cmd, direct_surge = self._guidance(est_state)
+        (heading_error, cmd_heading, speed_cmd, direct_surge,
+         leg_boundary) = self._guidance(est_state)
         prev_heading_pid = self.heading_pid
         yaw_cmd, self.heading_pid = pid_step(self.heading_pid, heading_error, dt)
         self.heading_pid = _freeze_integral_if_pinned(
@@ -431,8 +436,8 @@ class Simulation:
                                                 self.tuv, self.towline)
 
         # log the step's state before integrating: one instant per row
-        self._append_row(t, est_x, heading_error, speed_cmd, surge_cmd,
-                         yaw_cmd, left, right, realized, disturbance, tension,
+        self._append_row(t, est_x, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
+                         left, right, realized, disturbance, tension,
                          innovations)
 
         # (6) integrate both hulls
@@ -478,7 +483,7 @@ class Simulation:
                              <= scn.mission.recovery_radius)
             events = WorldEvents(
                 deployment_complete=t >= scn.mission.deploy_time,
-                at_leg_boundary=self._leg_boundary,
+                at_leg_boundary=leg_boundary,
                 pattern_complete=self.wp_index >= len(self.pattern.waypoints),
                 new_detections=new_detections,
                 target_processed=confirmed,
@@ -490,19 +495,18 @@ class Simulation:
 
         self.ctrl_wrench = realized
         self.tow_wrench = tow_wrench
-        self.clock = self.clock.tick()
+        self.step_count += 1
 
-    def _append_row(self, t, est_x, heading_error, speed_cmd, surge_cmd,
-                    yaw_cmd, left, right, realized, disturbance, tension,
-                    innovations):
-        # every cell a plain Python value: _format_cell writes repr(), and a
-        # numpy scalar's repr is not a number read_run can parse; est_x is
-        # the estimated mean as the list of floats guidance read
+    def _append_row(self, t, est_x, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
+                    left, right, realized, disturbance, tension, innovations):
+        # every cell a plain Python value, the type read_run gives back and
+        # the one the writer's fast path takes; est_x is the estimated mean
+        # as the list of floats guidance read
         truth = self.truth
         row = [t,
                truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
                *est_x, *self.est.P.diagonal().tolist(),
-               self._cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
+               cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                left, right,
                *realized, *disturbance]
         if self.tuv is not None:
@@ -526,14 +530,13 @@ class Simulation:
         row.append(innovations[GYRO])
 
         self.rows.append(row)
-        self.track.append((truth.x, truth.y))
 
     # -- driving ----------------------------------------------------------------
 
     def run(self) -> RunLog:
         scn = self.scn
         n_steps = int(round(scn.duration / scn.dt))
-        while self.clock.step_count < n_steps:
+        while self.step_count < n_steps:
             if (scn.mission.kind == SEARCH
                     and self.mission_state.phase is MissionPhase.CONCLUDED):
                 break
@@ -554,11 +557,12 @@ class Simulation:
             except SimulationFault as exc:
                 self._abort(exc)
         concluded = self.mission_state.phase is MissionPhase.CONCLUDED
+        aborted = self.abort_reason != ""
         truncated = (scn.mission.kind == SEARCH and not concluded
-                     and not self.aborted)
-        reason = ("aborted" if self.aborted
+                     and not aborted)
+        reason = ("aborted" if aborted
                   else "concluded" if concluded else "duration_cap")
-        self._log_event(self.clock.t, "run_end", reason=reason)
+        self._log_event(self.step_count * scn.dt, "run_end", reason=reason)
         metrics = self._metrics(concluded, truncated, report)
         return RunLog(columns=list(COLUMNS), rows=self.rows,
                       events=self.events, metrics=metrics)
@@ -567,14 +571,16 @@ class Simulation:
         """Log a fault as an abort event; the run's abort_reason is its
         first fault's."""
         reason = f"{type(exc).__name__}: {exc}"
-        self._log_event(self.clock.t, "abort", reason=reason)
-        if not self.aborted:
-            self.aborted, self.abort_reason = True, reason
+        self._log_event(self.step_count * self.scn.dt, "abort", reason=reason)
+        if not self.abort_reason:
+            self.abort_reason = reason
 
     def _metrics(self, concluded: bool, truncated: bool,
                  report: dict | None) -> dict:
         scn = self.scn
-        track = np.array(self.track) if self.track else np.zeros((0, 2))
+        # truth_x, truth_y of each row
+        track = np.fromiter(((row[1], row[2]) for row in self.rows),
+                            dtype=(float, 2), count=len(self.rows))
         distance = (float(np.sum(np.linalg.norm(np.diff(track, axis=0), axis=1)))
                     if len(track) > 1 else 0.0)
         detections = len(self.sweep.detected) if self.sweep is not None else 0
@@ -583,15 +589,16 @@ class Simulation:
             "seed": scn.seed,
             "dt": scn.dt,
             "steps": len(self.rows),
-            "sim_time": round(self.clock.t, 9),
+            "sim_time": round(self.step_count * scn.dt, 9),
             "final_phase": self.mission_state.phase.value,
             "concluded": concluded,
             "truncated": truncated,
-            "aborted": self.aborted,
+            "aborted": self.abort_reason != "",
             "abort_reason": self.abort_reason,
             "distance_traveled": distance,
             "detections": detections,
-            "confirmations": self.confirmations,
+            "confirmations": sum(event["event"] == "confirmation"
+                                 for event in self.events),
             # a crawler still deployed at the end counts its faults too
             "hexapod_faults": self.hexapod_faults + (
                 self.hexapod.faults if self.hexapod is not None else 0),
@@ -627,10 +634,11 @@ _CHUNK_ROWS = 8
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        # a numpy float64's own repr is np.float64(...), not a number
+        return repr(float(value))
     return str(value)
 
 
@@ -666,8 +674,8 @@ def emit_outputs(log: RunLog, out_dir, formats=("csv", "json")) -> dict:
     """Write the log to a run directory; returns {kind: path}.
 
     states.csv holds the bytes Python's csv module writes (excel dialect,
-    "\n" line ends) for the cells: None empty, a bool 0 or 1, a float its
-    repr(), anything else its str().
+    "\n" line ends) for the cells: None empty, a bool (numpy's too) 0 or 1,
+    a float (np.float64 too) its Python float's repr(), else its str().
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -725,6 +733,52 @@ def _parse_row(cells: list, width: int, phase: list) -> list:
     return row
 
 
+class RunFileError(ValueError):
+    """A metrics.json or events.jsonl that read_records rejects; the message
+    starts with the file's path, and for an event with its line."""
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="ascii")
+    except (OSError, ValueError) as exc:  # ValueError: not ASCII
+        raise RunFileError(f"{path}: cannot read the file ({exc})") from None
+
+
+def _load_json(where, text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise RunFileError(f"{where}: not valid JSON ({exc})") from None
+
+
+def read_records(run_dir) -> tuple[list, dict]:
+    """(events, metrics) of a run directory, [] and {} for a file it lacks.
+
+    Raises RunFileError for a file that is not ASCII JSON, metrics that are
+    not an object and an event line (blank ones are skipped) that is not an
+    object with a printable "event" kind.
+    """
+    run = Path(run_dir)
+    metrics_path, events_path = run / METRICS_FILE, run / EVENTS_FILE
+    metrics = {}
+    if metrics_path.exists():
+        metrics = _load_json(metrics_path, _read_text(metrics_path))
+        if not isinstance(metrics, dict):
+            raise RunFileError(f"{metrics_path}: not a JSON object")
+    events = []
+    lines = _read_text(events_path).splitlines() if events_path.exists() else []
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{events_path}:{lineno}"
+        if line.strip():
+            event = _load_json(where, line)
+            kind = event.get("event") if isinstance(event, dict) else None
+            if not (isinstance(kind, str) and kind.isprintable()):
+                raise RunFileError(f"{where}: not an event record")
+            events.append(event)
+    return events, metrics
+
+
 def read_run(run_dir) -> RunLog:
     """Parse a run directory back into a RunLog (inverse of emit_outputs)."""
     run = Path(run_dir)
@@ -738,14 +792,5 @@ def read_run(run_dir) -> RunLog:
             raise ValueError(f"{states} is empty: it has no header line")
         phase = [i for i, name in enumerate(columns) if name == "phase"]
         rows = [_parse_row(cells, len(columns), phase) for cells in records]
-    events = []
-    events_path = run / EVENTS_FILE
-    if events_path.exists():
-        with open(events_path, encoding="ascii") as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
-    metrics = {}
-    metrics_path = run / METRICS_FILE
-    if metrics_path.exists():
-        with open(metrics_path, encoding="ascii") as fh:
-            metrics = json.load(fh)
+    events, metrics = read_records(run)
     return RunLog(columns=columns, rows=rows, events=events, metrics=metrics)

@@ -10,7 +10,7 @@ import yaml
 
 import coastsim
 from coastsim.cli import OUT_DIR_ENV, main
-from coastsim.runner import read_run
+from coastsim.runner import RunFileError, read_run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -553,7 +553,8 @@ def test_report_prints_what_read_run_reads(cruise_file, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("kind, data, message", [
+# (file, bytes written over it, start of the error naming it)
+MALFORMED_RUN_FILES = pytest.mark.parametrize("kind, data, message", [
     ("metrics", b'{"steps": 1,', "{metrics}: not valid JSON"),
     ("metrics", b"[1, 2]\n", "{metrics}: not a JSON object"),
     ("metrics", b'{"scenario": "r\xc3\xa4n"}\n', "{metrics}: cannot read the file"),
@@ -566,18 +567,41 @@ def test_report_prints_what_read_run_reads(cruise_file, tmp_path, capsys):
 ], ids=["metrics-truncated", "metrics-list", "metrics-non-ascii",
         "metrics-deep", "events-truncated", "events-list", "events-no-kind",
         "events-surrogate", "events-non-ascii"])
-def test_report_on_malformed_run_file_exits_1_naming_it(
-        kind, data, message, cruise_file, tmp_path, capsys):
+
+
+def _malformed_run(cruise_file, tmp_path, kind, data, message):
+    """(run directory, message naming the file) of a simulated run with
+    data written over its `kind` file."""
     run_dir = tmp_path / "out" / "run-seed9"
     main(["simulate", str(cruise_file), "--out", str(tmp_path / "out")])
     paths = {"metrics": run_dir / "metrics.json",
              "events": run_dir / "events.jsonl"}
     paths[kind].write_bytes(data)
+    return run_dir, message.format(**paths)
+
+
+@MALFORMED_RUN_FILES
+def test_report_on_malformed_run_file_exits_1_naming_it(
+        kind, data, message, cruise_file, tmp_path, capsys):
+    run_dir, message = _malformed_run(cruise_file, tmp_path, kind, data,
+                                      message)
     capsys.readouterr()
     assert main(["report", str(run_dir)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {message.format(**paths)}" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+@MALFORMED_RUN_FILES
+def test_read_run_on_malformed_run_file_raises_naming_it(
+        kind, data, message, cruise_file, tmp_path):
+    # read_run reads events.jsonl and metrics.json through the reader
+    # report uses, so it raises the same error for the same file
+    run_dir, message = _malformed_run(cruise_file, tmp_path, kind, data,
+                                      message)
+    with pytest.raises(RunFileError) as caught:
+        read_run(run_dir)
+    assert str(caught.value).startswith(message)
 
 
 def test_report_on_a_directory_without_run_files_exits_1(tmp_path, capsys):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from coastsim import asv, tuv
 from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                           asv_step)
-from coastsim.core import (IntegrationFault, SeededRng, SimClock,
-                           SimulationFault, rk4_stages, rotate_body_to_nav,
-                           rotate_nav_to_body, successor, wrap_angle)
+from coastsim.core import (IntegrationFault, SeededRng, SimulationFault,
+                           rk4_stages, rotate_body_to_nav, rotate_nav_to_body,
+                           successor, wrap_angle)
 from coastsim.control import PidController
 from coastsim.environment import OutOfBounds
 from coastsim.nav import EstimatorDivergence, SingularCovariance
@@ -77,20 +77,6 @@ def test_rotation_rejects_non_finite():
         rotate_body_to_nav([float("nan"), 0.0], 0.0)
 
 
-def test_clock_has_no_drift():
-    clock = SimClock(dt=0.1)
-    for _ in range(1000):
-        clock = clock.tick()
-    # 1000 * 0.1 accumulated by repeated addition would miss this
-    assert clock.t == 1000 * 0.1
-    assert clock.step_count == 1000
-
-
-def test_clock_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        SimClock(dt=0.0)
-
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 limits = st.tuples(finite, finite).map(sorted).map(tuple)
 
@@ -117,15 +103,6 @@ def test_successor_equals_dataclasses_replace(kp, ki, kd, out,
         got.integral = 1.0
     # the original is untouched
     assert (ctrl.integral, ctrl.prev_error) == (integral, prev)
-
-
-def test_clock_tick_is_a_frozen_successor():
-    clock = SimClock(dt=0.05, step_count=3)
-    nxt = clock.tick()
-    assert nxt == dataclasses.replace(clock, step_count=4)
-    assert (clock.step_count, nxt.step_count, nxt.dt) == (3, 4, 0.05)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        nxt.step_count = 0
 
 
 def test_seeded_rng_reproducible_and_independent():

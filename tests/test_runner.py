@@ -146,10 +146,10 @@ def test_emit_format_subsets(tmp_path):
 def ref_format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -167,7 +167,7 @@ csv_cells = st.one_of(
     st.floats(), st.floats().map(np.float64),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                      -2.2250738585072014e-308, 1e16, 1e-5]),
-    st.integers(), st.booleans(), st.none(),
+    st.integers(), st.booleans(), st.booleans().map(np.bool_), st.none(),
     ascii_text, st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", "a,b",
                                  'say "hi"', " x ", "wide_area_search"]))
 csv_rows = st.lists(csv_cells, max_size=8) | st.lists(csv_cells, max_size=1)
@@ -326,13 +326,51 @@ def test_read_run_rejects_an_empty_states_file(tmp_path):
         read_run(tmp_path)
 
 
+def test_numpy_scalar_cells_round_trip(tmp_path):
+    # a numpy float's repr is np.float64(...) and a numpy bool's str is
+    # True: each is written as the Python value it holds
+    log = RunLog(columns=["t", "x", "flag"],
+                 rows=[[0.0, np.float64(1.5), np.bool_(True)],
+                       [0.1, np.float64(-0.0), np.bool_(False)]])
+    emit_outputs(log, tmp_path, formats=("csv",))
+    assert (tmp_path / "states.csv").read_bytes() == (
+        b"t,x,flag\n0.0,1.5,1\n0.1,-0.0,0\n")
+    back = read_run(tmp_path).rows
+    assert back == [[0.0, 1.5, 1], [0.1, -0.0, 0]]
+    assert [type(v) for v in back[1]] == [float, float, int]
+    assert math.copysign(1.0, back[1][1]) == -1.0
+
+
+@pytest.mark.parametrize("name, duration", [
+    ("calm_cruise", 10.0), ("storm_loiter", 30.0),
+    ("calm_search", 130.0),  # past the first confirmation
+])
+def test_metrics_follow_from_the_record(name, duration, tmp_path):
+    # the run keeps no count of its own beside its rows and events: the
+    # metrics read back are what the rows and events read back give
+    scn = dataclasses.replace(load_scenario(SCENARIO_DIR / f"{name}.yaml"),
+                              seed=7, duration=duration)
+    emit_outputs(Simulation(scn).run(), tmp_path)
+    log = read_run(tmp_path)
+    m = log.metrics
+    kinds = [event["event"] for event in log.events]
+    assert m["steps"] == len(log.rows) > 0
+    assert m["confirmations"] == kinds.count("confirmation")
+    assert m["aborted"] is ("abort" in kinds)
+    track = np.array([col(log, "truth_x"), col(log, "truth_y")]).T
+    assert m["distance_traveled"] == float(
+        np.sum(np.linalg.norm(np.diff(track, axis=0), axis=1)))
+    if name == "calm_search":
+        assert m["confirmations"] == 1
+
+
 @pytest.mark.parametrize("name, duration", [
     ("calm_cruise", 5.0), ("storm_loiter", 30.0),
     ("calm_search", None),  # to the end: the crawler deploys and walks
 ])
 def test_row_cells_are_plain_python_values(name, duration):
-    # type(), not isinstance(): np.float64 subclasses float, and its repr
-    # (np.float64(1.5)) would land in states.csv where read_run cannot parse it
+    # type(), not isinstance(): np.float64 subclasses float, and a numpy
+    # scalar cell reads back from states.csv as a Python value of another type
     scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     if duration is not None:
         scn = dataclasses.replace(scn, duration=duration)
@@ -454,7 +492,7 @@ def _explicit_predict(sim, est):
     wrench = _wrench_sum(sim.ctrl_wrench, sim.tow_wrench,
                          damping_wrench(state, scn.damping, sim.current),
                          disturbance_wrench(sim.known_field, state,
-                                            sim.clock.t, 0.0))
+                                            sim.step_count * scn.dt, 0.0))
     return wrench, ekf_predict(est, scn.asv_params, scn.ekf, wrench, scn.dt,
                                sim.q_discrete)
 

@@ -14,7 +14,7 @@ import coastsim
 from coastsim import core, hexapod, runner, scenario
 from coastsim.asv import BodyWrench
 from coastsim.control import GuidanceSetpoint, PidController
-from coastsim.core import SeededRng, SimClock
+from coastsim.core import SeededRng
 from coastsim.environment import STREAM_GUST
 from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
 from coastsim.nav import (STREAM_COMPASS, STREAM_GPS, STREAM_GYRO,
@@ -221,6 +221,43 @@ def test_package_exports_resolve():
         assert getattr(coastsim, name) is getattr(owner, name), name
 
 
+def _self_assignments(func: ast.FunctionDef) -> list:
+    """Each attribute a method assigns as `self.<attr>`, tuple targets and
+    augmented assignments included."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [leaf.attr for target in targets for leaf in ast.walk(target)
+                  if isinstance(leaf, ast.Attribute)
+                  and isinstance(leaf.ctx, ast.Store)
+                  and isinstance(leaf.value, ast.Name)
+                  and leaf.value.id == "self"]
+    return found
+
+
+def test_simulation_methods_assign_only_what_init_sets():
+    # a Simulation's state is what __init__ sets; a value one stage of the
+    # step hands a later one is returned, not parked on self: an attribute
+    # first set mid-step must fail here by name
+    tree = ast.parse((ROOT / "src" / "coastsim" / "runner.py")
+                     .read_text(encoding="utf-8"))
+    sim = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Simulation")
+    methods = {node.name: _self_assignments(node) for node in sim.body
+               if isinstance(node, ast.FunctionDef)}
+    declared = set(methods.pop("__init__"))
+    assert {"step_count", "rows", "events", "abort_reason"} <= declared
+    assert methods["step"]  # the walk sees the step's own assignments
+    stray = sorted({f"{name}: self.{attr}" for name, attrs in methods.items()
+                    for attr in attrs if attr not in declared})
+    assert not stray
+
+
 def _count_inits(monkeypatch, cls, record=lambda obj: None):
     """The list that each later cls(...) appends record(new instance) to."""
     built = []
@@ -236,19 +273,19 @@ def _count_inits(monkeypatch, cls, record=lambda obj: None):
 
 @pytest.mark.parametrize("name", ["storm_loiter", "calm_cruise"])
 def test_steady_steps_build_no_value_objects(monkeypatch, name):
-    # past the first step, the step makes its controller and clock
-    # successors without their dataclass __init__ and reuses each guidance
-    # target's setpoint: a return to rebuilding them per step must fail
-    # here by name, not only on the benchmark
+    # past the first step, the step makes its controller successors without
+    # their dataclass __init__ and reuses each guidance target's setpoint: a
+    # return to rebuilding them per step must fail here by name, not only on
+    # the benchmark
     sim = Simulation(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
     sim.step()
     built = {cls.__name__: _count_inits(monkeypatch, cls)
-             for cls in (PidController, SimClock, GuidanceSetpoint)}
+             for cls in (PidController, GuidanceSetpoint)}
     for _ in range(200):
         sim.step()
-    assert sim.clock.step_count == 201
+    assert sim.step_count == 201
     assert {cls_name: len(calls) for cls_name, calls in built.items()} == {
-        "PidController": 0, "SimClock": 0, "GuidanceSetpoint": 0}
+        "PidController": 0, "GuidanceSetpoint": 0}
     # wrenches are named tuples, several of them per step
     assert not dataclasses.is_dataclass(BodyWrench)
     assert isinstance(sim.ctrl_wrench, tuple)
@@ -308,7 +345,7 @@ def test_steady_steps_build_no_readings_and_draw_noise_in_blocks(monkeypatch):
         sizes[sid].clear()
     for _ in range(200):
         sim.step()
-    assert sim.clock.step_count == 201
+    assert sim.step_count == 201
     assert {name: len(calls) for name, calls in built.items()} == {
         "SensorReading": 0, "UpdateResult": 0}
     # compass, gyro and gust draw once per step, GPS a pair a second: only
