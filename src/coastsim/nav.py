@@ -27,14 +27,14 @@ noise is independent). Every update and prediction checks that the estimate
 is finite before wrapping its heading, so a diverging filter raises
 EstimatorDivergence.
 
-The run loop calls `sample_sensors`, which returns the due readings as
-(kind, value), and `_update`, which returns (state, innovation, accepted). A
-compass or gyro value and its innovation travel as Python floats, a GPS
-value and its innovation as (2,) arrays. `ekf_update` is a thin wrapper over
-`_update` that keeps the public types: SensorReading and UpdateResult with
-ndarray values. Sensor noise is read one standard normal at a time through
-`SeededRng.normal`, which draws each stream in blocks with the bytes of one
-scalar draw after another.
+The run loop keeps the mean x as six floats and P as an ndarray: `_predict`
+returns (x, P), `_update` (x, P, innovation, accepted) for each (kind, value)
+from `sample_sensors`. A compass or gyro value and its innovation are floats,
+a GPS value and its innovation (2,) arrays. `ekf_predict` and `ekf_update`
+wrap the two with the public types: EstimatorState, SensorReading and
+UpdateResult with ndarray values. Sensor noise is read one standard normal
+at a time through `SeededRng.normal`, which draws each stream in blocks with
+the bytes of one scalar draw after another.
 """
 
 from __future__ import annotations
@@ -160,18 +160,12 @@ _CELLS = ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
 # their flat indices into a stack of four 6x6 Jacobians, one per RK4 stage
 _STAGE_CELL_FLAT = np.array([36 * k + 6 * row + col
                              for k in range(4) for row, col in _CELLS])
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 _STAGE_TEMPLATE = np.zeros((4, 6, 6))
 _STAGE_TEMPLATE[:, 2, 5] = 1.0
-_read_only(_STAGE_TEMPLATE)
+_STAGE_TEMPLATE.flags.writeable = False
 # the 6x6 identity, read-only: copy it before writing into it
-_I6 = _read_only(np.eye(6))
+_I6 = np.eye(6)
+_I6.flags.writeable = False
 
 
 def _jacobian_cells(x, params: AsvParams) -> tuple:
@@ -227,16 +221,26 @@ def _symmetrized(Q: np.ndarray) -> np.ndarray:
     return P
 
 
-def _checked(x: list, P: np.ndarray, what: str) -> EstimatorState:
-    """The estimate with mean x (six floats, heading wrapped here) and
-    covariance P, once both are finite."""
+def _checked(x: list, P: np.ndarray, what: str) -> tuple[list, np.ndarray]:
+    """(x, P) once both are finite, the heading of the mean x (six floats)
+    wrapped in place."""
     # counting the finite cells is np.isfinite(P).all() without its
     # reduction's dispatch
     if not (all(map(math.isfinite, x))
             and np.count_nonzero(np.isfinite(P)) == P.size):
         raise EstimatorDivergence(f"non-finite estimate after {what}")
     x[2] = wrap_angle(x[2])
-    return EstimatorState(np.array(x), P)
+    return x, P
+
+
+def _predict(x, P: np.ndarray, params: AsvParams, wrench: BodyWrench,
+             dt: float, q: np.ndarray) -> tuple[list, np.ndarray]:
+    """ekf_predict of the mean x (six floats) and covariance P as (x, P)."""
+    x_next, stages = rk4_stages(x, params, wrench, dt)
+    F = _stage_jacobian(stages, params, dt)
+    Q = F.dot(P).dot(F.T)
+    Q += q
+    return _checked(x_next, _symmetrized(Q), "prediction")
 
 
 def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
@@ -244,13 +248,9 @@ def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
                 q: np.ndarray | None = None) -> EstimatorState:
     """Propagate the estimate one step; q is ekf.q_discrete(dt), computed
     here unless a caller that steps at one dt passes it in."""
-    if q is None:
-        q = ekf.q_discrete(dt)
-    x_next, stages = rk4_stages(est.x.tolist(), params, wrench, dt)
-    F = _stage_jacobian(stages, params, dt)
-    Q = F.dot(est.P).dot(F.T)
-    Q += q
-    return _checked(x_next, _symmetrized(Q), "prediction")
+    x, P = _predict(est.x.tolist(), est.P, params, wrench, dt,
+                    ekf.q_discrete(dt) if q is None else q)
+    return EstimatorState(np.array(x), P)
 
 
 class UpdateResult(NamedTuple):
@@ -267,23 +267,24 @@ def ekf_update(est: EstimatorState, reading: SensorReading,
     rejected: the state is returned unchanged and accepted=False so the
     caller can log the rejection.
     """
-    kind = reading.kind
-    if kind == COMPASS or kind == GYRO:
-        state, y, accepted = _update(est, kind, float(reading.value[0]), ekf)
-        return UpdateResult(state, np.array([y]), accepted)
-    return UpdateResult(*_update(est, kind, reading.value, ekf))
+    kind, value = reading.kind, reading.value
+    scalar = kind == COMPASS or kind == GYRO
+    x, P, y, accepted = _update(est.x.tolist(), est.P, kind,
+                                float(value[0]) if scalar else value, ekf)
+    return UpdateResult(EstimatorState(np.array(x), P) if accepted else est,
+                        np.array([y]) if scalar else y, accepted)
 
 
-def _update(est: EstimatorState, kind: str, z,
-            ekf: EkfParams) -> tuple[EstimatorState, object, bool]:
-    """ekf_update of a reading's value as (state, innovation, accepted): z
+def _update(x: list, P: np.ndarray, kind: str, z,
+            ekf: EkfParams) -> tuple[list, np.ndarray, object, bool]:
+    """ekf_update of a reading's value z on the mean x (six floats) and P as
+    (x, P, innovation, accepted), a rejected reading's x and P unchanged: z
     and the innovation are floats for compass and gyro, arrays for GPS.
 
     Compass and gyro observe the single state i (H = e_i, R = sigma^2), so
     S = P[i, i] + sigma^2. GPS (H = [I2 0], R = sigma^2 I2) gates on the
     inverse of its 2x2 S in closed form and logs the prior innovation.
     """
-    x, P = est.x.tolist(), est.P
     if kind == GPS:
         r = ekf.gps_sigma ** 2
         (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
@@ -298,7 +299,7 @@ def _update(est: EstimatorState, kind: str, z,
             raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
         y = np.array((y0, y1))
         if d2 > ekf.gate_sigma ** 2:
-            return est, y, False
+            return x, P, y, False
         x, P = _observe(x, P, 0, y0, s00)
         # the y variance given the x reading, P+[1, 1] + sigma^2, as det / s00:
         # positive, since a finite d2 needs a finite i11 = s00 / det
@@ -306,7 +307,7 @@ def _update(est: EstimatorState, kind: str, z,
     else:
         i, sigma = ((2, ekf.compass_sigma) if kind == COMPASS
                     else (5, ekf.gyro_sigma))
-        S = P[i, i].item() + sigma ** 2
+        S = P.item(i, i) + sigma ** 2
         if not 0.0 < S < math.inf:
             raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
         y = z - x[i]
@@ -316,9 +317,9 @@ def _update(est: EstimatorState, kind: str, z,
         if not math.isfinite(d2):
             raise SingularCovariance(f"non-finite innovation distance for {kind}")
         if d2 > ekf.gate_sigma ** 2:
-            return est, y, False
+            return x, P, y, False
         x, P = _observe(x, P, i, y, S)
-    return _checked(x, P, f"{kind} update"), y, True
+    return (*_checked(x, P, f"{kind} update"), y, True)
 
 
 def _observe(x: list, P: np.ndarray, i: int, y: float,

@@ -20,12 +20,12 @@ Two values no record holds stay: search_time, a repeated float sum of dt
 (n * dt is not the same float), and coverage_track, the survey platform's
 positions after each step's integration (a row holds the state before it).
 
-It also keeps two per-run caches, both filled on first use rather than
-at set-up. Each guidance target (the loiter point, home, each lawnmower
+The filter's estimate is est_x, the mean as six floats, and est_P, its
+covariance: the step reads both when it starts, so an estimate assigned
+between steps is the one it predicts from. One per-run cache is filled on
+first use: each guidance target (the loiter point, home, each lawnmower
 waypoint, the pattern end, each inspected object as waypoint and as loiter
-point) gets its GuidanceSetpoint built once. The estimated state read after
-a step's updates is reused by the next step's predict while `est` is still
-the same object; an estimate assigned in between is read afresh.
+point) gets its GuidanceSetpoint built once.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
                       SweepSensor, WorldEvents, coverage_report,
                       generate_lawnmower, mission_step)
-from .nav import (COMPASS, GPS, GYRO, _update, ekf_predict, initial_estimate,
+from .nav import (COMPASS, GPS, GYRO, _predict, _update, initial_estimate,
                   sample_sensors)
 from .scenario import (CRUISE, LOITER_MISSION, SEARCH, Scenario,
                        guidance_for_loiter, guidance_for_waypoint)
@@ -139,7 +139,8 @@ class Simulation:
         self.rng = SeededRng(scn.seed)
         self.step_count = 0  # t is step_count * dt: no drift
         self.truth = scn.asv_initial
-        self.est = initial_estimate(scn.asv_initial)
+        est = initial_estimate(scn.asv_initial)
+        self.est_x, self.est_P = est.x.tolist(), est.P  # mean, covariance
         self.heading_pid = scn.heading_pid
         self.speed_pid = scn.speed_pid
         self.gust = GustProcess(scn.disturbances, self.rng)
@@ -181,12 +182,9 @@ class Simulation:
 
         self._dp_integral = (0.0, 0.0)  # [N] nav frame
         self._dp_point: tuple[float, float] | None = None
-        # the per-run caches of the module docstring: each guidance target's
-        # (setpoint, target as floats), and the estimate last read into a
-        # VehicleState3DOF with that state (holding the estimate keeps its
-        # id from being reused by another object)
+        # the per-run cache of the module docstring: each guidance target's
+        # (setpoint, target as floats)
         self._setpoints: dict = {}
-        self._est_read = (None, None)
 
         self.rows: list = []
         self.events: list = []
@@ -302,7 +300,7 @@ class Simulation:
         if self.hexapod is None:
             # deploy once the ASV has settled on the inspection site (and the
             # tether can physically span the remaining gap)
-            est = self.est.x
+            est = self.est_x
             arrived = (math.hypot(est[0] - target[0], est[1] - target[1])
                        <= 2.0 * scn.arrival_radius)
             if arrived and math.hypot(*(asv_pos - target)) <= scn.mission.tether_reach:
@@ -364,31 +362,29 @@ class Simulation:
 
         # (2) navigation filter: propagate with the modeled (known) forces,
         # then absorb this step's measurements
+        est_x, est_P = self.est_x, self.est_P
         if step_idx > 0:
             # thrust is commanded, cable tension is read off the winch load
             # cell, mean wind off the anemometer, damping follows from the
             # estimated state; gusts and waves stay unmodeled and must be
             # absorbed as process noise
-            est, est_state = self._est_read
-            if est is not self.est:  # reassigned since the last step
-                est_state = VehicleState3DOF.from_array(self.est.x.tolist())
+            est_state = VehicleState3DOF.from_array(est_x)
             model_wrench = _wrench_sum(
                 self.ctrl_wrench, self.tow_wrench,
                 damping_wrench(est_state, scn.damping, current),
                 disturbance_wrench(self.known_field, est_state, t, 0.0))
-            self.est = ekf_predict(self.est, scn.asv_params, scn.ekf,
-                                   model_wrench, dt, self.q_discrete)
+            est_x, est_P = _predict(est_x, est_P, scn.asv_params,
+                                    model_wrench, dt, self.q_discrete)
         innovations = {GPS: None, COMPASS: None, GYRO: None}
         for kind, value in readings:
-            self.est, innovation, accepted = _update(self.est, kind, value,
-                                                     scn.ekf)
+            est_x, est_P, innovation, accepted = _update(est_x, est_P, kind,
+                                                         value, scn.ekf)
             if accepted:
                 innovations[kind] = innovation
+        self.est_x, self.est_P = est_x, est_P
 
         # (3) guidance + PID + allocation
-        est_x = self.est.x.tolist()
         est_state = VehicleState3DOF.from_array(est_x)
-        self._est_read = (self.est, est_state)
         (heading_error, cmd_heading, speed_cmd, direct_surge,
          leg_boundary) = self._guidance(est_state)
         prev_heading_pid = self.heading_pid
@@ -436,9 +432,8 @@ class Simulation:
                                                 self.tuv, self.towline)
 
         # log the step's state before integrating: one instant per row
-        self._append_row(t, est_x, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
-                         left, right, realized, disturbance, tension,
-                         innovations)
+        self._append_row(t, cmd_heading, speed_cmd, surge_cmd, yaw_cmd, left,
+                         right, realized, disturbance, tension, innovations)
 
         # (6) integrate both hulls
         total = _wrench_sum(realized, disturbance, damping, tow_wrench)
@@ -497,15 +492,14 @@ class Simulation:
         self.tow_wrench = tow_wrench
         self.step_count += 1
 
-    def _append_row(self, t, est_x, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
+    def _append_row(self, t, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                     left, right, realized, disturbance, tension, innovations):
         # every cell a plain Python value, the type read_run gives back and
-        # the one the writer's fast path takes; est_x is the estimated mean
-        # as the list of floats guidance read
+        # the one the writer's fast path takes
         truth = self.truth
         row = [t,
                truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
-               *est_x, *self.est.P.diagonal().tolist(),
+               *self.est_x, *self.est_P.diagonal().tolist(),
                cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                left, right,
                *realized, *disturbance]
@@ -519,8 +513,6 @@ class Simulation:
                     self.hexapod_faults + self.hexapod.faults]
             for cfg in self.hexapod.legs:
                 row += [cfg.theta1, cfg.theta2, cfg.theta3]
-            if not self.hexapod.legs:
-                row += [None] * 18
         else:
             row += [0, None, None, None, self.hexapod_faults] + [None] * 18
         row.append(self.mission_state.phase.value)

@@ -103,7 +103,8 @@ SCHEMA = (
     ("tuv.towline", "stiffness", 800.0, None, POSITIVE, None),
     ("tuv.towline", "damping", 50.0, None, 0.0, None),
     ("tuv.towline", "max_slew_rate", 0.5, SPEED_UNITS, POSITIVE, None),
-    ("tuv.towline", "attach_x", -0.5, LENGTH_UNITS, None, None),
+    # 100 m is far beyond any hull; +-1e300 overflowed the tow coupling
+    ("tuv.towline", "attach_x", -0.5, LENGTH_UNITS, -100.0, 100.0),
     ("hexapod.geometry", "l1", 0.08, LENGTH_UNITS, POSITIVE, MAX_LINK_LENGTH),
     ("hexapod.geometry", "l2", 0.12, LENGTH_UNITS, POSITIVE, MAX_LINK_LENGTH),
     ("hexapod.terrain_speeds", "sand", 0.2, SPEED_UNITS, POSITIVE, None),
@@ -124,10 +125,11 @@ SCHEMA = (
     ("controllers.sensors", "gps_rate", 1.0, None, POSITIVE, None),
     ("controllers.sensors", "compass_rate", 10.0, None, POSITIVE, None),
     ("controllers.sensors", "gyro_rate", 100.0, None, POSITIVE, None),
-    ("controllers.sensors", "gps_sigma", 1.25, None, 0.0, None),
-    ("controllers.sensors", "compass_sigma", 0.02, None, 0.0, None),
-    ("controllers.sensors", "gyro_sigma", 0.005, None, 0.0, None),
-    ("controllers.ekf", "gate_sigma", 5.0, None, POSITIVE, None),
+    # sigmas far beyond any sensor, far below 1.3e154 (its square overflows)
+    ("controllers.sensors", "gps_sigma", 1.25, None, 0.0, 1000.0),
+    ("controllers.sensors", "compass_sigma", 0.02, None, 0.0, 1000.0),
+    ("controllers.sensors", "gyro_sigma", 0.005, None, 0.0, 1000.0),
+    ("controllers.ekf", "gate_sigma", 5.0, None, POSITIVE, 1000.0),
     ("controllers", "cruise_speed", 2.0, SPEED_UNITS, POSITIVE, None),
     ("controllers", "arrival_radius", 2.0, LENGTH_UNITS, POSITIVE, None),
     ("mission.area", "x", 0.0, LENGTH_UNITS, None, None),

@@ -290,6 +290,27 @@ def test_overwide_swath_exits_1_with_field_path(swath, command, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("controllers", "sensors", "gps_sigma"), 1.0e300, "must be <= 1000.0"),
+    (("controllers", "sensors", "compass_sigma"), 1.0e300,
+     "must be <= 1000.0"),
+    (("controllers", "sensors", "gyro_sigma"), 1.0e300, "must be <= 1000.0"),
+    (("controllers", "ekf", "gate_sigma"), 1.0e300, "must be <= 1000.0"),
+    (("tuv", "towline", "attach_x"), 1.0e300, "must be <= 100.0"),
+    (("tuv", "towline", "attach_x"), -1.0e300, "must be >= -100.0"),
+], ids=["gps_sigma", "compass_sigma", "gyro_sigma", "gate_sigma",
+        "attach_x-high", "attach_x-low"])
+def test_huge_sigma_or_tow_point_exits_1_with_field_path(keys, value, message,
+                                                         tmp_path, capsys):
+    # a sigma or gate of 1e300 once ended simulate in an OverflowError
+    # traceback from the Kalman update (sigma ** 2), a tow point at +-1e300
+    # in a ValueError traceback from the tow coupling
+    text = _shipped_with("calm_search.yaml", keys, value)
+    rc = _probe(tmp_path, "simulate", text)
+    _assert_rejected(rc, capsys, tmp_path,
+                     f"scenario.{'.'.join(keys)}: {message}, got {value}")
+
+
 @pytest.mark.parametrize("key, value", [
     ("stiffness", 2 ** 63), ("damping", 2 ** 63), ("stiffness", 1.0e18)],
     ids=["stiffness-2**63", "damping-2**63", "stiffness-1e18"])

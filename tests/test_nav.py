@@ -11,8 +11,9 @@ from coastsim.asv import AsvParams, BodyWrench, VehicleState3DOF, _derivative
 from coastsim.core import SeededRng, cos_sin, wrap_angle
 from coastsim.nav import (COMPASS, GPS, GYRO, EkfParams, EstimatorDivergence,
                           EstimatorState, SensorConfig, SensorReading,
-                          SingularCovariance, _checked, _stage_jacobian,
-                          _symmetrized, _update, discrete_jacobian,
+                          SingularCovariance, _checked, _predict,
+                          _stage_jacobian, _symmetrized, _update,
+                          discrete_jacobian,
                           ekf_predict, ekf_update, initial_estimate,
                           predict_mean, sample_sensors)
 from coastsim.nav import STREAM_COMPASS, STREAM_GPS, STREAM_GYRO
@@ -336,13 +337,13 @@ def test_checked_rejects_exactly_the_non_finite_covariances(P):
     # _checked counts finite cells instead of reducing with .all()
     finite = bool(np.isfinite(P).all())
     try:
-        est = _checked([1.0, 2.0, 7.0, 0.5, -0.5, 0.1], P, "test")
+        x, P_out = _checked([1.0, 2.0, 7.0, 0.5, -0.5, 0.1], P, "test")
     except EstimatorDivergence:
         assert not finite
     else:
         assert finite
-        assert est.P is P
-        assert est.x.tolist() == [1.0, 2.0, wrap_angle(7.0), 0.5, -0.5, 0.1]
+        assert P_out is P
+        assert x == [1.0, 2.0, wrap_angle(7.0), 0.5, -0.5, 0.1]
 
 
 def _correlated_estimate():
@@ -575,19 +576,22 @@ def test_update_scales_the_gain_column_before_its_outer_product():
     (GPS, [3.2, -2.1]),
 ])
 def test_ekf_update_is_the_run_loop_update_bit_for_bit(kind, value):
-    # the run loop updates through _update on the raw value (a float for
-    # compass and gyro); ekf_update wraps it for readings: the same estimate
+    # the run loop updates through _update on the mean as six floats and the
+    # raw value (a float for compass and gyro); ekf_update wraps it for
+    # readings: the same estimate
     est = _correlated_estimate()
     ekf = EkfParams()
     result = ekf_update(est, SensorReading(kind, 0.0, np.array(value)), ekf)
     raw = value[0] if kind != GPS else np.array(value)
-    state, innovation, accepted = _update(est, kind, raw, ekf)
+    x, P, innovation, accepted = _update(est.x.tolist(), est.P, kind, raw,
+                                         ekf)
     assert accepted and result.accepted
+    assert type(x) is list and all(type(v) is float for v in x)
     assert type(innovation) is (np.ndarray if kind == GPS else float)
     assert np.asarray(innovation, dtype=float).tobytes() == \
         result.innovation.tobytes()
-    assert state.x.tobytes() == result.state.x.tobytes()
-    assert state.P.tobytes() == result.state.P.tobytes()
+    assert np.array(x).tobytes() == result.state.x.tobytes()
+    assert P.tobytes() == result.state.P.tobytes()
 
 
 def test_sample_sensors_returns_floats_and_a_gps_pair():
@@ -705,11 +709,14 @@ def test_filter_is_consistent_on_static_vehicle(params):
     periods = cfg.periods(dt)
     for seed in (7, 99, 123):
         rng = SeededRng(seed)
-        est = initial_estimate(VehicleState3DOF())  # start wrong
+        start = initial_estimate(VehicleState3DOF())  # start wrong
+        x, P = start.x.tolist(), start.P
+        q = ekf.q_discrete(dt)
         for step in range(2000):
-            est = ekf_predict(est, params, ekf, BodyWrench(), dt)
+            x, P = _predict(x, P, params, BodyWrench(), dt, q)
             for kind, value in sample_sensors(truth, step, periods, cfg, rng):
-                est = _update(est, kind, value, ekf)[0]
+                x, P = _update(x, P, kind, value, ekf)[:2]
+        est = EstimatorState(np.array(x), P)
         assert abs(est.x[0] - 3.0) < 3 * math.sqrt(est.P[0, 0])
         assert abs(est.x[1] + 1.0) < 3 * math.sqrt(est.P[1, 1])
         assert abs(wrap_angle(est.x[2] - 0.4)) < 3 * math.sqrt(est.P[2, 2])

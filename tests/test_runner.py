@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import io
 import math
+import pickle
 import struct
 import tempfile
 from pathlib import Path
@@ -16,7 +17,9 @@ from coastsim import runner
 from coastsim.asv import VehicleState3DOF
 from coastsim.core import rotate_body_to_nav, rotate_nav_to_body, wrap_angle
 from coastsim.environment import damping_wrench, disturbance_wrench
-from coastsim.nav import EstimatorState, ekf_predict
+from coastsim.mission import MissionPhase
+from coastsim.nav import (SensorReading, _predict, ekf_predict, ekf_update,
+                          initial_estimate)
 from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_row,
                              _tow_coupling, _wrench_sum, emit_outputs,
                              read_run, run_simulation)
@@ -484,54 +487,111 @@ def test_tow_coupling_matches_the_three_rotations_bit_for_bit(pose, x_a, tuv):
     assert outcome(_tow_coupling) == outcome(reference_tow_coupling)
 
 
-def _explicit_predict(sim, est):
-    """(model wrench, estimate) of the next step's predict from `est`, the
-    estimated state read from it afresh."""
+def _explicit_predict(sim, x, P):
+    """(model wrench, (mean, covariance)) of the next step's predict from
+    the mean x and covariance P, the estimated state read from x afresh."""
     scn = sim.scn
-    state = VehicleState3DOF.from_array(est.x.tolist())
+    state = VehicleState3DOF.from_array(x)
     wrench = _wrench_sum(sim.ctrl_wrench, sim.tow_wrench,
                          damping_wrench(state, scn.damping, sim.current),
                          disturbance_wrench(sim.known_field, state,
                                             sim.step_count * scn.dt, 0.0))
-    return wrench, ekf_predict(est, scn.asv_params, scn.ekf, wrench, scn.dt,
-                               sim.q_discrete)
+    return wrench, _predict(list(x), P, scn.asv_params, wrench, scn.dt,
+                            sim.q_discrete)
 
 
 def test_predict_starts_from_the_current_estimate(monkeypatch):
-    # the step reuses the estimated state it read at the end of the last
-    # step, keyed on that estimate's identity: an estimate assigned in
-    # between must be read afresh
+    # the step reads the estimate (est_x, est_P) off the Simulation when it
+    # starts: an estimate assigned in between is the one it predicts from
     sim = Simulation(load_scenario(SCENARIO_DIR / "storm_loiter.yaml"))
     for _ in range(20):
         sim.step()
     calls = []
 
-    def recording(est, params, ekf, wrench, dt, q):
-        out = ekf_predict(est, params, ekf, wrench, dt, q)
-        calls.append((est, wrench, out))
+    def recording(x, P, params, wrench, dt, q):
+        out = _predict(x, P, params, wrench, dt, q)
+        calls.append((x, P, wrench, out))
         return out
 
-    monkeypatch.setattr(runner, "ekf_predict", recording)
+    monkeypatch.setattr(runner, "_predict", recording)
     for reassign in (False, True, False):
-        est = sim.est
+        x, P = sim.est_x, sim.est_P
         if reassign:
-            x = est.x.copy()
+            x = list(x)
             x[2] = wrap_angle(x[2] + 0.7)
             x[3] += 0.4
             x[4] -= 0.2
             x[5] += 0.05
-            est = EstimatorState(x, 2.0 * est.P)
-            stale, _ = _explicit_predict(sim, sim.est)
-            sim.est = est
-        wrench, expected = _explicit_predict(sim, est)
+            P = 2.0 * P
+            stale, _ = _explicit_predict(sim, sim.est_x, sim.est_P)
+            sim.est_x, sim.est_P = x, P
+        wrench, (mean, cov) = _explicit_predict(sim, x, P)
         if reassign:
             assert wrench != stale  # the test can tell the two apart
         sim.step()
-        est_in, wrench_in, out = calls.pop()
-        assert est_in is est
+        x_in, P_in, wrench_in, (out_mean, out_cov) = calls.pop()
+        assert x_in is x and P_in is P
         assert wrench_in == wrench
-        assert out.x.tobytes() == expected.x.tobytes()
-        assert out.P.tobytes() == expected.P.tobytes()
+        assert struct.pack("<6d", *out_mean) == struct.pack("<6d", *mean)
+        assert out_cov.tobytes() == cov.tobytes()
+
+
+def test_loop_estimate_is_the_public_filter_bit_for_bit(monkeypatch):
+    # the step carries the estimate as six floats and a covariance through
+    # nav's float cores; ekf_predict and ekf_update on the same wrenches and
+    # readings give the same estimate after every step, bit for bit
+    scn = load_scenario(SCENARIO_DIR / "storm_loiter.yaml")
+    steps = []  # per step: [readings, the predict's model wrench]
+    sample, predict = runner.sample_sensors, runner._predict
+
+    def sampling(*args):
+        readings = sample(*args)
+        steps.append([readings, None])
+        return readings
+
+    def predicting(x, P, params, wrench, dt, q):
+        steps[-1][1] = wrench
+        return predict(x, P, params, wrench, dt, q)
+
+    monkeypatch.setattr(runner, "sample_sensors", sampling)
+    monkeypatch.setattr(runner, "_predict", predicting)
+    sim = Simulation(scn)
+    est = initial_estimate(scn.asv_initial)
+    for step in range(200):
+        sim.step()
+        readings, wrench = steps[step]
+        assert (wrench is None) == (step == 0)  # step 0 only updates
+        if wrench is not None:
+            est = ekf_predict(est, scn.asv_params, scn.ekf, wrench, scn.dt)
+        for kind, value in readings:
+            est = ekf_update(est, SensorReading(kind, step * scn.dt,
+                                                np.atleast_1d(value)),
+                             scn.ekf).state
+        assert struct.pack("<6d", *sim.est_x) == est.x.tobytes()
+        assert sim.est_P.tobytes() == est.P.tobytes()
+
+
+@pytest.mark.parametrize("name, pause", [
+    ("storm_loiter", lambda sim: sim.step_count == 500),
+    ("calm_search", lambda sim: sim.hexapod is not None),
+], ids=["storm_loiter", "calm_search-crawler-deployed"])
+def test_pickled_simulation_resumes_byte_for_byte(name, pause, tmp_path):
+    # a Simulation pickled mid-run (the estimate's floats and covariance,
+    # the noise streams' drawn blocks, a deployed crawler) and finished
+    # after unpickling writes the bytes of a run never interrupted
+    scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    if name == "storm_loiter":
+        scn = dataclasses.replace(scn, duration=100.0)
+    sim = Simulation(scn)
+    while not pause(sim):
+        assert sim.mission_state.phase is not MissionPhase.CONCLUDED
+        sim.step()
+    resumed = pickle.loads(pickle.dumps(sim)).run()
+    whole = Simulation(scn).run()
+    written = [emit_outputs(log, tmp_path / label)
+               for label, log in (("resumed", resumed), ("whole", whole))]
+    for kind in ("states", "events", "metrics"):
+        assert written[0][kind].read_bytes() == written[1][kind].read_bytes()
 
 
 # --- mission end to end ----------------------------------------------------------

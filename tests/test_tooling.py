@@ -18,7 +18,8 @@ from coastsim.core import SeededRng
 from coastsim.environment import STREAM_GUST
 from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
 from coastsim.nav import (STREAM_COMPASS, STREAM_GPS, STREAM_GYRO,
-                          SensorReading, UpdateResult)
+                          EstimatorState, SensorReading, UpdateResult,
+                          initial_estimate)
 from coastsim.runner import Simulation, emit_outputs, read_run
 from coastsim.scenario import load_scenario
 
@@ -134,7 +135,7 @@ def test_readme_schema_table_matches_the_loader_table():
 # functions may make BLAS-backed products, and nothing in the package calls a
 # numpy ufunc that math also has (arc- names as math's a- names; the
 # predicates such as isfinite round nothing)
-COVARIANCE_FUNCTIONS = {"_stage_jacobian", "ekf_predict"}
+COVARIANCE_FUNCTIONS = {"_stage_jacobian", "_predict"}
 BLAS_CALLS = {"np.dot", "np.vdot", "np.inner", "np.matmul", "np.linalg.solve",
               "np.linalg.inv"}
 MATH_UFUNCS = {name for name, ufunc in vars(np).items()
@@ -355,6 +356,28 @@ def test_steady_steps_build_no_readings_and_draw_noise_in_blocks(monkeypatch):
         assert all(size == block for size in sizes[sid]), sid
         assert len(sizes[sid]) <= -(-200 // block), sid
     assert sizes[STREAM_GUST]  # 200 draws cross a block boundary
+
+
+@pytest.mark.parametrize("name", ["storm_loiter", "calm_cruise"])
+def test_steady_steps_build_no_estimator_objects(monkeypatch, name):
+    # past the first step, the step carries the estimate as six floats and
+    # a covariance through nav's float cores: a return to an EstimatorState
+    # per predict or update, or to an UpdateResult per reading, must fail
+    # here by name, not only on the benchmark
+    sim = Simulation(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+    sim.step()
+    built = {"EstimatorState": _count_inits(monkeypatch, EstimatorState),
+             "UpdateResult": _count_news(monkeypatch, UpdateResult)}
+    for _ in range(200):
+        sim.step()
+    assert sim.step_count == 201
+    assert {cls_name: len(calls) for cls_name, calls in built.items()} == {
+        "EstimatorState": 0, "UpdateResult": 0}
+    assert type(sim.est_x) is list and len(sim.est_x) == 6
+    assert all(type(value) is float for value in sim.est_x)
+    assert type(sim.est_P) is np.ndarray and sim.est_P.shape == (6, 6)
+    initial_estimate(sim.truth)  # the counter sees a build
+    assert len(built["EstimatorState"]) == 1
 
 
 def test_search_builds_each_setpoint_once(monkeypatch):
