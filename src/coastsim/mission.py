@@ -319,10 +319,12 @@ class EnvironmentalSampler:
                                    salinity)
 
 
-# the coverage grid tests up to _COVER_CHUNK consecutive segments together,
-# with at most _COVER_ELEMENTS (segment, cell) pairs per temporary array
-_COVER_CHUNK = 32
-_COVER_ELEMENTS = 8192
+# the coverage grid settles cells before it tests any (see coverage_report)
+_SETTLE_MARGIN = COVERAGE_CELL / 64  # [m]
+_PIECE = 8 * COVERAGE_CELL  # [m] longest track piece, and a group's arc window
+_GROUP = 8  # track pieces per group, at most
+_WIDTH_STEPS = 8  # settled half-widths are whole 1/8 cells
+_BLOCK = 1024  # elements per temporary array
 
 
 def _grid_shape(pts: np.ndarray, half: float) -> tuple:
@@ -340,6 +342,117 @@ def _grid_shape(pts: np.ndarray, half: float) -> tuple:
     return x_min, y_min, max(1, math.ceil(x_cells)), max(1, math.ceil(y_cells))
 
 
+def _segment_groups(a: np.ndarray, b: np.ndarray, length: np.ndarray,
+                    origin: np.ndarray) -> tuple:
+    """Cut the segments a -> b into pieces of at most _PIECE and gather runs
+    of up to _GROUP consecutive pieces that start in one _PIECE window of
+    track length into groups.
+
+    Returns (seg, size, centre, extent, first_point): per group, the
+    segment of each of its pieces (_GROUP columns, the last one repeated to
+    fill the row), its number of pieces, the centre and half-sides of its
+    pieces' bounding box, and its first piece's start point. Points are in
+    cell units from origin, with the centre of cell (i, j) at (i, j).
+    """
+    arc = np.cumsum(length)
+    arc -= length  # track length at each piece's start
+    parent, p0, p1 = None, a, b
+    if (length > _PIECE).any():
+        count = (length / _PIECE).astype(np.int64) + 1
+        parent = np.repeat(np.arange(len(a)), count)
+        q = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
+        n = count[parent]
+        start = a[parent]
+        d = b[parent] - start
+        p0 = start + (q / n)[:, None] * d
+        p1 = start + ((q + 1) / n)[:, None] * d
+        arc = arc[parent] + q / n * length[parent]
+    np.floor_divide(arc, _PIECE, out=arc)  # the window a piece starts in
+    first = np.empty(len(p0), dtype=bool)
+    first[0] = True
+    np.not_equal(arc[1:], arc[:-1], out=first[1:])
+    first[::_GROUP] = True
+    gs = np.flatnonzero(first)
+    ge = np.append(gs[1:], len(p0))
+    seg = np.minimum(gs[:, None] + np.arange(_GROUP), ge[:, None] - 1)
+    if parent is not None:
+        seg = parent[seg]
+    lo = (np.minimum(np.minimum.reduceat(p0, gs), np.minimum.reduceat(p1, gs))
+          - origin) / COVERAGE_CELL - 0.5
+    hi = (np.maximum(np.maximum.reduceat(p0, gs), np.maximum.reduceat(p1, gs))
+          - origin) / COVERAGE_CELL - 0.5
+    centre = 0.5 * (lo + hi)
+    extent = np.maximum(hi - centre, centre - lo)
+    return (seg, ge - gs, centre, extent,
+            (p0[gs] - origin) / COVERAGE_CELL - 0.5)
+
+
+def _disc_rows(u: np.ndarray, radius: np.ndarray, inward: bool, shape: tuple,
+               squares: np.ndarray):
+    """Each disc's cells of a grid as one cell interval per grid row.
+
+    u holds the discs' centres in cell units, with the centre of cell (i, j)
+    at (i, j), and radius their radii in cells. squares is the table
+    (k / _WIDTH_STEPS)^2, against which each row's half-width is rounded
+    down (inward: the interval lies in the disc) or up (it holds the disc's
+    cells of the row). Yields, a block of discs at a time, (disc, base,
+    start, stop) of every non-empty interval: the cells base + j of the
+    grid's flat index, start <= j < stop.
+    """
+    span = int(2.0 * radius.max()) + 2  # rows a disc can touch
+    step = max(1, _BLOCK // span)
+    for k in range(0, len(u), step):
+        disc, base, start, stop = _block_rows(
+            u[k:k + step], radius[k:k + step, None], span, inward, shape,
+            squares)
+        yield disc + k, base, start, stop
+
+
+def _block_rows(u: np.ndarray, r: np.ndarray, span: int, inward: bool,
+                shape: tuple, squares: np.ndarray) -> tuple:
+    """_disc_rows of one block of discs, r their radii as a column and span
+    the rows each may touch."""
+    nx, ny = shape
+    ux, uy = u[:, 0:1], u[:, 1:2]
+    rows = np.maximum(ux - r, 0.0).astype(np.int64) + np.arange(span)
+    di = rows - ux
+    w2 = r * r - di * di
+    if inward:
+        w = (np.searchsorted(squares, w2, "right") - 1) / _WIDTH_STEPS
+        start = np.maximum(uy - w + 1.0, 0.0).astype(np.int64)  # >= ceil
+    else:
+        w = np.searchsorted(squares, w2, "left") / _WIDTH_STEPS
+        start = np.maximum(uy - w, 0.0).astype(np.int64)  # floor, or 0
+    stop = np.minimum((uy + w + 1.0).astype(np.int64), ny)  # floor + 1
+    ok = (w2 >= 0.0) & (rows < nx) & (stop > start)
+    return np.nonzero(ok)[0], rows[ok] * ny, start[ok], stop[ok]
+
+
+def _band_pairs(band: np.ndarray, group: np.ndarray, base: np.ndarray,
+                start: np.ndarray, stop: np.ndarray) -> tuple:
+    """(cell, group) of every cell of the sorted flat band that lies in an
+    interval of _disc_rows; an interval's band cells are a run of band."""
+    run = np.searchsorted(band, base + start)
+    n = np.searchsorted(band, base + stop) - run
+    at = np.repeat(run - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+    return band[at], np.repeat(group, n)
+
+
+def _disc_union(scratch: np.ndarray, u: np.ndarray, radius: np.ndarray,
+                inward: bool, squares: np.ndarray) -> np.ndarray:
+    """The cells of a union of discs (see _disc_rows) as a bool grid of
+    scratch's shape; scratch is integer work space, overwritten."""
+    scratch[...] = 0
+    flat = scratch.reshape(-1)
+    # each interval's stop, at its first cell; a running maximum along the
+    # row then exceeds a cell's index exactly where an interval holds it
+    for _, base, start, stop in _disc_rows(u, radius, inward, scratch.shape,
+                                           squares):
+        np.maximum.at(flat, base + start, stop.astype(scratch.dtype))
+    np.maximum.accumulate(scratch, axis=1, out=scratch)
+    return scratch > np.arange(scratch.shape[1])
+
+
 def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
                   half: float) -> np.ndarray:
     """Occupancy grid of the track's swept corridor (see coverage_report).
@@ -351,58 +464,59 @@ def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
     """
     cell = COVERAGE_CELL
     x_min, y_min, nx, ny = _grid_shape(pts, half)
-    covered = np.zeros((nx, ny), dtype=bool)
 
     keep = lengths > 1e-12
-    if keep.any():
-        a, b, length = pts[:-1][keep], pts[1:][keep], lengths[keep]
-    else:  # a stationary track sweeps the disc around its point
+    if not keep.any():  # a stationary track sweeps the disc around its point
         a, b, length = pts[:1], pts[:1] + 1e-9, np.array([1e-9])
-    d = b - a
-    # each segment's own box: cells within half a swath of it, plus a
-    # margin of one cell below and two above
-    lo_x = np.maximum(0, ((np.minimum(a[:, 0], b[:, 0]) - half - x_min)
-                          / cell).astype(np.int64) - 1)
-    hi_x = np.minimum(nx, ((np.maximum(a[:, 0], b[:, 0]) + half - x_min)
-                           / cell).astype(np.int64) + 2)
-    lo_y = np.maximum(0, ((np.minimum(a[:, 1], b[:, 1]) - half - y_min)
-                          / cell).astype(np.int64) - 1)
-    hi_y = np.minimum(ny, ((np.maximum(a[:, 1], b[:, 1]) + half - y_min)
-                           / cell).astype(np.int64) + 2)
-    area = (hi_x - lo_x) * (hi_y - lo_y)  # never empty: lo < nx, hi > lo
-    # per-segment operands as columns, to broadcast against a row of cells
-    ax, ay = a[:, 0:1], a[:, 1:2]
-    dx, dy = d[:, 0:1], d[:, 1:2]
-    l2 = (length * length)[:, None]
-    hh = half * half
+    elif keep.all():  # views, so no copy of the track adds to the peak
+        a, b, length = pts[:-1], pts[1:], lengths
+    else:
+        a, b, length = pts[:-1][keep], pts[1:][keep], lengths[keep]
+    seg, size, centre, extent, first_point = _segment_groups(
+        a, b, length, np.array([x_min, y_min]))
 
-    chunks = [(j, min(j + _COVER_CHUNK, len(a)))
-              for j in range(0, len(a), _COVER_CHUNK)]
-    while chunks:
-        j, k = chunks.pop()
-        x0, x1 = lo_x[j:k].min(), hi_x[j:k].max()
-        y0, y1 = lo_y[j:k].min(), hi_y[j:k].max()
-        if k - j > 1 and (k - j) * (x1 - x0) * (y1 - y0) > 2 * area[j:k].sum():
-            # spread-out segments (long ones, or a sparse track): testing
-            # each on the whole union box would cost more than twice testing
-            # each on its own box, so split the run in two
-            m = (j + k) // 2
-            chunks += [(j, m), (m, k)]
-            continue
-        view = covered[x0:x1, y0:y1]
-        ix, iy = np.nonzero(~view)
-        xs = x_min + (np.arange(x0, x1) + 0.5) * cell
-        ys = y_min + (np.arange(y0, y1) + 0.5) * cell
-        sax, say, sdx, sdy, sl2 = ax[j:k], ay[j:k], dx[j:k], dy[j:k], l2[j:k]
-        batch = max(1, _COVER_ELEMENTS // (k - j))
-        for c in range(0, len(ix), batch):
-            cx, cy = ix[c:c + batch], iy[c:c + batch]
-            gx, gy = xs[cx], ys[cy]
-            tpar = ((gx - sax) * sdx + (gy - say) * sdy) / sl2
+    # settle: the discs of radius half - margin around each group's start
+    # are covered; cells beyond every group's reach (its radius, rounded up
+    # to the table, plus half and the margin) are not
+    reach = (half + _SETTLE_MARGIN) / cell
+    # the table runs past every radius: a box's half-diagonal is at most
+    # the sum of its half-sides
+    top = _WIDTH_STEPS * (reach + float((extent[:, 0] + extent[:, 1]).max()))
+    squares = (np.arange(int(top) + 2 * _WIDTH_STEPS) / _WIDTH_STEPS) ** 2
+    radius = reach + np.searchsorted(squares, (extent * extent).sum(axis=1),
+                                     "left") / _WIDTH_STEPS
+    inner = (half - _SETTLE_MARGIN) / cell
+    scratch = np.zeros((nx, ny), dtype=np.int16 if ny < 2 ** 15 else np.int32)
+    if inner > 0.0:
+        covered = _disc_union(scratch, first_point,
+                              np.full(len(first_point), inner), True, squares)
+    else:
+        covered = np.zeros((nx, ny), dtype=bool)
+    band = _disc_union(scratch, centre, radius, False, squares)
+    del scratch
+    band &= ~covered
+    band = np.flatnonzero(band)  # the band's cells, as sorted flat indices
+
+    # test: each band cell against the segments of every group reaching it
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    hh = half * half
+    flat = covered.reshape(-1)
+    chunk = _BLOCK // _GROUP
+    for rows in _disc_rows(centre, radius, False, (nx, ny), squares):
+        cells, groups = _band_pairs(band, *rows)
+        for c in range(0, len(cells), chunk):
+            f = cells[c:c + chunk]
+            i = f // ny
+            gx = (x_min + (i + 0.5) * cell)[:, None]
+            gy = (y_min + (f - i * ny + 0.5) * cell)[:, None]
+            g = groups[c:c + chunk]
+            s = seg[g, :size[g].max()]  # the columns past size repeat
+            sax, say, sl = ax[s], ay[s], length[s]
+            sdx, sdy = bx[s] - sax, by[s] - say  # d = b - a, per test
+            tpar = ((gx - sax) * sdx + (gy - say) * sdy) / (sl * sl)
             np.clip(tpar, 0.0, 1.0, out=tpar)
             dist2 = (gx - (sax + tpar * sdx)) ** 2 + (gy - (say + tpar * sdy)) ** 2
-            hit = (dist2 <= hh).any(axis=0)
-            view[cx[hit], cy[hit]] = True
+            flat[f[(dist2 <= hh).any(axis=1)]] = True
     return covered
 
 
@@ -412,19 +526,38 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
 
     The searched area is the union of swath-wide corridors around the track
     segments, measured on a 0.25 m occupancy grid (cell centres within half a
-    swath of any segment count). Raises on an empty or non-finite track, and
-    CoverageTooLarge on a grid of more than MAX_COVERAGE_CELLS.
+    swath of any segment count). Raises ValueError on an empty or non-finite
+    track and on a swath or active_time that is not positive (NaN included),
+    and CoverageTooLarge on a grid of more than MAX_COVERAGE_CELLS.
 
-    The grid is filled a chunk of consecutive segments at a time: each
-    chunk tests every still-uncovered cell of the union of its segments'
-    boxes against all of them, with the per-segment expression (projection
-    parameter clipped to [0, 1], squared distance <= half^2). That gives the
-    grid that testing each segment on its own box gives, cell for cell: a
-    segment's box reaches one cell below and two above its swath, so the
-    centre of a cell outside it lies at least a cell and a half beyond the
-    swath and the test cannot hit it (for coordinates whose float spacing is
-    far below a cell, i.e. below about 1e12 m); and skipping a covered cell
-    cannot change an OR.
+    The grid is that of testing each segment on its own box with the
+    per-segment expression (projection parameter clipped to [0, 1], squared
+    distance <= half^2), cell for cell, but most cells are settled without
+    a test. Segments longer than 2 m are cut into pieces no longer than
+    that, and runs of up to 8 consecutive pieces that start in one 2 m
+    window of track length form groups. Settle: a cell whose centre lies
+    within half - m of a group's first point is covered, and a cell farther
+    than half + r + m from the centre of every group's box, r the group's
+    radius rounded up to 1/8 cell, is out of reach; both sets are unions of
+    discs, filled as one cell interval per grid row with half-widths
+    rounded to 1/8 cell inward (covered) or outward (reach). Test: each
+    cell left between the two is tested against the segments of every
+    group that reaches it. The margin m is 1/64 of a cell (3.9 mm).
+
+    The settled cells are those the tests would give for coordinates below
+    about 1e12 m. There float spacing is at most 2^-13 m, m / 32, and each
+    distance the settle step or the test computes, between a cell centre
+    as x_min + (i + 0.5) * cell gives it and a track point or segment, is
+    within a few spacings of the exact one (rounding relative to the
+    distance itself is smaller still, below 1e-8 m on any grid of at most
+    MAX_COVERAGE_CELLS). So a cell settled covered lies within half - m/2
+    of a point on a segment and passes that segment's test, which its box
+    holds; a cell out of reach lies farther than half + m/2 from every
+    segment and fails every test. A segment's box reaches one cell below
+    and two above its swath, so the centre of a cell outside it lies at
+    least a cell and a half beyond the swath: testing a segment on a cell
+    outside its box cannot hit, and skipping a covered cell cannot change
+    an OR.
     """
     pts = np.asarray(track, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -433,7 +566,7 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"non-finite track point {i}: {pts[i].tolist()}")
-    if swath <= 0.0 or active_time <= 0.0:
+    if not (swath > 0.0 and active_time > 0.0):
         raise ValueError("swath and active_time must be positive")
 
     _grid_shape(pts, 0.5 * swath)  # a too large grid faults before any length

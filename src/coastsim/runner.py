@@ -495,33 +495,31 @@ class Simulation:
     def _append_row(self, t, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                     left, right, realized, disturbance, tension, innovations):
         # every cell a plain Python value, the type read_run gives back and
-        # the one the writer's fast path takes
+        # the one the writer's fast path takes; list() of one tuple sizes
+        # the row to its cells, where growing a list leaves spare slots
         truth = self.truth
-        row = [t,
-               truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
-               *self.est_x, *self.est_P.diagonal().tolist(),
-               cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
-               left, right,
-               *realized, *disturbance]
         if self.tuv is not None:
-            row += [*self.tuv, *tension, self.towline.unstretched_length]
+            tow = (*self.tuv, *tension, self.towline.unstretched_length)
         else:
-            row += [None] * 10
-        if self.hexapod is not None:
+            tow = (None,) * 10
+        crawler = self.hexapod
+        if crawler is not None:
             # faults are cumulative: the recovered crawlers' and this one's
-            row += [1, *self.hexapod.position.tolist(), self.hexapod.heading,
-                    self.hexapod_faults + self.hexapod.faults]
-            for cfg in self.hexapod.legs:
-                row += [cfg.theta1, cfg.theta2, cfg.theta3]
+            hexapod = (1, *crawler.position.tolist(), crawler.heading,
+                       self.hexapod_faults + crawler.faults,
+                       *[theta for cfg in crawler.legs
+                         for theta in (cfg.theta1, cfg.theta2, cfg.theta3)])
         else:
-            row += [0, None, None, None, self.hexapod_faults] + [None] * 18
-        row.append(self.mission_state.phase.value)
+            hexapod = (0, None, None, None, self.hexapod_faults) + (None,) * 18
         gps = innovations[GPS]
-        row += gps.tolist() if gps is not None else [None, None]
-        row.append(innovations[COMPASS])  # a float, or None
-        row.append(innovations[GYRO])
-
-        self.rows.append(row)
+        self.rows.append(list((
+            t, truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
+            *self.est_x, *self.est_P.diagonal().tolist(),
+            cmd_heading, speed_cmd, surge_cmd, yaw_cmd, left, right,
+            *realized, *disturbance, *tow, *hexapod,
+            self.mission_state.phase.value,
+            *(gps.tolist() if gps is not None else (None, None)),
+            innovations[COMPASS], innovations[GYRO])))  # a float, or None
 
     # -- driving ----------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -377,10 +378,13 @@ def test_coverage_counts_pass_through():
 def test_coverage_report_validation():
     with pytest.raises(ValueError, match="empty"):
         coverage_report(np.zeros((0, 2)), swath=1.0, active_time=1.0)
-    with pytest.raises(ValueError):
-        coverage_report(np.array([[0.0, 0.0]]), swath=0.0, active_time=1.0)
-    with pytest.raises(ValueError):
-        coverage_report(np.array([[0.0, 0.0]]), swath=1.0, active_time=0.0)
+    # a NaN swath must not reach the grid budget, nor a NaN active_time
+    # the metrics (json.dump would write a bare NaN)
+    for swath, active_time in [(0.0, 1.0), (1.0, 0.0), (math.nan, 1.0),
+                               (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            coverage_report(np.array([[0.0, 0.0]]), swath=swath,
+                            active_time=active_time)
 
 
 @pytest.mark.parametrize("track, swath", [
@@ -413,11 +417,11 @@ def test_coverage_report_rejects_non_finite_track(bad, where):
         coverage_report(track, swath=1.0, active_time=1.0)
 
 
-# --- chunked coverage grid against the per-segment reference ----------------
+# --- settled coverage grid against the per-segment reference ----------------
 #
-# The grid is filled a chunk of segments at a time. The reference below is
-# the per-segment loop it replaced (one meshgrid over each segment's own
-# box); the grid must match it cell for cell, not only in area.
+# The grid settles most cells without a test and tests the band between. The
+# reference below is the per-segment loop (one meshgrid over each segment's
+# own box); the grid must match it cell for cell, not only in area.
 
 def ref_coverage_report(track, swath, active_time, detections=0,
                         confirmations=0):
@@ -509,6 +513,17 @@ COVERAGE_TRACKS = {
     # a row of cell centres lies exactly half a swath (0.5625 m) from the
     # track: the test is <=, so the row counts
     "edge_on_cell_centres": (np.array([[0.0, 0.0], [10.0, 0.0]]), 1.125),
+    # near the largest coordinates coverage_report's settle argument holds for
+    "dense_walk_near_1e12": (_walk(np.array([9.0e11, -9.0e11]), 3000, 0.02, 7), 1.0),
+    # a survey track: two dense lawnmower stretches joined by the 7.8 m
+    # chord from where the search paused to where it resumed
+    "lawnmower_resumed_after_chord": (np.vstack([
+        _densify([*_LAWNMOWER[:3], np.array([30.0, 20.0])], 0.075),
+        _densify([np.array([22.8, 23.0]), *_LAWNMOWER[3:]], 0.075)]), 10.0),
+    # crawler halts: runs of one to five repeats of each point
+    "dense_walk_with_halts": (np.repeat(
+        _walk(np.array([-3.0, 8.0]), 2000, 0.02, 9),
+        np.random.default_rng(10).integers(1, 6, 2001), axis=0), 1.0),
 }
 
 
@@ -534,3 +549,26 @@ def test_coverage_grid_matches_reference_on_any_track(points, swath):
     lengths = np.linalg.norm(track[1:] - track[:-1], axis=1)
     assert np.array_equal(_covered_grid(track, lengths, 0.5 * swath), ref_grid)
     assert coverage_report(track, swath, active_time=1.0) == ref_report
+
+
+# tracemalloc peaks of coverage_report on two dense tracks, as the grid
+# filled by chunks of segment boxes reached them (numpy 2.4, Python 3.11):
+# the settle intervals and the band's temporaries must not raise them
+@pytest.mark.parametrize("track, swath, peak_bytes", [
+    (_walk(np.array([2.0, 3.0]), 7999, 0.02, 8), 1.0, 1_037_379),
+    (_densify(_LAWNMOWER, 0.1), 10.0, 799_719),
+])
+def test_coverage_report_peak_memory(track, swath, peak_bytes):
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        coverage_report(track, swath, active_time=60.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(track) == (8000 if swath == 1.0 else 2701)
+    assert peak <= peak_bytes

@@ -5,6 +5,7 @@ import io
 import math
 import pickle
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -381,6 +382,11 @@ def test_row_cells_are_plain_python_values(name, duration):
     assert rows
     kinds = {type(v) for row in rows for v in row}
     assert kinds <= {float, int, str, type(None)}, kinds
+    # each row holds its cells and no spare list slots, with the tow on
+    # (calm_cruise) and off, and the crawler deployed and stowed
+    assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in rows)
+    deployed = {row[COLUMNS.index("hex_deployed")] for row in rows}
+    assert deployed == ({0, 1} if name == "calm_search" else {0})
 
 
 def test_csv_header_matches_columns(tmp_path):

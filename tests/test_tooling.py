@@ -134,10 +134,13 @@ def test_readme_schema_table_matches_the_loader_table():
 # numpy and BLAS are for the EKF's covariance algebra only: these nav.py
 # functions may make BLAS-backed products, and nothing in the package calls a
 # numpy ufunc that math also has (arc- names as math's a- names; the
-# predicates such as isfinite round nothing)
+# predicates such as isfinite round nothing), nor spells one as a power: a
+# power call, or ** with a literal exponent that is not an integer (x ** 0.5
+# is np.sqrt)
 COVARIANCE_FUNCTIONS = {"_stage_jacobian", "_predict"}
 BLAS_CALLS = {"np.dot", "np.vdot", "np.inner", "np.matmul", "np.linalg.solve",
               "np.linalg.inv"}
+POWER_CALLS = {"np.power", "np.float_power"}
 MATH_UFUNCS = {name for name, ufunc in vars(np).items()
                if isinstance(ufunc, np.ufunc)
                and hasattr(math, name.replace("arc", "a", 1))
@@ -158,11 +161,20 @@ def _numeric_call(node):
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
             node.op, ast.MatMult):
         return "@"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.Pow):
+        exponent = node.right if isinstance(node, ast.BinOp) else node.value
+        literal = (exponent.operand if isinstance(exponent, ast.UnaryOp)
+                   else exponent)
+        if (isinstance(literal, ast.Constant)
+                and not isinstance(literal.value, int)):
+            return f"** {ast.unparse(exponent)}"
+        return None
     if not (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)):
         return None
     name = _dotted(node.func)
-    if name in BLAS_CALLS:
+    if name in BLAS_CALLS or name in POWER_CALLS:
         return name
     if name == "np.linalg.norm" and not any(kw.arg == "axis"
                                             for kw in node.keywords):
@@ -198,6 +210,14 @@ def test_blas_and_numpy_ufuncs_only_in_the_covariance_algebra():
     # product or ufunc call anywhere else must fail here by name
     assert {"hypot", "arctan2", "sqrt", "cos"} <= MATH_UFUNCS
     assert "isfinite" not in MATH_UFUNCS
+    spelled = {source: [what for node in ast.walk(ast.parse(source))
+                        if (what := _numeric_call(node)) is not None]
+               for source in ("x ** 0.5", "x ** -0.5", "x **= 1.5",
+                              "np.power(x, 0.5)", "x ** 2", "x ** n")}
+    assert spelled == {"x ** 0.5": ["** 0.5"], "x ** -0.5": ["** -0.5"],
+                       "x **= 1.5": ["** 1.5"],
+                       "np.power(x, 0.5)": ["np.power"], "x ** 2": [],
+                       "x ** n": []}
     outside, covariance = [], set()
     for path in sorted((ROOT / "src" / "coastsim").glob("*.py")):
         for owner, what in _numeric_calls(path):
