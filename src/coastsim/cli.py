@@ -1,7 +1,7 @@
 """Command-line front end: simulate / validate / report.
 
-Exit codes: 0 success, 1 bad input (scenario or arguments), 2 simulation
-aborted on a numerical fault (the partial log is still written).
+Exit codes: 0 success, 1 bad input (scenario, arguments or usage), 2
+simulation aborted on a numerical fault (the partial log is still written).
 """
 
 from __future__ import annotations
@@ -123,7 +123,10 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage exit is 2, an abort's code
+        return 0 if exc.code == 0 else 1
     handlers = {"simulate": _cmd_simulate, "validate": _cmd_validate,
                 "report": _cmd_report}
     try:

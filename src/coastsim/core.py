@@ -29,6 +29,10 @@ class SimulationFault(Exception):
     keeps its ValueError or RuntimeError base."""
 
 
+class NonFiniteInput(SimulationFault, ValueError):
+    """A force model of the loop was handed a non-finite state."""
+
+
 class IntegrationFault(SimulationFault, RuntimeError):
     """Raised when a derivative or state stops being finite."""
 

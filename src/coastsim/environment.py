@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asv import BodyWrench, VehicleState3DOF, ZERO_WRENCH
-from .core import SeededRng, SimulationFault, rotate_nav_to_body
+from .core import (NonFiniteInput, SeededRng, SimulationFault,
+                   rotate_nav_to_body)
 
 STREAM_GUST = 10
 
@@ -108,7 +109,7 @@ def disturbance_wrench(fld: DisturbanceField, state: VehicleState3DOF,
         a = wind_x - (c * state.u - s * state.v)
         b = wind_y - (s * state.u + c * state.v)
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("disturbance_wrench requires finite inputs")
+            raise NonFiniteInput("disturbance_wrench requires finite inputs")
         rel_u, rel_v = c * a + s * b, c * b - s * a
         mag = math.hypot(rel_u, rel_v)
         X += 0.5 * RHO_AIR * WIND_CW_AW * mag * rel_u
@@ -167,9 +168,7 @@ class TerrainMap:
             raise ValueError("cell_size must be positive")
         self.grid = grid
         self.cell_size = float(cell_size)
-        self.origin = np.asarray(origin, dtype=float)
-        # the origin as floats, for terrain_at
-        self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
+        self.origin = (float(origin[0]), float(origin[1]))
         self.depths = {SAND: 5.0, ROCK: 6.0, MUD: 4.0}
         if depths:
             self.depths.update(depths)
@@ -185,7 +184,7 @@ class TerrainMap:
     def terrain_at(self, point) -> tuple[str, float]:
         """(terrain class, depth) at a navigation-frame point."""
         x, y = float(point[0]), float(point[1])
-        x0, y0 = self._origin_xy
+        x0, y0 = self.origin
         col = math.floor((x - x0) / self.cell_size)
         row_from_south = math.floor((y - y0) / self.cell_size)
         row = self.n_rows - 1 - row_from_south

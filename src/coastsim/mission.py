@@ -89,8 +89,6 @@ class SearchArea:
 
 @dataclass
 class SearchPattern:
-    area: SearchArea
-    swath: float  # [m]
     waypoints: list  # ordered boustrophedon vertices, (2,) arrays
     n_legs: int
 
@@ -131,7 +129,7 @@ def generate_lawnmower(area: SearchArea, swath: float,
         ends = (make(lo, off), make(hi, off)) if forward else (make(hi, off), make(lo, off))
         waypoints.extend(ends)
         forward = not forward
-    return SearchPattern(area, swath, waypoints, n_legs)
+    return SearchPattern(waypoints, n_legs)
 
 
 @dataclass
@@ -290,9 +288,6 @@ class EnvironmentalSample:
     temperature: float  # [deg C]
     turbidity: float  # [NTU]
     salinity: float  # [PSU]
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
 
 
 class EnvironmentalSampler:

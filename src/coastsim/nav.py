@@ -24,8 +24,8 @@ Each cell of q q^T is one product of two floats, the same at (r, c) and
 (c, r), so a symmetric P stays exactly symmetric. GPS gates on its
 closed-form 2x2 innovation covariance, then observes x and then y (their
 noise is independent). Every update and prediction checks that the estimate
-is finite before wrapping its heading, so a diverging filter raises
-EstimatorDivergence.
+is finite before wrapping its heading, and maps a numpy overflow (under a
+raising np.errstate) to the same EstimatorDivergence a diverging filter raises.
 
 The run loop keeps the mean x as six floats and P as an ndarray: `_predict`
 returns (x, P), `_update` (x, P, innovation, accepted) for each (kind, value)
@@ -237,19 +237,22 @@ def _predict(x, P: np.ndarray, params: AsvParams, wrench: BodyWrench,
              dt: float, q: np.ndarray) -> tuple[list, np.ndarray]:
     """ekf_predict of the mean x (six floats) and covariance P as (x, P)."""
     x_next, stages = rk4_stages(x, params, wrench, dt)
-    F = _stage_jacobian(stages, params, dt)
-    Q = F.dot(P).dot(F.T)
-    Q += q
-    return _checked(x_next, _symmetrized(Q), "prediction")
+    try:
+        F = _stage_jacobian(stages, params, dt)
+        Q = F.dot(P).dot(F.T)
+        Q += q
+        P = _symmetrized(Q)
+    except FloatingPointError:  # numpy errors set to raise: an overflow
+        raise EstimatorDivergence("non-finite estimate after prediction") from None
+    return _checked(x_next, P, "prediction")
 
 
 def ekf_predict(est: EstimatorState, params: AsvParams, ekf: EkfParams,
-                wrench: BodyWrench, dt: float,
-                q: np.ndarray | None = None) -> EstimatorState:
-    """Propagate the estimate one step; q is ekf.q_discrete(dt), computed
-    here unless a caller that steps at one dt passes it in."""
+                wrench: BodyWrench, dt: float) -> EstimatorState:
+    """Propagate the estimate one step under the process noise
+    ekf.q_discrete(dt)."""
     x, P = _predict(est.x.tolist(), est.P, params, wrench, dt,
-                    ekf.q_discrete(dt) if q is None else q)
+                    ekf.q_discrete(dt))
     return EstimatorState(np.array(x), P)
 
 
@@ -285,41 +288,45 @@ def _update(x: list, P: np.ndarray, kind: str, z,
     S = P[i, i] + sigma^2. GPS (H = [I2 0], R = sigma^2 I2) gates on the
     inverse of its 2x2 S in closed form and logs the prior innovation.
     """
-    if kind == GPS:
-        r = ekf.gps_sigma ** 2
-        (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
-        s00, s11 = s00 + r, s11 + r
-        det = s00 * s11 - s01 * s10
-        if not 0.0 < det < math.inf:
-            raise SingularCovariance(f"innovation covariance singular for {kind}")
-        i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
-        y0, y1 = float(z[0]) - x[0], float(z[1]) - x[1]
-        d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i10 * y0 + i11 * y1)
-        if not (0.0 <= d2 < math.inf and s00 > 0.0):
-            raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
-        y = np.array((y0, y1))
-        if d2 > ekf.gate_sigma ** 2:
-            return x, P, y, False
-        x, P = _observe(x, P, 0, y0, s00)
-        # the y variance given the x reading, P+[1, 1] + sigma^2, as det / s00:
-        # positive, since a finite d2 needs a finite i11 = s00 / det
-        x, P = _observe(x, P, 1, float(z[1]) - x[1], det / s00)
-    else:
-        i, sigma = ((2, ekf.compass_sigma) if kind == COMPASS
-                    else (5, ekf.gyro_sigma))
-        S = P.item(i, i) + sigma ** 2
-        if not 0.0 < S < math.inf:
-            raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
-        y = z - x[i]
-        if kind == COMPASS and math.isfinite(y):  # a non-finite y fails on d2
-            y = wrap_angle(y)
-        d2 = y * (y / S)
-        if not math.isfinite(d2):
-            raise SingularCovariance(f"non-finite innovation distance for {kind}")
-        if d2 > ekf.gate_sigma ** 2:
-            return x, P, y, False
-        x, P = _observe(x, P, i, y, S)
-    return (*_checked(x, P, f"{kind} update"), y, True)
+    try:
+        if kind == GPS:
+            r = ekf.gps_sigma ** 2
+            (s00, s01), (s10, s11) = P[0:2, 0:2].tolist()
+            s00, s11 = s00 + r, s11 + r
+            det = s00 * s11 - s01 * s10
+            if not 0.0 < det < math.inf:
+                raise SingularCovariance(f"innovation covariance singular for {kind}")
+            i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+            y0, y1 = float(z[0]) - x[0], float(z[1]) - x[1]
+            d2 = y0 * (i00 * y0 + i01 * y1) + y1 * (i10 * y0 + i11 * y1)
+            if not (0.0 <= d2 < math.inf and s00 > 0.0):
+                raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+            y = np.array((y0, y1))
+            if d2 > ekf.gate_sigma ** 2:
+                return x, P, y, False
+            x, P = _observe(x, P, 0, y0, s00)
+            # the y variance given the x reading, P+[1, 1] + sigma^2, as det / s00:
+            # positive, since a finite d2 needs a finite i11 = s00 / det
+            x, P = _observe(x, P, 1, float(z[1]) - x[1], det / s00)
+        else:
+            i, sigma = ((2, ekf.compass_sigma) if kind == COMPASS
+                        else (5, ekf.gyro_sigma))
+            S = P.item(i, i) + sigma ** 2
+            if not 0.0 < S < math.inf:
+                raise SingularCovariance(f"innovation covariance not positive definite for {kind}")
+            y = z - x[i]
+            if kind == COMPASS and math.isfinite(y):  # a non-finite y fails on d2
+                y = wrap_angle(y)
+            d2 = y * (y / S)
+            if not math.isfinite(d2):
+                raise SingularCovariance(f"non-finite innovation distance for {kind}")
+            if d2 > ekf.gate_sigma ** 2:
+                return x, P, y, False
+            x, P = _observe(x, P, i, y, S)
+        return (*_checked(x, P, f"{kind} update"), y, True)
+    except FloatingPointError:  # numpy errors set to raise: an overflow
+        raise EstimatorDivergence(
+            f"non-finite estimate after {kind} update") from None
 
 
 def _observe(x: list, P: np.ndarray, i: int, y: float,

@@ -16,16 +16,21 @@ state. Wind, waves, gusts and the cable are disturbances it must reject.
 A Simulation keeps each fact of a run once: the metrics read the steps and
 distance off its rows, the confirmations off its events, the time off an int
 step count (t = step_count * dt) and an abort off a non-empty abort_reason.
-Two values no record holds stay: search_time, a repeated float sum of dt
-(n * dt is not the same float), and coverage_track, the survey platform's
-positions after each step's integration (a row holds the state before it).
+One value no record holds stays: coverage_track, the survey platform's
+positions after each step's integration (a row holds the state before it);
+the search time is dt summed once per point of it (n * dt is another float).
+
+The loop relies on mission_step's invariants (tests/test_mission.py): a
+complete pattern leaves WIDE_AREA_SEARCH for good and DETAILED_INSPECTION
+holds a target. It steps under np.errstate(over/invalid/divide="raise"), so
+a numpy overflow ends the run as a fault, not a warning on stderr.
 
 The filter's estimate is est_x, the mean as six floats, and est_P, its
 covariance: the step reads both when it starts, so an estimate assigned
 between steps is the one it predicts from. One per-run cache is filled on
 first use: each guidance target (the loiter point, home, each lawnmower
-waypoint, the pattern end, each inspected object as waypoint and as loiter
-point) gets its GuidanceSetpoint built once.
+waypoint, each inspected object as waypoint and as loiter point) gets its
+GuidanceSetpoint built once.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ from .asv import (BodyWrench, VehicleState3DOF, ZERO_WRENCH,
                   allocate_differential_thrust, asv_step)
 from .control import (LOITER, WAYPOINT, guidance_step, pid_step,
                       station_keeping)
-from .core import SeededRng, SimulationFault, successor, wrap_angle
+from .core import (NonFiniteInput, SeededRng, SimulationFault, successor,
+                   wrap_angle)
 from .environment import GustProcess, damping_wrench, disturbance_wrench
 from .hexapod import HexapodState, body_advance, stand_legs
 from .mission import (EnvironmentalSampler, MissionPhase, MissionState,
@@ -103,7 +109,7 @@ def _tow_coupling(truth, x_a: float, tuv, line) -> tuple:
     rotations on one cos/sin pair, same bytes as glibc's cos is even, sin odd."""
     a, b = truth.u, truth.v + truth.r * x_a
     if not all(map(math.isfinite, (x_a, truth.psi, a, b))):
-        raise ValueError("tow coupling requires finite inputs")
+        raise NonFiniteInput("tow coupling requires finite inputs")
     c, s = math.cos(truth.psi), math.sin(truth.psi)
     attach = (truth.x + (c * x_a - s * 0.0), truth.y + (s * x_a + c * 0.0),
               0.0)
@@ -111,7 +117,7 @@ def _tow_coupling(truth, x_a: float, tuv, line) -> tuple:
                                 tuv[0:3], tuv[3:6], line)
     a, b = -tension[0], -tension[1]
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("tow coupling requires finite inputs")
+        raise NonFiniteInput("tow coupling requires finite inputs")
     reaction_y = c * b - s * a
     return tension, BodyWrench(c * a + s * b, reaction_y, x_a * reaction_y)
 
@@ -134,8 +140,7 @@ class Simulation:
     """Stepped world for one scenario; `run()` drives it to completion."""
 
     def __init__(self, scenario: Scenario):
-        scn = scenario
-        self.scn = scn
+        self.scn = scn = scenario
         self.rng = SeededRng(scn.seed)
         self.step_count = 0  # t is step_count * dt: no drift
         self.truth = scn.asv_initial
@@ -148,11 +153,9 @@ class Simulation:
         self.tow_wrench = ZERO_WRENCH  # cable reaction, measured at the winch
         # what the anemometer accounts for: mean wind, but not gusts or waves
         self.known_field = dataclasses.replace(scn.disturbances,
-                                               wave_height=0.0,
-                                               gust_fraction=0.0)
-        # water velocity, nav frame: constant over a run
-        self.current = tuple(scn.disturbances.current_nav().tolist())
-        self.current3 = (*self.current, 0.0)
+                                               wave_height=0.0)
+        # water velocity (x, y, z), nav frame: constant over a run
+        self.current = (*scn.disturbances.current_nav().tolist(), 0.0)
         self.sensor_periods = scn.sensors.periods(scn.dt)
         self.q_discrete = scn.ekf.q_discrete(scn.dt)  # process noise per step
         self.max_surge = 2.0 * scn.asv_params.max_thrust  # both motors [N]
@@ -168,15 +171,13 @@ class Simulation:
         self.mission_state = MissionState()
         self.start_pos = np.array([scn.asv_initial.x, scn.asv_initial.y])
         ms = scn.mission
+        self.pattern = self.sweep = None  # a search's only
         if ms.kind == SEARCH:
             self.pattern = generate_lawnmower(ms.area, ms.swath, ms.entry)
             # the survey platform: the towed body, else the ASV itself
             self.sweep = SweepSensor(ms.objects, ms.footprint, ms.p_detect,
                                      ms.position_sigma, self.rng,
                                      "tuv" if scn.tuv_enabled else "asv")
-        else:
-            self.pattern = None
-            self.sweep = None
         self.wp_index = 0
         self.sampler = EnvironmentalSampler(self.rng)
 
@@ -189,7 +190,6 @@ class Simulation:
         self.rows: list = []
         self.events: list = []
         self.coverage_track: list = []  # survey-platform positions during search
-        self.search_time = 0.0
         self.abort_reason = ""  # the first fault's; "" while none
 
     # -- construction helpers -------------------------------------------------
@@ -205,9 +205,7 @@ class Simulation:
                 start.y - back * math.sin(start.psi), depth, 0.0, 0.0, 0.0]
 
     def _log_event(self, t: float, event: str, **fields):
-        record = {"t": round(t, 9), "event": event}
-        record.update(fields)
-        self.events.append(record)
+        self.events.append({"t": round(t, 9), "event": event, **fields})
 
     # -- per-step pieces -------------------------------------------------------
 
@@ -243,8 +241,7 @@ class Simulation:
                     0.0, surge, False)
         heading_error, speed_cmd, arrived = guidance_step(setpoint, est_pose)
         leg_boundary = False
-        if (self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH
-                and arrived and self.wp_index < len(self.pattern.waypoints)):
+        if self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH and arrived:
             leg_boundary = self.wp_index % 2 == 1  # the far end of a leg
             self.wp_index += 1
         return (heading_error, wrap_angle(est_state.psi + heading_error),
@@ -269,11 +266,8 @@ class Simulation:
         if phase is MissionPhase.PRE_MISSION:
             return self._setpoint("home", LOITER, self.start_pos)
         if phase is MissionPhase.WIDE_AREA_SEARCH:
-            waypoints = self.pattern.waypoints
-            if self.wp_index < len(waypoints):
-                return self._setpoint(self.wp_index, WAYPOINT,
-                                      waypoints[self.wp_index])
-            return self._setpoint("end", LOITER, waypoints[-1])
+            return self._setpoint(self.wp_index, WAYPOINT,
+                                  self.pattern.waypoints[self.wp_index])
         if phase is MissionPhase.DETAILED_INSPECTION:
             target_ev = self.mission_state.current_target
             target = target_ev.position
@@ -281,7 +275,7 @@ class Simulation:
             mode = WAYPOINT if offset > 2.0 * scn.arrival_radius else LOITER
             # one detection per object, so its id names the target
             return self._setpoint((target_ev.object_id, mode), mode, target)
-        # retrieval (and the final tick of a concluded run): head home
+        # retrieval: head home
         return self._setpoint("home", LOITER, self.start_pos)
 
     def _hexapod_phase(self, t: float, dt: float) -> bool:
@@ -289,11 +283,10 @@ class Simulation:
 
         Returns True when the current target was confirmed this step.
         """
+        if self.mission_state.phase is not MissionPhase.DETAILED_INSPECTION:
+            return False
         scn = self.scn
         target_ev = self.mission_state.current_target
-        if (self.mission_state.phase is not MissionPhase.DETAILED_INSPECTION
-                or target_ev is None):
-            return False
         target = target_ev.position
         asv_pos = np.array([self.truth.x, self.truth.y])
 
@@ -306,7 +299,7 @@ class Simulation:
             if arrived and math.hypot(*(asv_pos - target)) <= scn.mission.tether_reach:
                 terrain, _ = scn.terrain.terrain_at(asv_pos)
                 self.hexapod = HexapodState(
-                    position=asv_pos.copy(), heading=self.truth.psi,
+                    position=asv_pos, heading=self.truth.psi,
                     terrain=terrain, legs=stand_legs(scn.hexapod_params))
                 self._log_event(t, "hexapod_deployed",
                                 position=[float(asv_pos[0]), float(asv_pos[1])],
@@ -440,19 +433,17 @@ class Simulation:
         self.truth = asv_step(self.truth, scn.asv_params, total, dt, t)
         if self.tuv is not None:
             self.tuv = _tuv_step(self.tuv, scn.tuv_params, tension,
-                                 self.current3, dt, t)
+                                 current, dt, t)
 
         # (7) hexapod advance (when deployed)
         confirmed = self._hexapod_phase(t, dt)
 
         # (8) detection sweep (survey platform = TUV when towed, else ASV)
         new_detections = []
-        if (self.sweep is not None
-                and self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH):
+        if self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH:
             platform = ((self.tuv[0], self.tuv[1]) if self.tuv is not None
                         else (self.truth.x, self.truth.y))
             self.coverage_track.append(platform)
-            self.search_time += dt
             new_detections = self.sweep.sweep(platform, t)
             for ev in new_detections:
                 self._log_event(t, "detection", object_id=ev.object_id,
@@ -461,7 +452,7 @@ class Simulation:
                                           float(ev.position[1])])
 
         sample = self.sampler.maybe_sample(t, [self.truth.x, self.truth.y])
-        if sample is not None and self.mission_state.phase is not MissionPhase.CONCLUDED:
+        if sample is not None:
             self._log_event(t, "env_sample",
                             position=[float(sample.position[0]),
                                       float(sample.position[1])],
@@ -526,24 +517,26 @@ class Simulation:
     def run(self) -> RunLog:
         scn = self.scn
         n_steps = int(round(scn.duration / scn.dt))
-        while self.step_count < n_steps:
-            if (scn.mission.kind == SEARCH
-                    and self.mission_state.phase is MissionPhase.CONCLUDED):
-                break
-            try:
-                self.step()
-            except SimulationFault as exc:
-                self._abort(exc)
-                break
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            while self.step_count < n_steps and (
+                    self.mission_state.phase is not MissionPhase.CONCLUDED):
+                try:
+                    self.step()
+                except SimulationFault as exc:
+                    self._abort(exc)
+                    break
 
         # the coverage report can fault too (a diverged survey platform's
         # grid is too large), and aborts the run like a step would
         report = None
-        if scn.mission.kind == SEARCH and self.coverage_track:
+        if self.coverage_track:  # only a search sweeps
+            search_time = 0.0
+            for _ in self.coverage_track:
+                search_time += scn.dt
             try:
                 report = coverage_report(
                     np.array(self.coverage_track), scn.mission.swath,
-                    active_time=max(self.search_time, scn.dt))
+                    active_time=search_time)
             except SimulationFault as exc:
                 self._abort(exc)
         concluded = self.mission_state.phase is MissionPhase.CONCLUDED
@@ -622,8 +615,6 @@ _CHUNK_ROWS = 8
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,27 @@ def test_report_missing_dir_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# --- usage errors ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", str(SCENARIO_DIR / "calm_cruise.yaml"), "--bogus"],
+    ["simulate", str(SCENARIO_DIR / "calm_cruise.yaml"), "--seed", "abc"],
+    [],
+], ids=["unknown-flag", "bad-flag-value", "no-command"])
+def test_usage_error_exits_1(argv, capsys):
+    # exit 2 is an aborted run's: argparse's own usage exit is mapped to 1
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coastsim") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]],
+                         ids=["top", "simulate"])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: coastsim")
+
+
 # --- inputs the loader turns away -----------------------------------------------
 
 def _probe(tmp_path, command, text=None, data=None, extra=()):
@@ -254,11 +276,15 @@ def _assert_rejected(rc, capsys, tmp_path, message):
 
 def _shipped_with(name, keys, value):
     tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
+    _set(tree, keys, value)
+    return yaml.safe_dump(tree)
+
+
+def _set(tree, keys, value):
     node = tree
     for key in keys[:-1]:
         node = node.setdefault(key, {})
     node[keys[-1]] = value
-    return yaml.safe_dump(tree)
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -335,6 +361,55 @@ def test_diverged_tow_coverage_aborts_with_exit_2(key, value, tmp_path,
     assert metrics["steps"] > 0 and (run_dir / "states.csv").exists()
 
 
+def _aborted_run(tmp_path, capsys, reason):
+    """The run directory of a probe that exited 2 on `reason`, having
+    printed nothing but its ABORTED line on stderr."""
+    assert capsys.readouterr().err == f"ABORTED: {reason}\n"
+    run_dir = next((tmp_path / "out").iterdir())
+    events = [json.loads(line) for line in
+              (run_dir / "events.jsonl").read_text().splitlines()]
+    assert events[-2] == {"event": "abort", "reason": reason,
+                          "t": events[-1]["t"]}
+    assert events[-1]["event"] == "run_end"
+    assert json.loads((run_dir / "metrics.json").read_text())["aborted"]
+    assert (run_dir / "states.csv").exists()
+    return run_dir
+
+
+@pytest.mark.parametrize("name, changes, reason", [
+    ("calm_cruise.yaml", {("asv", "initial", "r"): 1.0e307,
+                          ("tuv", "towline", "attach_x"): -100},
+     "NonFiniteInput: tow coupling requires finite inputs"),
+    ("storm_loiter.yaml", {("asv", "initial"): {"u": 1.7e308, "v": -1.7e308,
+                                                "psi": "45 deg"}},
+     "NonFiniteInput: disturbance_wrench requires finite inputs"),
+], ids=["tow-coupling", "wind"])
+def test_non_finite_force_input_aborts_with_exit_2(name, changes, reason,
+                                                   tmp_path, capsys):
+    # schema-valid, and once ended simulate in a ValueError traceback from
+    # the loop's finite-input guard
+    tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
+    for keys, value in changes.items():
+        _set(tree, keys, value)
+    assert _probe(tmp_path, "simulate", yaml.safe_dump(tree)) == 2
+    _aborted_run(tmp_path, capsys, reason)
+
+
+def test_stiff_cable_abort_prints_only_its_aborted_line(tmp_path, capsys):
+    # the filter's F P F^T once overflowed with a numpy RuntimeWarning on
+    # stderr before the abort
+    tree = yaml.safe_load(_shipped_with(
+        "calm_cruise.yaml", ("tuv", "towline", "stiffness"), 5.62e32))
+    tree["run"]["duration"] = 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _probe(tmp_path, "simulate", yaml.safe_dump(tree))
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    _aborted_run(tmp_path, capsys, "EstimatorDivergence: non-finite "
+                                   "estimate after prediction")
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_subcell_swath_exits_1_with_field_path(command, tmp_path, capsys):
     # a swath of 1e-320 m once passed validate and then ended simulate in an
@@ -372,6 +447,35 @@ def test_non_finite_number_exits_1_with_field_path(name, keys, value, field,
                                                    command, tmp_path, capsys):
     rc = _probe(tmp_path, command, _shipped_with(name, keys, value))
     _assert_rejected(rc, capsys, tmp_path, f"{field}: must be finite")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("name, keys, value, message", [
+    ("calm_cruise.yaml", ("run", "duration"), "abc s",
+     "scenario.run.duration: cannot parse number in 'abc s'"),
+    ("calm_cruise.yaml", ("asv",), [1, 2],
+     "scenario.asv: expected a mapping, got list"),
+    ("calm_cruise.yaml", ("tuv", "enabled"), 1,
+     "scenario.tuv.enabled: expected true/false, got 1"),
+    ("storm_loiter.yaml", ("mission", "point"), [1],
+     "scenario.mission.point: expected a [x, y] pair"),
+    ("calm_cruise.yaml", ("run", "dt"), None,
+     "scenario.run.dt: required field is missing"),
+    ("calm_search.yaml", ("hexapod", "terrain_speeds", "ice"), 0.1,
+     "scenario.hexapod.terrain_speeds.ice: unknown terrain class"),
+    ("calm_search.yaml", ("mission", "objects"), {"a": 1},
+     "scenario.mission.objects: expected a list of objects"),
+    ("calm_search.yaml", ("mission", "objects"), [{"id": "obj-1"}],
+     "scenario.mission.objects[0].position: required field is missing"),
+    ("calm_search.yaml", ("mission", "objects"), [{"position": [30, 15]}],
+     "scenario.mission.objects[0].id: required field is missing"),
+], ids=["duration-abc", "asv-list", "enabled-1", "point-one-number",
+        "dt-null", "speed-ice", "objects-mapping", "object-no-position",
+        "object-no-id"])
+def test_mistyped_field_exits_1_with_field_path(name, keys, value, message,
+                                                command, tmp_path, capsys):
+    rc = _probe(tmp_path, command, _shipped_with(name, keys, value))
+    _assert_rejected(rc, capsys, tmp_path, message)
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -526,16 +630,23 @@ TERRAIN_HEAD = "# a two-cell strip\ncell_size: 500\norigin: -500 -500\n"
      "not ASCII text"),
     (TERRAIN_HEAD.encode() + b"grid:\nss\nsss\n", 6,
      "grid row of 3 cells, the first has 2"),
+    (b"cell_size: 500\norigin: 5\ngrid:\nss\n", 2,
+     "origin needs two numbers"),
+    (TERRAIN_HEAD.encode() + b"depths: x=3\ngrid:\nss\n", 4,
+     "unknown class 'x'"),
+    (TERRAIN_HEAD.encode() + b"grid:\n", None, "missing grid rows"),
 ], ids=["cell-abc", "cell-negative", "cell-zero", "cell-inf", "cell-nan",
         "depth-abc", "depth-nan", "depth-missing", "origin-inf", "origin-x",
-        "non-ascii", "ragged"])
+        "non-ascii", "ragged", "origin-one-number", "depth-class-x",
+        "no-grid-rows"])
 def test_malformed_terrain_file_exits_1_with_file_and_line(
         terrain, line, message, command, tmp_path, capsys):
     path = tmp_path / "strip.terrain"
     path.write_bytes(terrain)
     rc = _probe(tmp_path, command, CRUISE_YAML + "world: {terrain: strip.terrain}\n")
+    where = path if line is None else f"{path}:{line}"
     _assert_rejected(rc, capsys, tmp_path,
-                     f"scenario.world.terrain: {path}:{line}: {message}")
+                     f"scenario.world.terrain: {where}: {message}")
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -207,6 +207,72 @@ def test_reducer_inspects_leftover_queue_after_pattern_complete():
     assert state.current_target.object_id == "late"
 
 
+# the reducer's invariants, which the run loop leans on (runner docstring),
+# checked after every step of random event sequences from MissionState()
+
+_CONTACTS = [_detection(f"obj-{k}", x, y) for k, (x, y)
+             in enumerate([(0.0, 0.0), (30.0, 5.0), (-12.0, 40.0)])]
+_EVENT_SEQUENCES = st.lists(st.builds(
+    WorldEvents,
+    deployment_complete=st.booleans(),
+    at_leg_boundary=st.booleans(),
+    pattern_complete=st.booleans(),
+    new_detections=st.lists(st.sampled_from(_CONTACTS), max_size=2),
+    target_processed=st.booleans(),
+    vehicles_recovered=st.booleans(),
+    reference_position=st.none() | st.builds(
+        lambda x, y: np.array([x, y]), st.floats(-50.0, 50.0),
+        st.floats(-50.0, 50.0))), max_size=40)
+
+
+def _mission_steps(events):
+    """(before, events, after) of each step of the sequence from
+    MissionState()."""
+    state = MissionState()
+    for ev in events:
+        after = mission_step(state, ev)
+        yield state, ev, after
+        state = after
+
+
+@settings(max_examples=300)
+@given(events=_EVENT_SEQUENCES)
+def test_a_complete_pattern_leaves_wide_area_search_for_good(events):
+    # a search whose pattern is done leaves WIDE_AREA_SEARCH on that step,
+    # to inspect what is queued or else to retrieval, and never comes back
+    for before, ev, after in _mission_steps(events):
+        searching = before.phase is MissionPhase.WIDE_AREA_SEARCH
+        if searching and after.pattern_complete:
+            queued = before.queue or ev.new_detections
+            assert after.phase is (MissionPhase.DETAILED_INSPECTION if queued
+                                   else MissionPhase.RETRIEVAL)
+        deployed = before.phase is not MissionPhase.PRE_MISSION
+        if before.pattern_complete and deployed:
+            assert after.phase is not MissionPhase.WIDE_AREA_SEARCH
+
+
+@settings(max_examples=300)
+@given(events=_EVENT_SEQUENCES)
+def test_detailed_inspection_always_holds_a_target(events):
+    for _, _, after in _mission_steps(events):
+        if after.phase is MissionPhase.DETAILED_INSPECTION:
+            assert isinstance(after.current_target, DetectionEvent)
+
+
+@settings(max_examples=300)
+@given(events=_EVENT_SEQUENCES)
+def test_only_deployment_leaves_pre_mission_and_concluded_is_terminal(events):
+    # with the loop stepping the reducer for searches only and never once
+    # concluded, cruise and loiter runs stay in PRE_MISSION
+    for before, ev, after in _mission_steps(events):
+        if before.phase is MissionPhase.PRE_MISSION:
+            assert after.phase is (MissionPhase.WIDE_AREA_SEARCH
+                                   if ev.deployment_complete
+                                   else MissionPhase.PRE_MISSION)
+        if before.phase is MissionPhase.CONCLUDED:
+            assert after.phase is MissionPhase.CONCLUDED
+
+
 # --- sweep sensor ------------------------------------------------------------
 
 def test_certain_detection_on_footprint_entry():

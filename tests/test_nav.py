@@ -216,11 +216,6 @@ def test_predict_matches_array_rk4_bit_for_bit(params):
         mean[2] = wrap_angle(mean[2])
         assert np.array_equal(out.x, mean)
         assert np.array_equal(out.P, P_ref)
-        # the runner passes the process noise it computed once
-        hoisted = ekf_predict(EstimatorState(x.copy(), P.copy()), params, ekf,
-                              wrench, dt, ekf.q_discrete(dt))
-        assert hoisted.x.tobytes() == out.x.tobytes()
-        assert hoisted.P.tobytes() == out.P.tobytes()
 
 
 def _dynamics_jacobian_reference(x, params):

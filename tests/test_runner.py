@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from coastsim import runner
 from coastsim.asv import VehicleState3DOF
-from coastsim.core import rotate_body_to_nav, rotate_nav_to_body, wrap_angle
+from coastsim.core import (NonFiniteInput, rotate_body_to_nav,
+                           rotate_nav_to_body, wrap_angle)
 from coastsim.environment import damping_wrench, disturbance_wrench
-from coastsim.mission import MissionPhase
+from coastsim.mission import MissionPhase, mission_step
 from coastsim.nav import (SensorReading, _predict, ekf_predict, ekf_update,
                           initial_estimate)
 from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_row,
@@ -481,7 +482,8 @@ wide_floats = (st.floats(-1e300, 1e300) | st.floats(-40.0, 40.0)
 def test_tow_coupling_matches_the_three_rotations_bit_for_bit(pose, x_a, tuv):
     # one cos/sin pair for the three rotations gives the same bytes, because
     # cos(-psi) == cos(psi) and sin(-psi) == -sin(psi) exactly; non-finite
-    # inputs still raise ValueError before and after the tension
+    # inputs still raise before and after the tension, as NonFiniteInput (a
+    # ValueError the run aborts on) where the rotations raise a bare one
     truth = VehicleState3DOF(*pose)
 
     def outcome(coupling):
@@ -490,7 +492,10 @@ def test_tow_coupling_matches_the_three_rotations_bit_for_bit(pose, x_a, tuv):
         except ValueError as exc:
             return type(exc)
         return struct.pack("<6d", *tension, *wrench)
-    assert outcome(_tow_coupling) == outcome(reference_tow_coupling)
+    expected = outcome(reference_tow_coupling)
+    if expected is ValueError:
+        expected = NonFiniteInput
+    assert outcome(_tow_coupling) == expected
 
 
 def _explicit_predict(sim, x, P):
@@ -602,7 +607,19 @@ def test_pickled_simulation_resumes_byte_for_byte(name, pause, tmp_path):
 
 # --- mission end to end ----------------------------------------------------------
 
-def test_calm_search_concludes_with_one_confirmation():
+@pytest.fixture
+def reducer_steps(monkeypatch):
+    """The phase of each state the loop hands to mission_step, in order."""
+    phases = []
+
+    def spy(state, events):
+        phases.append(state.phase)
+        return mission_step(state, events)
+    monkeypatch.setattr(runner, "mission_step", spy)
+    return phases
+
+
+def test_calm_search_concludes_with_one_confirmation(reducer_steps):
     log = run_simulation(parse_scenario(search_tree()))
     m = log.metrics
     assert m["concluded"] is True
@@ -637,6 +654,21 @@ def test_calm_search_concludes_with_one_confirmation():
     phases = col(log, "phase")
     assert phases[0] == "pre_mission"
     assert "wide_area_search" in phases and "detailed_inspection" in phases
+    # one reducer step per step, none of them from a concluded state: the
+    # run stops stepping once the search concludes
+    assert [MissionPhase(p) for p in phases] == reducer_steps
+    assert reducer_steps[-1] is MissionPhase.RETRIEVAL
+
+
+@pytest.mark.parametrize("mission", [
+    {"kind": "cruise", "heading": 0.0, "speed": 2.0},
+    {"kind": "loiter", "point": [0.0, 0.0]}])
+def test_only_a_search_steps_the_reducer(mission, reducer_steps):
+    tree = cruise_tree(duration=2.0, tuv=False, mission=mission)
+    log = run_simulation(parse_scenario(tree))
+    assert reducer_steps == []
+    assert set(col(log, "phase")) == {"pre_mission"}
+    assert log.metrics["final_phase"] == "pre_mission"
 
 
 def test_short_search_is_truncated_not_concluded():

@@ -3,7 +3,10 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -465,3 +468,32 @@ def test_steady_walk_builds_one_gait_table_per_speed():
     assert builds_after("rock", 50) == 2
     assert builds_after("sand", 50) == 2
     assert state.faults == 0 and state.gait_t > 59.0
+
+
+@pytest.mark.parametrize("case, code, last_line", [
+    ("usage", 1, "coastsim simulate: error: argument --seed: invalid int "
+                 "value: 'abc'"),
+    ("stiff-cable", 2, "ABORTED: EstimatorDivergence: non-finite estimate "
+                       "after prediction"),
+], ids=["usage", "stiff-cable"])
+def test_console_exit_codes_without_traceback_or_warning(case, code,
+                                                         last_line, tmp_path):
+    # the console path: a real sys.exit and the process's own stderr, where
+    # a numpy warning or an uncaught exception would print
+    tree = yaml.safe_load((SCENARIO_DIR / "calm_cruise.yaml").read_text())
+    tree["run"]["duration"] = 3
+    tree.setdefault("tuv", {}).setdefault("towline", {})["stiffness"] = 5.62e32
+    path = tmp_path / "stiff.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    argv = [sys.executable, "-m", "coastsim.cli", "simulate", str(path),
+            "--out", str(tmp_path / "out")]
+    if case == "usage":
+        argv += ["--seed", "abc"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-1] == last_line
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
