@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (IntegrationFault, cos_sin, rk4_stages as _float_rk4,
-                   wrap_angle)
+from .core import (IntegrationFault, clamp, cos_sin,
+                   rk4_stages as _float_rk4, wrap_angle)
 
 # indices into the 6-state array used by the integrator and the estimator
 IX, IY, IPSI, IU, IV, IR = range(6)
@@ -133,12 +133,7 @@ def allocate_differential_thrust(surge_cmd: float, yaw_cmd: float,
     half = params.thruster_half_spacing
     left = 0.5 * (surge_cmd - yaw_cmd / half)
     right = 0.5 * (surge_cmd + yaw_cmd / half)
-    # min(max(v, lo), hi) as conditionals, argument for argument: the same
-    # result for every float, NaN, signed zeros and lo > hi included
     hi = params.max_thrust
-    lo = -hi
-    left = lo if lo > left else left
-    left = hi if hi < left else left
-    right = lo if lo > right else right
-    right = hi if hi < right else right
+    left = clamp(left, -hi, hi)
+    right = clamp(right, -hi, hi)
     return left, right, BodyWrench(left + right, 0.0, (right - left) * half)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import rotate_body_to_nav, successor, wrap_angle
+from .core import clamp, rotate_body_to_nav, successor, wrap_angle
 
 INF = float("inf")
 
@@ -52,15 +52,10 @@ def pid_step(ctrl: PidController, error: float, dt: float) -> tuple[float, PidCo
         raise ValueError(f"pid dt must be positive, got {dt}")
     prev = ctrl.prev_error if ctrl.prev_error is not None else 0.0
     integral = ctrl.integral + 0.5 * (error + prev) * dt
-    # anti-windup clamp: min(max(integral, lo), hi), argument for argument
-    lo, hi = ctrl.integral_limits
-    integral = lo if lo > integral else integral
-    integral = hi if hi < integral else integral
+    integral = clamp(integral, *ctrl.integral_limits)  # anti-windup
     deriv = 0.0 if ctrl.prev_error is None else (error - ctrl.prev_error) / dt
     out = ctrl.kp * error + ctrl.ki * integral + ctrl.kd * deriv
-    lo, hi = ctrl.output_limits
-    out = lo if lo > out else out
-    out = hi if hi < out else out
+    out = clamp(out, *ctrl.output_limits)
     return out, successor(ctrl, integral=integral, prev_error=error)
 
 
@@ -127,15 +122,9 @@ def station_keeping(point: tuple[float, float], est,
     err_x = point[0] - est.x
     err_y = point[1] - est.y
     v_x, v_y = rotate_body_to_nav((est.u, est.v), est.psi)
-    # min(max(v, -limit), limit) per axis, argument for argument
     hi = DP_INTEGRAL_MAX
-    lo = -hi
-    int_x = integral[0] + DP_KI * err_x * dt
-    int_x = lo if lo > int_x else int_x
-    int_x = hi if hi < int_x else int_x
-    int_y = integral[1] + DP_KI * err_y * dt
-    int_y = lo if lo > int_y else int_y
-    int_y = hi if hi < int_y else int_y
+    int_x = clamp(integral[0] + DP_KI * err_x * dt, -hi, hi)
+    int_y = clamp(integral[1] + DP_KI * err_y * dt, -hi, hi)
     force_x = DP_KP * err_x - DP_KD * v_x + int_x
     force_y = DP_KP * err_y - DP_KD * v_y + int_y
     magnitude = math.hypot(force_x, force_y)

@@ -1,6 +1,6 @@
-"""Shared simulation primitives: rotations, seeded random streams (with
-block-drawn standard normals), the RK4 step on six floats, the fault base,
-frozen-value successors.
+"""Shared simulation primitives: rotations, the clamp, seeded random streams
+(with block-drawn standard normals), the RK4 step on six floats, the fault
+base, frozen-value successors.
 
 Simulation time has no type of its own: runner.Simulation keeps an int step
 count and takes t = step_count * dt, which does not drift as a sum of dt
@@ -49,6 +49,14 @@ def wrap_angle(theta: float) -> float:
     if w > math.pi:
         w -= TWO_PI
     return w
+
+
+def clamp(x: float, lo: float, hi: float) -> float:
+    """min(max(x, lo), hi) as two conditionals, argument for argument, without
+    the builtins' calls: the same result for every float, NaN, signed zeros
+    and lo > hi included."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
 
 
 def cos_sin(theta: float) -> tuple[float, float]:

@@ -26,9 +26,9 @@ The inverse kinematics run on floats too: `_leg_ik` takes a target's three
 coordinates plus the link lengths, the law-of-cosines terms l1**2, l2**2 and
 2*l1*l2 and the joint limits' bounds, which `body_advance` reads once per
 step (`leg_ik` is its public wrapper). It keeps the reach test's order
-(d*d + z*z - l1**2) - l2**2, clamps without the slow min/max builtins, wraps
-theta3 inline as `wrap_angle` does (a non-finite angle raises its ValueError),
-checks the limits in order theta1, theta2, theta3 and fills the frozen
+(d*d + z*z - l1**2) - l2**2, clamps with `clamp`, wraps theta3 inline as
+`wrap_angle` does (a non-finite angle raises its ValueError), checks the
+limits in order theta1, theta2, theta3 and fills the frozen
 `LegConfiguration` without its constructor, as `body_advance` does the new
 `HexapodState`: `np.asarray` and the heading wrap change no bits.
 """
@@ -36,15 +36,12 @@ checks the limits in order theta1, theta2, theta3 and fills the frozen
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, wrap_angle
-
-log = logging.getLogger(__name__)
+from .core import TWO_PI, clamp, wrap_angle
 
 PI = math.pi
 TRIPOD_A = (0, 2, 4)  # front-left, mid-right, rear-left; tripod B is 1, 3, 5
@@ -138,9 +135,8 @@ def _leg_ik(x: float, y: float, z: float, geom: LegGeometry,
         raise WorkspaceViolation(
             f"target radius {r:.9f} m outside [{geom.reach_min:.9f}, "
             f"{geom.reach_max:.9f}] m", radius=r)
-    arg = 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
     theta1 = math.atan2(y, x)
-    theta2 = math.acos(arg)
+    theta2 = math.acos(clamp(arg, -1.0, 1.0))
     theta3 = (math.atan2(z, d)
               - math.atan2(l2 * math.sin(theta2), l1 + l2 * math.cos(theta2)))
     # wrap_angle(theta3), inline
@@ -351,9 +347,7 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
 
     heading_err = wrap_angle(heading_cmd - state.heading)
     max_step = params.max_turn_rate * dt
-    # min(max(heading_err, -max_step), max_step), argument for argument
-    turn = -max_step if -max_step > heading_err else heading_err
-    turn = max_step if max_step < turn else turn
+    turn = clamp(heading_err, -max_step, max_step)
     heading = wrap_angle(state.heading + turn)
 
     gait_t = state.gait_t + dt
@@ -364,13 +358,12 @@ def body_advance(state: HexapodState, heading_cmd: float, dt: float,
     links = _link_constants(geom)
     legs = []
     try:
-        for leg, (p0, v_st, v_sw, offset) in enumerate(table):
+        for p0, v_st, v_sw, offset in table:
             t_start = gait_t - (cycles + offset) % 1.0 * period
             legs.append(_leg_ik(*_foot_position(p0, v_st, v_sw, t_start,
                                                 period, duty, gait_t, h_lift),
                                 geom, links))
-    except (WorkspaceViolation, JointLimitError) as exc:
-        log.warning("gait halted: leg %d target unreachable (%s)", leg, exc)
+    except (WorkspaceViolation, JointLimitError):
         return HexapodState(state.position, state.heading, state.terrain,
                             state.gait_t, state.legs, state.faults + 1)
 

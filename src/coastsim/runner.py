@@ -7,11 +7,12 @@ sweep, (9) mission reducer — so identical (scenario, seed) pairs produce
 byte-identical logs. Rows capture the pre-integration state: every value in
 a row belongs to the same instant, the row's t.
 
-The tow point is taken at the ASV's reference point, so the cable reaction
-enters as body-frame force only (no induced yaw moment). The navigation
-filter propagates with the forces the vehicle knows about: its own realized
-control wrench from the previous step plus modeled damping on the estimated
-state. Wind, waves, gusts and the cable are disturbances it must reject.
+The cable attaches at tuv.towline.attach_x on the hull's centreline, so its
+reaction enters as a body-frame force plus the yaw moment x_a * Y it induces
+about the reference point (_tow_coupling). The navigation filter propagates
+with the forces the vehicle knows about: its own realized control wrench
+from the previous step plus modeled damping on the estimated state. Wind,
+waves, gusts and the cable are disturbances it must reject.
 
 A Simulation keeps each fact of a run once: the metrics read the steps and
 distance off its rows, the confirmations off its events, the time off an int
@@ -166,7 +167,7 @@ class Simulation:
         self.tuv = self._initial_tuv_state() if scn.tuv_enabled else None
 
         self.hexapod: HexapodState | None = None  # set while deployed
-        self.hexapod_faults = 0
+        self.hexapod_faults = 0  # gait halts so far (a crawler carries it)
 
         self.mission_state = MissionState()
         self.start_pos = np.array([scn.asv_initial.x, scn.asv_initial.y])
@@ -300,7 +301,8 @@ class Simulation:
                 terrain, _ = scn.terrain.terrain_at(asv_pos)
                 self.hexapod = HexapodState(
                     position=asv_pos, heading=self.truth.psi,
-                    terrain=terrain, legs=stand_legs(scn.hexapod_params))
+                    terrain=terrain, legs=stand_legs(scn.hexapod_params),
+                    faults=self.hexapod_faults)
                 self._log_event(t, "hexapod_deployed",
                                 position=[float(asv_pos[0]), float(asv_pos[1])],
                                 target=target_ev.object_id)
@@ -314,12 +316,12 @@ class Simulation:
             heading_cmd = math.atan2(vec[1], vec[0])
             self.hexapod = body_advance(self.hexapod, heading_cmd, dt,
                                         scn.hexapod_params)
+            self.hexapod_faults = self.hexapod.faults
             vec = target - self.hexapod.position
             distance = math.hypot(*vec)
         if distance <= scn.mission.confirm_radius:
             self._log_event(t, "confirmation", object_id=target_ev.object_id,
                             position=[float(target[0]), float(target[1])])
-            self.hexapod_faults += self.hexapod.faults
             self.hexapod = None
             self._log_event(t, "hexapod_recovered",
                             object_id=target_ev.object_id)
@@ -405,7 +407,8 @@ class Simulation:
             self.speed_pid = _freeze_integral_if_pinned(
                 prev_speed_pid, self.speed_pid, speed_error, surge_cmd,
                 -headroom, headroom)
-        # max(-headroom, min(headroom, surge_cmd)), argument for argument
+        # max(-headroom, min(headroom, surge_cmd)), not clamp's order: at zero
+        # headroom a command >= 0 is -0.0 here, 0.0 there; the logs hold -0.0
         surge_cmd = surge_cmd if surge_cmd < headroom else headroom
         surge_cmd = surge_cmd if surge_cmd > -headroom else -headroom
         left, right, realized = allocate_differential_thrust(
@@ -495,9 +498,8 @@ class Simulation:
             tow = (None,) * 10
         crawler = self.hexapod
         if crawler is not None:
-            # faults are cumulative: the recovered crawlers' and this one's
             hexapod = (1, *crawler.position.tolist(), crawler.heading,
-                       self.hexapod_faults + crawler.faults,
+                       self.hexapod_faults,
                        *[theta for cfg in crawler.legs
                          for theta in (cfg.theta1, cfg.theta2, cfg.theta3)])
         else:
@@ -582,9 +584,7 @@ class Simulation:
             "detections": detections,
             "confirmations": sum(event["event"] == "confirmation"
                                  for event in self.events),
-            # a crawler still deployed at the end counts its faults too
-            "hexapod_faults": self.hexapod_faults + (
-                self.hexapod.faults if self.hexapod is not None else 0),
+            "hexapod_faults": self.hexapod_faults,
         }
         if report is not None:
             metrics["area_searched"] = report["area_searched"]
@@ -594,9 +594,15 @@ class Simulation:
             area = None if self.coverage_track else 0.0
             metrics["area_searched"] = metrics["area_per_hour"] = area
         if scn.mission.kind == LOITER_MISSION and len(track):
-            offsets = np.linalg.norm(track - scn.mission.point, axis=1)
-            metrics["loiter_max_offset"] = float(np.max(offsets))
-            metrics["loiter_p95_offset"] = float(np.quantile(offsets, 0.95))
+            # a track far off the point overflows the norm to inf (the
+            # quantile to nan), which JSON lacks: such an offset is null
+            with np.errstate(all="ignore"):
+                offsets = np.linalg.norm(track - scn.mission.point, axis=1)
+                for key, offset in (
+                        ("loiter_max_offset", np.max(offsets)),
+                        ("loiter_p95_offset", np.quantile(offsets, 0.95))):
+                    offset = float(offset)
+                    metrics[key] = offset if math.isfinite(offset) else None
             metrics["loiter_fraction_within_2p5"] = float(
                 np.mean(offsets <= 2.5))
         return metrics
@@ -608,11 +614,6 @@ def run_simulation(scenario: Scenario) -> RunLog:
 
 
 # -- serialization -------------------------------------------------------------
-
-# rows of states.csv per write: a few kB, about what the file object buffers
-# anyway, so the writer streams without a memory peak of its own
-_CHUNK_ROWS = 8
-
 
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -663,11 +664,9 @@ def emit_outputs(log: RunLog, out_dir, formats=("csv", "json")) -> dict:
     written = {}
     if "csv" in formats:
         path = out / STATES_FILE
-        lines = _csv_lines(log.columns, log.rows)
         with open(path, "w", encoding="ascii", newline="") as fh:
-            while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
-                chunk.append("")
-                fh.write("\n".join(chunk))
+            for line in _csv_lines(log.columns, log.rows):
+                fh.write(line + "\n")
         written["states"] = path
     if "json" in formats:
         events_path = out / EVENTS_FILE

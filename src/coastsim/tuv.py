@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntegrationFault, SimulationFault, rk4_stages
+from .core import IntegrationFault, SimulationFault, clamp, rk4_stages
 
 G = 9.81  # [m/s^2]
 MAX_CABLE_LENGTH = 30.0  # physical cable on the winch drum [m]
@@ -240,10 +240,7 @@ def winch_set_length(line: Towline, commanded_length: float, dt: float) -> Towli
     """
     _check_cable_length(commanded_length)
     step = line.max_slew_rate * dt
-    delta = commanded_length - line.unstretched_length
-    # min(max(delta, -step), step), argument for argument
-    delta = -step if -step > delta else delta
-    delta = step if step < delta else delta
+    delta = clamp(commanded_length - line.unstretched_length, -step, step)
     if delta == 0.0:
         return line
     return Towline(line.unstretched_length + delta, line.stiffness,

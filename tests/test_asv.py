@@ -165,6 +165,12 @@ def test_params_validation():
         AsvParams(max_thrust=-1.0)
 
 
+def test_params_reject_zero_thruster_spacing():
+    # the allocation divides the yaw moment by it
+    with pytest.raises(ValueError, match="thruster_half_spacing"):
+        AsvParams(thruster_half_spacing=0.0)
+
+
 def test_state_array_round_trip():
     state = VehicleState3DOF(x=1, y=2, psi=0.5, u=0.1, v=0.2, r=0.3)
     assert VehicleState3DOF.from_array(state.as_array()) == state

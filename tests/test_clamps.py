@@ -19,6 +19,7 @@ from coastsim.asv import (AsvParams, BodyWrench, VehicleState3DOF,
                           allocate_differential_thrust)
 from coastsim.control import PidController, pid_step, station_keeping
 from coastsim.core import rotate_body_to_nav, successor, wrap_angle
+from coastsim.core import clamp
 from coastsim.hexapod import (HexapodParams, HexapodState, body_advance,
                               stand_legs)
 from coastsim.runner import Simulation
@@ -120,6 +121,14 @@ def ref_heading(state, heading_cmd, dt, params):
 
 
 # -- the sites ----------------------------------------------------------------
+
+def test_clamp_is_min_max():
+    for x in VALUES:
+        for lo in BOUNDS:
+            for hi in BOUNDS:
+                assert bits(clamp(x, lo, hi)) == bits(min(max(x, lo), hi)), (
+                    x, lo, hi)
+
 
 def test_thrust_allocation_clamps_as_min_max():
     params = AsvParams()

@@ -52,6 +52,13 @@ def test_simulate_writes_run_directory(cruise_file, tmp_path, capsys):
     assert metrics["steps"] == 100
 
 
+def test_simulate_prints_detections_and_confirmations(tmp_path, capsys):
+    assert main(["simulate", str(SCENARIO_DIR / "calm_search.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert "detections 1, confirmations 1" in \
+        capsys.readouterr().out.splitlines()
+
+
 def test_simulate_seed_and_duration_overrides(cruise_file, tmp_path):
     rc = main(["simulate", str(cruise_file), "--seed", "42",
                "--duration", "0.5", "--out", str(tmp_path / "out")])
@@ -479,6 +486,15 @@ def test_mistyped_field_exits_1_with_field_path(name, keys, value, message,
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_string_in_a_unitless_field_exits_1_with_field_path(command, tmp_path,
+                                                            capsys):
+    rc = _probe(tmp_path, command, _shipped_with("calm_cruise.yaml",
+                                                 ("asv", "m11"), "50"))
+    _assert_rejected(rc, capsys, tmp_path,
+                     "scenario.asv.m11: expected a number, got str")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize("run, message", [
     ("{seed: -1}", "scenario.run.seed: must be in [0, 2**64)"),
     ("{seed: 18446744073709551616}", "scenario.run.seed: must be in [0, 2**64)"),
@@ -550,6 +566,16 @@ def test_deep_nesting_exits_1_in_a_subprocess(text, command, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_nesting_past_the_recursion_limit_exits_1(command, tmp_path, capsys):
+    # too deep for the C loader, so the Python one parses it and runs out
+    # of recursion depth (in process: it recurses in Python, not in C)
+    text = "x: " + "[" * 6000 + "]" * 6000 + "\n"
+    _assert_rejected(_probe(tmp_path, command, text), capsys, tmp_path,
+                     f"{tmp_path / 'probe.yaml'}: not valid YAML "
+                     "(nested too deeply)")
+
+
 @pytest.mark.parametrize("name", ["calm_search.yaml", "storm_loiter.yaml",
                                   "calm_cruise.yaml"])
 def test_shipped_metrics_are_strict_json(name, tmp_path):
@@ -559,6 +585,30 @@ def test_shipped_metrics_are_strict_json(name, tmp_path):
                  "--out", str(tmp_path)]) == 0
     (path,) = tmp_path.glob("*/metrics.json")
     json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("asv", "initial", "x"), 1.0e160),
+    (("mission", "point"), [1.0e160, 0]),
+], ids=["far-start", "far-point"])
+def test_unmeasurable_loiter_offsets_are_null(keys, value, tmp_path, capsys):
+    # the offsets' norm overflows: metrics.json once held Infinity and NaN,
+    # and numpy printed two RuntimeWarnings
+    def refuse(constant):
+        raise ValueError(f"metrics.json holds {constant}")
+    tree = yaml.safe_load(_shipped_with("storm_loiter.yaml", keys, value))
+    tree["run"]["duration"] = 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _probe(tmp_path, "simulate", yaml.safe_dump(tree))
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    (path,) = tmp_path.glob("out/*/metrics.json")
+    metrics = json.loads(path.read_text(), parse_constant=refuse)
+    assert metrics["loiter_max_offset"] is None
+    assert metrics["loiter_p95_offset"] is None
+    assert metrics["loiter_fraction_within_2p5"] == 0.0
 
 
 # --- run names, terrain files and run directories -------------------------------

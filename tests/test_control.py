@@ -74,6 +74,12 @@ def test_pid_outputs_always_finite_and_bounded():
         assert -10.0 <= ctrl.integral <= 10.0
 
 
+@pytest.mark.parametrize("limits", ["output_limits", "integral_limits"])
+def test_pid_rejects_reversed_limits(limits):
+    with pytest.raises(ValueError, match=f"{limits} reversed"):
+        PidController(kp=1.0, **{limits: (1.0, -1.0)})
+
+
 def test_pid_rejects_bad_dt():
     with pytest.raises(ValueError):
         pid_step(PidController(kp=1.0), 1.0, 0.0)

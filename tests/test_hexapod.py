@@ -328,7 +328,21 @@ def test_infeasible_gait_halts_and_counts_fault(caplog):
     assert np.array_equal(after.position, state.position)
     assert after.heading == state.heading
     assert after.legs == state.legs  # stance frozen, no partial update
-    assert any("unreachable" in rec.message for rec in caplog.records)
+    assert caplog.records == []  # the count records the halt, not a log
+
+
+def test_ik_of_a_nan_target_raises_value_error():
+    # NaN passes the reach test and the clamp; theta3's inline wrap raises
+    with pytest.raises(ValueError, match="cannot wrap non-finite angle"):
+        leg_ik(np.array([math.nan, 0.0, -0.06]), LegGeometry())
+
+
+def test_body_advance_rejects_a_zero_terrain_speed():
+    params = HexapodParams(terrain_speeds={"sand": 0.0})
+    state = HexapodState(np.zeros(2), terrain="sand",
+                         legs=stand_legs(HexapodParams()))
+    with pytest.raises(ValueError, match="walking speed must be positive"):
+        body_advance(state, 0.0, 0.1, params)
 
 
 def test_stand_legs_park_at_home():

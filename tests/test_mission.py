@@ -617,6 +617,17 @@ def test_coverage_grid_matches_reference_on_any_track(points, swath):
     assert coverage_report(track, swath, active_time=1.0) == ref_report
 
 
+def test_coverage_grid_of_a_swath_below_the_settle_margin():
+    # half a 0.005 m swath is under the margin: no disc settles, every cell
+    # of the corridor is tested
+    track = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+    ref_grid, ref_report = ref_coverage_report(track, 0.005, active_time=1.0)
+    lengths = np.linalg.norm(track[1:] - track[:-1], axis=1)
+    assert np.array_equal(_covered_grid(track, lengths, 0.0025), ref_grid)
+    assert ref_grid.any()
+    assert coverage_report(track, 0.005, active_time=1.0) == ref_report
+
+
 # tracemalloc peaks of coverage_report on two dense tracks, as the grid
 # filled by chunks of segment boxes reached them (numpy 2.4, Python 3.11):
 # the settle intervals and the band's temporaries must not raise them

@@ -652,6 +652,17 @@ def test_update_divergence_raises_before_heading_wrap():
                    EkfParams(gyro_sigma=1.0))
 
 
+def test_update_overflow_under_raise_is_divergence():
+    # P - q q^T with q = P[:, 2] / sqrt(S): the 1e200 column squares past
+    # the float range, which numpy raises when the run loop steps
+    P = np.eye(6)
+    P[0, 2] = P[2, 0] = 1e200
+    with np.errstate(over="raise"), pytest.raises(
+            EstimatorDivergence,
+            match="non-finite estimate after compass update"):
+        _update([0.0] * 6, P, COMPASS, 0.0, EkfParams())
+
+
 def test_update_never_inflates_covariance():
     rng = np.random.default_rng(37)
     ekf = EkfParams()

@@ -2,15 +2,19 @@ import csv
 import dataclasses
 import filecmp
 import io
+import json
 import math
+import os
 import pickle
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -693,6 +697,28 @@ def test_crawler_faults_are_cumulative_and_counted_when_still_deployed():
     assert deployed_steps > 1
     assert faults == sorted(faults)
     assert m["hexapod_faults"] == deployed_steps == faults[-1] + 1
+
+
+def test_halted_crawler_writes_nothing_to_stderr(tmp_path):
+    # the console run of the 10 m stride: each halt is in hex_faults and
+    # hexapod_faults, and the process's stderr stays empty (it once held a
+    # log line per halted step)
+    tree = search_tree(duration=60.0)
+    tree["hexapod"] = {"stride": 10.0}
+    path = tmp_path / "stride.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(runner.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coastsim.cli", "simulate", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    (metrics,) = tmp_path.glob("out/*/metrics.json")
+    assert json.loads(metrics.read_text())["hexapod_faults"] > 0
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("tuv, platform", [(True, "tuv"), (False, "asv")])
