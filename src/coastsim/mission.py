@@ -314,12 +314,12 @@ class EnvironmentalSampler:
                                    salinity)
 
 
-# the coverage grid settles cells before it tests any (see coverage_report)
+# coverage_report settles cells by row spans of chord pieces' capsules
 _SETTLE_MARGIN = COVERAGE_CELL / 64  # [m]
-_PIECE = 8 * COVERAGE_CELL  # [m] longest track piece, and a group's arc window
-_GROUP = 8  # track pieces per group, at most
-_WIDTH_STEPS = 8  # settled half-widths are whole 1/8 cells
-_BLOCK = 1024  # elements per temporary array
+_RUN = 32  # segments per chord piece, at most
+_DEVIATION = COVERAGE_CELL / 2  # [m] farthest a piece's vertex lies off its chord
+_ROOTS = np.array([math.sqrt(k / 4096) for k in range(4098)])  # see _row_spans
+_BLOCK = 512  # elements per temporary array; segments per block, 8 * _BLOCK
 
 
 def _grid_shape(pts: np.ndarray, half: float) -> tuple:
@@ -337,222 +337,206 @@ def _grid_shape(pts: np.ndarray, half: float) -> tuple:
     return x_min, y_min, max(1, math.ceil(x_cells)), max(1, math.ceil(y_cells))
 
 
-def _segment_groups(a: np.ndarray, b: np.ndarray, length: np.ndarray,
-                    origin: np.ndarray) -> tuple:
-    """Cut the segments a -> b into pieces of at most _PIECE and gather runs
-    of up to _GROUP consecutive pieces that start in one _PIECE window of
-    track length into groups.
-
-    Returns (seg, size, centre, extent, first_point): per group, the
-    segment of each of its pieces (_GROUP columns, the last one repeated to
-    fill the row), its number of pieces, the centre and half-sides of its
-    pieces' bounding box, and its first piece's start point. Points are in
-    cell units from origin, with the centre of cell (i, j) at (i, j).
-    """
-    arc = np.cumsum(length)
-    arc -= length  # track length at each piece's start
-    parent, p0, p1 = None, a, b
-    if (length > _PIECE).any():
-        count = (length / _PIECE).astype(np.int64) + 1
-        parent = np.repeat(np.arange(len(a)), count)
-        q = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count, count)
-        n = count[parent]
-        start = a[parent]
-        d = b[parent] - start
-        p0 = start + (q / n)[:, None] * d
-        p1 = start + ((q + 1) / n)[:, None] * d
-        arc = arc[parent] + q / n * length[parent]
-    np.floor_divide(arc, _PIECE, out=arc)  # the window a piece starts in
-    first = np.empty(len(p0), dtype=bool)
-    first[0] = True
-    np.not_equal(arc[1:], arc[:-1], out=first[1:])
-    first[::_GROUP] = True
-    gs = np.flatnonzero(first)
-    ge = np.append(gs[1:], len(p0))
-    seg = np.minimum(gs[:, None] + np.arange(_GROUP), ge[:, None] - 1)
-    if parent is not None:
-        seg = parent[seg]
-    lo = (np.minimum(np.minimum.reduceat(p0, gs), np.minimum.reduceat(p1, gs))
-          - origin) / COVERAGE_CELL - 0.5
-    hi = (np.maximum(np.maximum.reduceat(p0, gs), np.maximum.reduceat(p1, gs))
-          - origin) / COVERAGE_CELL - 0.5
-    centre = 0.5 * (lo + hi)
-    extent = np.maximum(hi - centre, centre - lo)
-    return (seg, ge - gs, centre, extent,
-            (p0[gs] - origin) / COVERAGE_CELL - 0.5)
+def _ragged(count: np.ndarray):
+    """(owner, k) of every 0 <= k < count[owner], _BLOCK pairs at a time."""
+    end = np.cumsum(count)
+    for lo in range(0, int(end[-1]) if len(end) else 0, _BLOCK):
+        flat = np.arange(lo, min(lo + _BLOCK, int(end[-1])))
+        owner = np.searchsorted(end, flat, "right")
+        yield owner, flat - end[owner] + count[owner]
 
 
-def _disc_rows(u: np.ndarray, radius: np.ndarray, inward: bool, shape: tuple,
-               squares: np.ndarray):
-    """Each disc's cells of a grid as one cell interval per grid row.
-
-    u holds the discs' centres in cell units, with the centre of cell (i, j)
-    at (i, j), and radius their radii in cells. squares is the table
-    (k / _WIDTH_STEPS)^2, against which each row's half-width is rounded
-    down (inward: the interval lies in the disc) or up (it holds the disc's
-    cells of the row). Yields, a block of discs at a time, (disc, base,
-    start, stop) of every non-empty interval: the cells base + j of the
-    grid's flat index, start <= j < stop.
-    """
-    span = int(2.0 * radius.max()) + 2  # rows a disc can touch
-    step = max(1, _BLOCK // span)
-    for k in range(0, len(u), step):
-        disc, base, start, stop = _block_rows(
-            u[k:k + step], radius[k:k + step, None], span, inward, shape,
-            squares)
-        yield disc + k, base, start, stop
+def _segment_blocks(pts: np.ndarray, lengths: np.ndarray, bounds: np.ndarray):
+    """(a, b, length) of the segments a -> b longer than 1e-12 m of each
+    stretch pts[bounds[k]:bounds[k + 1]], 8 * _BLOCK at a time; a stretch
+    with none sweeps the disc around its first point."""
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b, length = pts[lo:hi - 1], pts[lo + 1:hi], lengths[lo:hi - 1]
+        keep = length > 1e-12
+        if not keep.any():
+            a, b, length = pts[lo:lo + 1], pts[lo:lo + 1] + 1e-9, np.array([1e-9])
+        elif not keep.all():  # else views: no copy of the track adds to the peak
+            a, b, length = a[keep], b[keep], length[keep]
+        for k in range(0, len(length), 8 * _BLOCK):
+            yield a[k:k + 8 * _BLOCK], b[k:k + 8 * _BLOCK], length[k:k + 8 * _BLOCK]
 
 
-def _block_rows(u: np.ndarray, r: np.ndarray, span: int, inward: bool,
-                shape: tuple, squares: np.ndarray) -> tuple:
-    """_disc_rows of one block of discs, r their radii as a column and span
-    the rows each may touch."""
-    nx, ny = shape
-    ux, uy = u[:, 0:1], u[:, 1:2]
-    rows = np.maximum(ux - r, 0.0).astype(np.int64) + np.arange(span)
-    di = rows - ux
-    w2 = r * r - di * di
-    if inward:
-        w = (np.searchsorted(squares, w2, "right") - 1) / _WIDTH_STEPS
-        start = np.maximum(uy - w + 1.0, 0.0).astype(np.int64)  # >= ceil
-    else:
-        w = np.searchsorted(squares, w2, "left") / _WIDTH_STEPS
-        start = np.maximum(uy - w, 0.0).astype(np.int64)  # floor, or 0
-    stop = np.minimum((uy + w + 1.0).astype(np.int64), ny)  # floor + 1
-    ok = (w2 >= 0.0) & (rows < nx) & (stop > start)
-    return np.nonzero(ok)[0], rows[ok] * ny, start[ok], stop[ok]
+def _chord_pieces(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(first, last, dev2) of the pieces of the consecutive segments a -> b:
+    runs first <= k < last of up to _RUN, each halved until every vertex
+    a[k] of it lies within _DEVIATION of its chord a[first] -> b[last - 1],
+    and the largest squared distance dev2 of a vertex from it [m^2]."""
+    first = np.arange(0, len(a), _RUN)
+    last = np.minimum(first + _RUN, len(a))
+    pieces = []
+    while len(first):
+        n = last - first - 1  # the vertices past each run's first
+        run = np.repeat(np.arange(len(first)), n)
+        v = a[np.arange(len(run)) - np.repeat(np.cumsum(n) - n - first - 1, n)]
+        v -= a[first[run]]
+        d = b[last - 1][run] - a[first[run]]
+        dd = (d * d).sum(axis=1)
+        t = np.divide((v * d).sum(axis=1), dd, out=np.zeros(len(dd)),
+                      where=dd > 0.0)  # a closed run's chord is a point
+        v -= np.clip(t, 0.0, 1.0)[:, None] * d
+        dev2 = np.zeros(len(first))
+        np.maximum.at(dev2, run, (v * v).sum(axis=1))
+        off = dev2 > _DEVIATION ** 2
+        pieces.append((first[~off], last[~off], dev2[~off]))
+        mid = (first + last) // 2
+        first, last = np.append(first[off], mid[off]), np.append(mid[off], last[off])
+    return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
-def _band_pairs(band: np.ndarray, group: np.ndarray, base: np.ndarray,
-                start: np.ndarray, stop: np.ndarray) -> tuple:
-    """(cell, group) of every cell of the sorted flat band that lies in an
-    interval of _disc_rows; an interval's band cells are a run of band."""
-    run = np.searchsorted(band, base + start)
-    n = np.searchsorted(band, base + stop) - run
-    at = np.repeat(run - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-    return band[at], np.repeat(group, n)
+def _row_spans(i: np.ndarray, chord: np.ndarray) -> tuple:
+    """(lo, hi) of the cells lo <= j <= hi of each grid row i within r of a
+    chord row (ax, ay, dx, dy, slope, r, c, h) (see _covered_intervals), r
+    in column 0 rounded inward and in column 1 outward: a capsule is the
+    hull of its end discs, so a span ends on a disc's chord of the row or
+    where the row crosses a side, r off the chord."""
+    u = i[:, None] - chord[:, 0:1]
+    ay, dx, dy, slope = (chord[:, k:k + 1] for k in range(1, 5))
+    r, c, h = np.maximum(chord[:, 5:7], 1e-3), chord[:, 7:9], chord[:, 9:11]
+    lo, hi = np.full(r.shape, np.inf), np.full(r.shape, -np.inf)
+    for y, x in ((ay, u), (ay + dy, u - dx)):  # the end discs
+        w2 = np.maximum(r * r - x * x, 0.0)
+        # a disc's half-width: one Newton step from the _ROOTS entry above
+        # it stays above it (the mean of w and w2 / w is at least their
+        # geometric mean), and w2 over it stays below
+        w = r * _ROOTS[(w2 / (r * r) * 4096.0).astype(np.int64) + 1]
+        w = 0.5 * (w + w2 / w)
+        w[:, 0] = w2[:, 0] / w[:, 0]
+        w[r * r < x * x] = -np.inf
+        np.maximum(hi, y + w, out=hi)
+        np.minimum(lo, y - w, out=lo)
+    for sign, span, edge in ((1.0, hi, np.maximum), (-1.0, lo, np.minimum)):
+        q = u + sign * c  # the row's place along the side, 0 at its start
+        y = ay + q * slope + sign * h
+        y[(q < 0.0) | (q > dx)] = -sign * np.inf
+        edge(span, y, out=span)
+    return lo, hi
 
 
-def _disc_union(scratch: np.ndarray, u: np.ndarray, radius: np.ndarray,
-                inward: bool, squares: np.ndarray) -> np.ndarray:
-    """The cells of a union of discs (see _disc_rows) as a bool grid of
-    scratch's shape; scratch is integer work space, overwritten."""
-    scratch[...] = 0
-    flat = scratch.reshape(-1)
-    # each interval's stop, at its first cell; a running maximum along the
-    # row then exceeds a cell's index exactly where an interval holds it
-    for _, base, start, stop in _disc_rows(u, radius, inward, scratch.shape,
-                                           squares):
-        np.maximum.at(flat, base + start, stop.astype(scratch.dtype))
-    np.maximum.accumulate(scratch, axis=1, out=scratch)
-    return scratch > np.arange(scratch.shape[1])
+def _union(start: np.ndarray, stop: np.ndarray, new_start: np.ndarray,
+           new_stop: np.ndarray) -> tuple:
+    """The sorted, disjoint intervals start <= f < stop merged with the
+    intervals new_start <= f < new_stop."""
+    order = np.argsort(new_start)
+    at = np.searchsorted(start, new_start[order])
+    start = np.insert(start, at, new_start[order])
+    stop = np.maximum.accumulate(np.insert(stop, at, new_stop[order]))
+    head = np.append(True, start[1:] > stop[:-1])  # a new interval starts
+    return start[head], stop[np.append(head[1:], True)]
 
 
-def _covered_grid(pts: np.ndarray, lengths: np.ndarray,
-                  half: float) -> np.ndarray:
-    """Occupancy grid of the track's swept corridor (see coverage_report).
-
-    lengths are the segment lengths, np.linalg.norm(pts[1:] - pts[:-1],
-    axis=1); half is half the swath. Cell (i, j) has its centre at
-    (x_min + (i + 0.5) * cell, y_min + (j + 0.5) * cell), where x_min and
-    y_min are the track's least coordinates less half.
-    """
+def _covered_intervals(pts: np.ndarray, lengths: np.ndarray, half: float,
+                       bounds: np.ndarray) -> tuple:
+    """The covered cells of the coverage grid (see coverage_report) as
+    sorted, disjoint flat intervals start <= i * ny + j < stop of cells
+    (i, j), whose centres are at (x_min + (i + 0.5) * cell, y_min + (j +
+    0.5) * cell); bounds are the stretches' first points, then len(pts)."""
     cell = COVERAGE_CELL
     x_min, y_min, nx, ny = _grid_shape(pts, half)
-
-    keep = lengths > 1e-12
-    if not keep.any():  # a stationary track sweeps the disc around its point
-        a, b, length = pts[:1], pts[:1] + 1e-9, np.array([1e-9])
-    elif keep.all():  # views, so no copy of the track adds to the peak
-        a, b, length = pts[:-1], pts[1:], lengths
-    else:
-        a, b, length = pts[:-1][keep], pts[1:][keep], lengths[keep]
-    seg, size, centre, extent, first_point = _segment_groups(
-        a, b, length, np.array([x_min, y_min]))
-
-    # settle: the discs of radius half - margin around each group's start
-    # are covered; cells beyond every group's reach (its radius, rounded up
-    # to the table, plus half and the margin) are not
-    reach = (half + _SETTLE_MARGIN) / cell
-    # the table runs past every radius: a box's half-diagonal is at most
-    # the sum of its half-sides
-    top = _WIDTH_STEPS * (reach + float((extent[:, 0] + extent[:, 1]).max()))
-    squares = (np.arange(int(top) + 2 * _WIDTH_STEPS) / _WIDTH_STEPS) ** 2
-    radius = reach + np.searchsorted(squares, (extent * extent).sum(axis=1),
-                                     "left") / _WIDTH_STEPS
-    inner = (half - _SETTLE_MARGIN) / cell
-    scratch = np.zeros((nx, ny), dtype=np.int16 if ny < 2 ** 15 else np.int32)
-    if inner > 0.0:
-        covered = _disc_union(scratch, first_point,
-                              np.full(len(first_point), inner), True, squares)
-    else:
-        covered = np.zeros((nx, ny), dtype=bool)
-    band = _disc_union(scratch, centre, radius, False, squares)
-    del scratch
-    band &= ~covered
-    band = np.flatnonzero(band)  # the band's cells, as sorted flat indices
-
-    # test: each band cell against the segments of every group reaching it
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    hh = half * half
-    flat = covered.reshape(-1)
-    chunk = _BLOCK // _GROUP
-    for rows in _disc_rows(centre, radius, False, (nx, ny), squares):
-        cells, groups = _band_pairs(band, *rows)
-        for c in range(0, len(cells), chunk):
-            f = cells[c:c + chunk]
-            i = f // ny
-            gx = (x_min + (i + 0.5) * cell)[:, None]
-            gy = (y_min + (f - i * ny + 0.5) * cell)[:, None]
-            g = groups[c:c + chunk]
-            s = seg[g, :size[g].max()]  # the columns past size repeat
-            sax, say, sl = ax[s], ay[s], length[s]
-            sdx, sdy = bx[s] - sax, by[s] - say  # d = b - a, per test
-            tpar = ((gx - sax) * sdx + (gy - say) * sdy) / (sl * sl)
-            np.clip(tpar, 0.0, 1.0, out=tpar)
-            dist2 = (gx - (sax + tpar * sdx)) ** 2 + (gy - (say + tpar * sdy)) ** 2
-            flat[f[(dist2 <= hh).any(axis=1)]] = True
-    return covered
+    # an empty union closed by a sentinel: the interval that may hold a
+    # cell is the first one that stops past it
+    start = stop = np.array([nx * ny], dtype=np.int32)
+    for a, b, length in _segment_blocks(pts, lengths, bounds):
+        first, last, dev2 = _chord_pieces(a, b)
+        # each piece's chord in cells, the centre of cell (i, j) at (i, j),
+        # run toward +x: from (ax, ay) by (dx, dy); slope = dy / dx (0 where
+        # dx is so small that a side meets a row only where an end disc
+        # does), r the inner and outer radius, (c, h) = r (dy, dx) / length
+        p0 = (a[first] - [x_min, y_min]) / cell - 0.5
+        d = (b[last - 1] - a[first]) / cell
+        back = d[:, 0] < 0.0
+        p0[back] += d[back]
+        d[back] = -d[back]
+        dev = _DEVIATION * _ROOTS[(dev2 / _DEVIATION ** 2 * 4096).astype(np.int64) + 1]
+        dev += _SETTLE_MARGIN  # dev at least the vertices' distance, plus m
+        r = (half + np.column_stack([-dev, dev])) / cell
+        size = np.linalg.norm(d, axis=1)[:, None]
+        chord = np.column_stack([
+            p0, d, np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(size),
+                             where=d[:, :1] > 1e-200),
+            r, *(np.divide(r * e, size, out=np.zeros_like(r), where=size > 0.0)
+                 for e in (d[:, 1:], d[:, :1]))])
+        row = np.maximum(p0[:, 0] - r[:, 1] + 1.0, 0.0).astype(np.int64)
+        end = np.minimum(p0[:, 0] + d[:, 0] + r[:, 1] + 1.0, nx).astype(np.int64)
+        for p, k in _ragged(np.maximum(end - row, 0)):  # each piece's rows
+            i = row[p] + k
+            lo, hi = _row_spans(i, chord[p])
+            lo = np.clip(lo + 1.0, 0.0, ny).astype(np.int64)  # >= ceil
+            hi = np.clip(hi + 1.0, 0.0, ny).astype(np.int64)  # floor + 1
+            # settle the inner span; test the outer span's cells outside it
+            lo[:, 1] = np.minimum(lo[:, 1], hi[:, 1])
+            lo[:, 0] = np.clip(lo[:, 0], lo[:, 1], hi[:, 1])
+            hi[:, 0] = np.clip(hi[:, 0], lo[:, 0], hi[:, 1])
+            empty = (hi[:, 0] == lo[:, 0]) | (chord[p, 5] <= 0.0)
+            lo[empty, 0] = hi[empty, 0] = hi[empty, 1]
+            flat = i * ny
+            start, stop = _union(start, stop, (flat + lo[:, 0])[~empty],
+                                 (flat + hi[:, 0])[~empty])
+            below = lo[:, 0] - lo[:, 1]
+            for q, n in _ragged(below + hi[:, 1] - hi[:, 0]):
+                f = flat[q] + np.where(n < below[q], lo[q, 1] + n,
+                                       hi[q, 0] + n - below[q])
+                untested = start[np.searchsorted(stop, f, "right")] > f
+                q, f = q[untested], f[untested]
+                hit = np.zeros(len(f), dtype=bool)
+                for t, n in _ragged((last - first)[p[q]]):
+                    s = first[p[q[t]]] + n  # each cell's piece's segments
+                    gx = x_min + (i[q[t]] + 0.5) * cell
+                    gy = y_min + (f[t] - flat[q[t]] + 0.5) * cell
+                    sax, say, sl = a[s, 0], a[s, 1], length[s]
+                    sdx, sdy = b[s, 0] - sax, b[s, 1] - say  # d = b - a, per test
+                    tpar = ((gx - sax) * sdx + (gy - say) * sdy) / (sl * sl)
+                    np.clip(tpar, 0.0, 1.0, out=tpar)
+                    dist2 = (gx - (sax + tpar * sdx)) ** 2 + (gy - (say + tpar * sdy)) ** 2
+                    hit[t[dist2 <= half * half]] = True
+                start, stop = _union(start, stop, f[hit], f[hit] + 1)
+    real = start < nx * ny  # all but the sentinel, if it stands alone
+    return start[real], stop[real]
 
 
 def coverage_report(track: np.ndarray, swath: float, active_time: float,
-                    detections: int = 0, confirmations: int = 0) -> dict:
+                    detections: int = 0, confirmations: int = 0,
+                    breaks=()) -> dict:
     """Swept-area metrics for a ground track.
 
     The searched area is the union of swath-wide corridors around the track
     segments, measured on a 0.25 m occupancy grid (cell centres within half a
-    swath of any segment count). Raises ValueError on an empty or non-finite
-    track and on a swath or active_time that is not positive (NaN included),
-    and CoverageTooLarge on a grid of more than MAX_COVERAGE_CELLS.
+    swath of any segment count). breaks are the indices where later search
+    stretches start: the segment into each one is neither swept nor
+    travelled, and a stretch that holds one spot sweeps the disc around it.
+    Raises ValueError on an empty or non-finite track, on breaks that are not
+    increasing indices inside it and on a swath or active_time that is not
+    positive (NaN included), and CoverageTooLarge on a grid of more than
+    MAX_COVERAGE_CELLS, before anything is allocated.
 
-    The grid is that of testing each segment on its own box with the
-    per-segment expression (projection parameter clipped to [0, 1], squared
-    distance <= half^2), cell for cell, but most cells are settled without
-    a test. Segments longer than 2 m are cut into pieces no longer than
-    that, and runs of up to 8 consecutive pieces that start in one 2 m
-    window of track length form groups. Settle: a cell whose centre lies
-    within half - m of a group's first point is covered, and a cell farther
-    than half + r + m from the centre of every group's box, r the group's
-    radius rounded up to 1/8 cell, is out of reach; both sets are unions of
-    discs, filled as one cell interval per grid row with half-widths
-    rounded to 1/8 cell inward (covered) or outward (reach). Test: each
-    cell left between the two is tested against the segments of every
-    group that reaches it. The margin m is 1/64 of a cell (3.9 mm).
+    The cells are those of testing each segment with the per-segment
+    expression (projection parameter clipped to [0, 1], squared distance <=
+    half^2), but no grid is stored and most cells are settled untested.
+    Each stretch's runs of up to 32 segments are halved until every vertex
+    lies within 1/2 cell of the run's chord (first point to last); dev is
+    the vertices' largest distance from it, rounded up. Every segment of
+    the piece then lies within dev of the chord, and every chord point
+    within dev of a segment (the path from end to end crosses each normal
+    of the chord). A capsule is convex, so per grid row the cells within
+    half - dev - m of the chord are one span, covered, and those beyond
+    half + dev + m lie outside another, uncovered; between the two, cells
+    no span holds yet are tested against the piece's own segments. Spans
+    and hits merge as flat index intervals; the margin m is 1/64 cell.
 
     The settled cells are those the tests would give for coordinates below
     about 1e12 m. There float spacing is at most 2^-13 m, m / 32, and each
-    distance the settle step or the test computes, between a cell centre
-    as x_min + (i + 0.5) * cell gives it and a track point or segment, is
-    within a few spacings of the exact one (rounding relative to the
-    distance itself is smaller still, below 1e-8 m on any grid of at most
-    MAX_COVERAGE_CELLS). So a cell settled covered lies within half - m/2
-    of a point on a segment and passes that segment's test, which its box
-    holds; a cell out of reach lies farther than half + m/2 from every
-    segment and fails every test. A segment's box reaches one cell below
-    and two above its swath, so the centre of a cell outside it lies at
-    least a cell and a half beyond the swath: testing a segment on a cell
-    outside its box cannot hit, and skipping a covered cell cannot change
-    an OR.
+    distance the test computes, from a cell centre as x_min + (i + 0.5) *
+    cell gives it to a segment, is within a few spacings of the exact one;
+    the spans are computed in cells from the grid's corner, at most 1e8 of
+    them, where rounding (dropped segments, each under 1e-12 m, included)
+    moves a span's end by less than 1e-6 cell. So a settled cell lies within
+    half - m/2 of a segment and passes its test, a cell outside a piece's
+    outer span lies farther than half + m/2 from each of its segments, and
+    each covered cell is settled or tested in its segment's piece.
     """
     pts = np.asarray(track, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -563,13 +547,17 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
         raise ValueError(f"non-finite track point {i}: {pts[i].tolist()}")
     if not (swath > 0.0 and active_time > 0.0):
         raise ValueError("swath and active_time must be positive")
+    bounds = np.concatenate([[0], np.asarray(breaks, dtype=np.int64), [len(pts)]])
+    if not (bounds[1:] > bounds[:-1]).all():
+        raise ValueError("breaks must be increasing indices inside the track")
 
     _grid_shape(pts, 0.5 * swath)  # a too large grid faults before any length
     lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    lengths[bounds[1:-1] - 1] = 0.0  # the chords between stretches
     distance = float(lengths.sum())
-    covered = _covered_grid(pts, lengths, 0.5 * swath)
+    start, stop = _covered_intervals(pts, lengths, 0.5 * swath, bounds)
 
-    area = float(covered.sum()) * COVERAGE_CELL * COVERAGE_CELL
+    area = float((stop - start).sum()) * COVERAGE_CELL * COVERAGE_CELL
     return {
         "area_searched": area,  # [m^2]
         "area_per_hour": area * 3600.0 / active_time,  # [m^2/h]

@@ -17,9 +17,12 @@ waves, gusts and the cable are disturbances it must reject.
 A Simulation keeps each fact of a run once: the metrics read the steps and
 distance off its rows, the confirmations off its events, the time off an int
 step count (t = step_count * dt) and an abort off a non-empty abort_reason.
-One value no record holds stays: coverage_track, the survey platform's
-positions after each step's integration (a row holds the state before it);
-the search time is dt summed once per point of it (n * dt is another float).
+Two values no record holds stay: coverage_track, the survey platform's
+positions after each step's integration (a row holds the state before it),
+and search_starts, the index into it where each resumed search begins, so
+the coverage report does not sweep the way from the spot where a search
+paused to the spot where it resumed; the search time is dt summed once per
+point of coverage_track (n * dt is another float).
 
 The loop relies on mission_step's invariants (tests/test_mission.py): a
 complete pattern leaves WIDE_AREA_SEARCH for good and DETAILED_INSPECTION
@@ -191,6 +194,7 @@ class Simulation:
         self.rows: list = []
         self.events: list = []
         self.coverage_track: list = []  # survey-platform positions during search
+        self.search_starts: list = []  # coverage_track index of each resumed search
         self.abort_reason = ""  # the first fault's; "" while none
 
     # -- construction helpers -------------------------------------------------
@@ -335,6 +339,8 @@ class Simulation:
         self._log_event(t, "phase_transition", source=before.value,
                         target=after.value)
         scn = self.scn
+        if after is MissionPhase.WIDE_AREA_SEARCH and self.coverage_track:
+            self.search_starts.append(len(self.coverage_track))
         if after is MissionPhase.DETAILED_INSPECTION:
             self.winch_cmd = scn.mission.inspection_standoff
             self._log_event(t, "winch_command", length=self.winch_cmd)
@@ -536,9 +542,12 @@ class Simulation:
             for _ in self.coverage_track:
                 search_time += scn.dt
             try:
+                # a search resumed in the last step holds no point yet
                 report = coverage_report(
                     np.array(self.coverage_track), scn.mission.swath,
-                    active_time=search_time)
+                    active_time=search_time,
+                    breaks=[k for k in self.search_starts
+                            if k < len(self.coverage_track)])
             except SimulationFault as exc:
                 self._abort(exc)
         concluded = self.mission_state.phase is MissionPhase.CONCLUDED

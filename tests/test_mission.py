@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coastsim.core import SeededRng, SimulationFault
-from coastsim.mission import (COVERAGE_CELL, SAMPLE_CADENCE,
+from coastsim.mission import (_RUN, COVERAGE_CELL, SAMPLE_CADENCE,
                               SAMPLE_NOISE_SIGMA, STREAM_ENV_SAMPLER,
                               CoverageTooLarge, DetectionEvent,
                               EnvironmentalSampler,
                               IllegalTransition, MissionPhase, MissionState,
                               PlantedObject, SearchArea, SweepSensor,
                               WorldEvents,
-                              _covered_grid, coverage_report,
+                              _covered_intervals, _grid_shape,
+                              coverage_report,
                               generate_lawnmower, mission_step, transition)
 
 
@@ -483,11 +484,12 @@ def test_coverage_report_rejects_non_finite_track(bad, where):
         coverage_report(track, swath=1.0, active_time=1.0)
 
 
-# --- settled coverage grid against the per-segment reference ----------------
+# --- settled coverage intervals against the per-segment reference -----------
 #
-# The grid settles most cells without a test and tests the band between. The
-# reference below is the per-segment loop (one meshgrid over each segment's
-# own box); the grid must match it cell for cell, not only in area.
+# coverage_report settles most cells as row spans of chord pieces' capsules
+# and tests the band between. The reference below is the per-segment loop
+# (one meshgrid over each segment's own box); a grid painted from the merged
+# intervals must match it cell for cell, not only in area.
 
 def ref_coverage_report(track, swath, active_time, detections=0,
                         confirmations=0):
@@ -543,6 +545,21 @@ def ref_coverage_report(track, swath, active_time, detections=0,
     }
 
 
+def _painted(track, swath, breaks=()):
+    """The coverage grid painted from coverage_report's merged intervals."""
+    pts = np.asarray(track, dtype=float)
+    _, _, nx, ny = _grid_shape(pts, 0.5 * swath)
+    lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    start, stop = _covered_intervals(pts, lengths, 0.5 * swath,
+                                     np.array([0, *breaks, len(pts)]))
+    # sorted and disjoint, none empty
+    assert (stop > start).all() and (start[1:] > stop[:-1]).all()
+    grid = np.zeros(nx * ny, dtype=bool)
+    for lo, hi in zip(start.tolist(), stop.tolist()):
+        grid[lo:hi] = True
+    return grid.reshape(nx, ny)
+
+
 def _walk(start, steps, step_len, seed):
     """A dense track: one point per step, heading a slow random walk."""
     gen = np.random.default_rng(seed)
@@ -560,6 +577,14 @@ def _densify(waypoints, step_len):
 
 
 _LAWNMOWER = generate_lawnmower(SearchArea(-10.0, 5.0, 60.0, 40.0), 10.0).waypoints
+_ARC = np.linspace(0.0, 2.0 * math.pi, 17)[:-1]
+
+
+def _bend(n):
+    """n points along a gentle bend, within 0.1 m of its chord."""
+    x = np.linspace(0.0, 3.0, n)
+    return np.column_stack([x, 0.1 * np.sin(x)])
+
 
 COVERAGE_TRACKS = {
     "dense_walk_swath1": (_walk(np.array([2.0, 3.0]), 3000, 0.02, 1), 1.0),
@@ -590,6 +615,25 @@ COVERAGE_TRACKS = {
     "dense_walk_with_halts": (np.repeat(
         _walk(np.array([-3.0, 8.0]), 2000, 0.02, 9),
         np.random.default_rng(10).integers(1, 6, 2001), axis=0), 1.0),
+    # exactly one full run of segments, and one segment more
+    "one_run_of_segments": (_bend(_RUN + 1), 1.0),
+    "one_run_and_a_segment": (_bend(_RUN + 2), 1.0),
+    # a closed loop: its piece's chord is a point
+    "closed_loop": (np.vstack([
+        0.05 * np.column_stack([np.cos(_ARC), np.sin(_ARC)]) + [2.0, -1.0],
+        [2.05, -1.0]]), 1.5),
+    # a hairpin that strays 0.12 m off its chord, past half its 0.2 m
+    # swath: nothing settles, every cell of the corridor is tested
+    "hairpin_past_half_a_swath": (_densify([np.array([0.0, 0.0]),
+                                            np.array([0.12, 0.0]),
+                                            np.array([0.12, 0.01]),
+                                            np.array([0.0, 0.01])], 0.01), 0.2),
+    # back and forth along one line, three times over
+    "retraced_back_and_forth": (_densify([np.array([0.0, 0.0]),
+                                          np.array([5.0, 1.0])] * 3, 0.05), 2.0),
+    # every point on a cell centre, along the grid's diagonal
+    "cell_centres_on_the_diagonal": (0.25 * np.outer(np.arange(40), [1.0, 1.0]),
+                                     0.75),
 }
 
 
@@ -597,9 +641,7 @@ COVERAGE_TRACKS = {
 def test_coverage_grid_matches_per_segment_reference(name):
     track, swath = COVERAGE_TRACKS[name]
     ref_grid, ref_report = ref_coverage_report(track, swath, active_time=60.0)
-    pts = np.asarray(track, dtype=float)
-    lengths = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-    grid = _covered_grid(pts, lengths, 0.5 * swath)
+    grid = _painted(track, swath)
     assert grid.shape == ref_grid.shape and np.array_equal(grid, ref_grid)
     assert ref_grid.any()
     assert coverage_report(track, swath, active_time=60.0) == ref_report
@@ -612,8 +654,7 @@ def test_coverage_grid_matches_per_segment_reference(name):
 def test_coverage_grid_matches_reference_on_any_track(points, swath):
     track = np.array(points)
     ref_grid, ref_report = ref_coverage_report(track, swath, active_time=1.0)
-    lengths = np.linalg.norm(track[1:] - track[:-1], axis=1)
-    assert np.array_equal(_covered_grid(track, lengths, 0.5 * swath), ref_grid)
+    assert np.array_equal(_painted(track, swath), ref_grid)
     assert coverage_report(track, swath, active_time=1.0) == ref_report
 
 
@@ -622,20 +663,55 @@ def test_coverage_grid_of_a_swath_below_the_settle_margin():
     # of the corridor is tested
     track = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     ref_grid, ref_report = ref_coverage_report(track, 0.005, active_time=1.0)
-    lengths = np.linalg.norm(track[1:] - track[:-1], axis=1)
-    assert np.array_equal(_covered_grid(track, lengths, 0.0025), ref_grid)
+    assert np.array_equal(_painted(track, 0.005), ref_grid)
     assert ref_grid.any()
     assert coverage_report(track, 0.005, active_time=1.0) == ref_report
 
 
-# tracemalloc peaks of coverage_report on two dense tracks, as the grid
-# filled by chunks of segment boxes reached them (numpy 2.4, Python 3.11):
-# the settle intervals and the band's temporaries must not raise them
-@pytest.mark.parametrize("track, swath, peak_bytes", [
-    (_walk(np.array([2.0, 3.0]), 7999, 0.02, 8), 1.0, 1_037_379),
-    (_densify(_LAWNMOWER, 0.1), 10.0, 799_719),
-])
-def test_coverage_report_peak_memory(track, swath, peak_bytes):
+def _aligned_union(track, swath, stretches):
+    """The union of the stretches' reference grids on the track's grid."""
+    whole, _ = ref_coverage_report(track, swath, active_time=1.0)
+    union = np.zeros_like(whole)
+    for part in stretches:
+        grid, _ = ref_coverage_report(part, swath, active_time=1.0)
+        offset = (part.min(axis=0) - track.min(axis=0)) / COVERAGE_CELL
+        assert np.array_equal(offset, np.round(offset))  # whole cells apart
+        i, j = offset.astype(int)
+        union[i:i + grid.shape[0], j:j + grid.shape[1]] |= grid
+    return whole, union
+
+
+def test_coverage_of_search_stretches_is_the_union_of_their_grids():
+    # lawnmower_resumed_after_chord split where its search paused: the chord
+    # to where it resumed sweeps nothing, and every other cell is as the
+    # per-segment grid of its own stretch has it
+    track, swath = COVERAGE_TRACKS["lawnmower_resumed_after_chord"]
+    pause = len(_densify([*_LAWNMOWER[:3], np.array([30.0, 20.0])], 0.075))
+    whole, union = _aligned_union(track, swath, (track[:pause], track[pause:]))
+    assert np.array_equal(_painted(track, swath, [pause]), union)
+    assert (whole & ~union).any()  # the chord swept cells of its own
+    report = coverage_report(track, swath, active_time=1.0, breaks=[pause])
+    assert report["area_searched"] == union.sum() * COVERAGE_CELL ** 2
+    lengths = np.linalg.norm(np.diff(track, axis=0), axis=1)
+    assert report["distance_traveled"] == (lengths.sum()
+                                           - lengths[pause - 1])
+
+
+def test_a_one_point_stretch_sweeps_the_disc_around_it():
+    track = np.array([[0.0, 0.0], [4.0, 0.0], [8.0, 0.0]])
+    _, union = _aligned_union(track, 1.0, (track[:2], track[2:]))
+    assert np.array_equal(_painted(track, 1.0, [2]), union)
+
+
+@pytest.mark.parametrize("breaks", [[0], [3], [1, 1], [2, 1], [5]])
+def test_coverage_report_rejects_breaks_outside_the_track(breaks):
+    with pytest.raises(ValueError, match="breaks"):
+        coverage_report(np.zeros((3, 2)), swath=1.0, active_time=1.0,
+                        breaks=breaks)
+
+
+def _coverage_peak(track, swath):
+    """coverage_report's tracemalloc peak [bytes]."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -643,9 +719,28 @@ def test_coverage_report_peak_memory(track, swath, peak_bytes):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         coverage_report(track, swath, active_time=60.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+# tracemalloc peaks of coverage_report on two dense tracks, as the grid
+# filled by chunks of segment boxes reached them (numpy 2.4, Python 3.11):
+# the row spans, the band's tests and the union must not raise them
+@pytest.mark.parametrize("track, swath, peak_bytes", [
+    (_walk(np.array([2.0, 3.0]), 7999, 0.02, 8), 1.0, 1_037_379),
+    (_densify(_LAWNMOWER, 0.1), 10.0, 799_719),
+])
+def test_coverage_report_peak_memory(track, swath, peak_bytes):
+    peak = _coverage_peak(track, swath)
     assert len(track) == (8000 if swath == 1.0 else 2701)
     assert peak <= peak_bytes
+
+
+def test_a_sparse_track_allocates_far_less_than_its_grid():
+    # no array spans the bounding box: the peak stays under a quarter of a
+    # byte per grid cell
+    track, swath = COVERAGE_TRACKS["sparse_long_jumps"]
+    _, _, nx, ny = _grid_shape(track, 0.5 * swath)
+    assert _coverage_peak(track, swath) < nx * ny / 4

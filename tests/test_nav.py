@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -728,3 +729,53 @@ def test_filter_is_consistent_on_static_vehicle(params):
         assert abs(wrap_angle(est.x[2] - 0.4)) < 3 * math.sqrt(est.P[2, 2])
         assert math.sqrt(est.P[0, 0]) < 2.0  # position sigma stays bounded
         assert math.sqrt(est.P[2, 2]) < 0.01  # heading is well observed
+
+
+# --- the GPS gate and the GPS fault edges ---------------------------------
+
+def test_gps_gate_distance_is_the_dense_mahalanobis_form():
+    # _update's closed-form d^2 against y^T S^-1 y on random positive
+    # definite S: a gate a relative 1e-9 past d accepts the reading, one
+    # as far short of it rejects it and leaves x and P as they were
+    gen = np.random.default_rng(13)
+    ekf = EkfParams()
+    for _ in range(200):
+        A = gen.normal(size=(6, 6))
+        P = A @ A.T + 0.1 * np.eye(6)
+        x = gen.normal(size=6).tolist()
+        z = np.array(x[:2]) + gen.normal(scale=3.0, size=2)
+        y = z - x[:2]
+        S = P[:2, :2] + ekf.gps_sigma ** 2 * np.eye(2)
+        d2 = float(y @ np.linalg.solve(S, y))
+        inside = dataclasses.replace(ekf, gate_sigma=math.sqrt(d2 * (1 + 1e-9)))
+        past = dataclasses.replace(ekf, gate_sigma=math.sqrt(d2 * (1 - 1e-9)))
+        assert _update(list(x), P.copy(), GPS, z, inside)[3]
+        x_out, P_out, _, accepted = _update(list(x), P.copy(), GPS, z, past)
+        assert not accepted
+        assert x_out == x and np.array_equal(P_out, P)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # s00 * s11 overflows: an infinite determinant
+    ({(0, 0): 1e200, (1, 1): 1e200}, "singular"),
+    # s00 = 0 with det = -s01 * s10 = 1 > 0 (an asymmetric P)
+    ({(0, 0): -EkfParams().gps_sigma ** 2, (0, 1): 1.0, (1, 0): -1.0},
+     "not positive definite"),
+])
+def test_gps_update_faults_on_a_degenerate_innovation_covariance(edit, message):
+    P = np.eye(6)
+    for at, value in edit.items():
+        P[at] = value
+    with pytest.raises(SingularCovariance) as fault:
+        _update([0.0] * 6, P, GPS, np.array([1.0, 1.0]), EkfParams())
+    assert type(fault.value) is SingularCovariance
+    assert str(fault.value) == f"innovation covariance {message} for gps"
+
+
+def test_gps_update_faults_on_an_infinite_distance():
+    # a finite determinant, but y0 * (i00 * y0) overflows: d^2 is inf
+    with pytest.raises(SingularCovariance) as fault:
+        _update([0.0] * 6, np.eye(6), GPS, np.array([1e200, 0.0]), EkfParams())
+    assert type(fault.value) is SingularCovariance
+    assert str(fault.value) == (
+        "innovation covariance not positive definite for gps")

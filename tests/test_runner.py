@@ -760,6 +760,28 @@ def test_loiter_metrics_report_offsets():
     assert m["loiter_max_offset"] < 2.5
 
 
+def test_loiter_metrics_measure_offsets_from_an_off_origin_point():
+    # the offsets are from mission.point, not from the origin: the test
+    # recomputes them from the rows' truth positions
+    point = np.array([12.0, -7.0])
+    tree = {
+        "run": {"seed": 3, "dt": 0.05, "duration": 20.0},
+        "asv": {"initial": {"x": 10.5, "y": -5.5}},
+        "controllers": {"sensors": {"gyro_rate": 20}},
+        "tuv": {"enabled": False},
+        "mission": {"kind": "loiter", "point": point.tolist()},
+    }
+    log = run_simulation(parse_scenario(tree))
+    track = np.column_stack([col(log, "truth_x"), col(log, "truth_y")])
+    offsets = np.linalg.norm(track - point, axis=1)
+    m = log.metrics
+    assert m["loiter_max_offset"] == float(np.max(offsets))
+    assert m["loiter_p95_offset"] == float(np.quantile(offsets, 0.95))
+    assert m["loiter_fraction_within_2p5"] == float(np.mean(offsets <= 2.5))
+    # it starts 2.1 m off the point and holds station there
+    assert m["loiter_max_offset"] < 2.5
+
+
 def test_thrust_respects_actuator_limits():
     log = run_simulation(parse_scenario(search_tree(duration=60.0)))
     for name in ("thrust_left", "thrust_right"):
