@@ -134,14 +134,11 @@ class DampingCoeffs:
 
 
 def damping_wrench(state: VehicleState3DOF, coeffs: DampingCoeffs,
-                   current_nav=None) -> BodyWrench:
+                   current_nav) -> BodyWrench:
     """Damping on the water-relative velocity (current enters here)."""
-    u_rel, v_rel = state.u, state.v
-    if current_nav is not None:
-        cur_u, cur_v = rotate_nav_to_body(current_nav, state.psi)
-        u_rel -= cur_u
-        v_rel -= cur_v
-    return BodyWrench(-coeffs.d11 * u_rel, -coeffs.d22 * v_rel, -coeffs.d33 * state.r)
+    cur_u, cur_v = rotate_nav_to_body(current_nav, state.psi)
+    return BodyWrench(-coeffs.d11 * (state.u - cur_u),
+                      -coeffs.d22 * (state.v - cur_v), -coeffs.d33 * state.r)
 
 
 class TerrainMap:
@@ -196,12 +193,9 @@ class TerrainMap:
 
     @classmethod
     def uniform(cls, terrain: str, extent: float = 1000.0,
-                origin=(-500.0, -500.0), depth: float | None = None) -> "TerrainMap":
+                origin=(-500.0, -500.0)) -> "TerrainMap":
         """Single-cell map covering a square region, for featureless scenarios."""
-        m = cls([[terrain]], cell_size=extent, origin=origin)
-        if depth is not None:
-            m.depths[terrain] = depth
-        return m
+        return cls([[terrain]], cell_size=extent, origin=origin)
 
 
 def _finite(text: str, path, lineno: int, what: str) -> float:

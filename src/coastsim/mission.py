@@ -89,8 +89,7 @@ class SearchArea:
 
 @dataclass
 class SearchPattern:
-    waypoints: list  # ordered boustrophedon vertices, (2,) arrays
-    n_legs: int
+    waypoints: list  # ordered boustrophedon vertices, (2,) arrays, two a leg
 
 
 def generate_lawnmower(area: SearchArea, swath: float,
@@ -129,7 +128,7 @@ def generate_lawnmower(area: SearchArea, swath: float,
         ends = (make(lo, off), make(hi, off)) if forward else (make(hi, off), make(lo, off))
         waypoints.extend(ends)
         forward = not forward
-    return SearchPattern(waypoints, n_legs)
+    return SearchPattern(waypoints)
 
 
 @dataclass
@@ -147,7 +146,6 @@ class PlantedObject:
 class DetectionEvent:
     object_id: str
     vehicle: str  # which platform made the detection
-    t: float
     position: np.ndarray  # reported (noisy) location [m]
 
     def __post_init__(self):
@@ -180,7 +178,8 @@ class SweepSensor:
         self.detected: dict[str, DetectionEvent] = {}
 
     def sweep(self, vehicle_pos, t: float) -> list[DetectionEvent]:
-        """Advance one step; returns new detections made at this instant."""
+        """Advance one step to time t; returns new detections made at this
+        instant (the caller logs them at t: an event holds no time)."""
         px, py = float(vehicle_pos[0]), float(vehicle_pos[1])
         events = []
         for obj in self.objects:
@@ -193,7 +192,7 @@ class SweepSensor:
                 self._in_pass.add(obj.object_id)
                 if self._gen.random() < self.p_detect:
                     reported = obj.position + self.position_sigma * self._gen.standard_normal(2)
-                    ev = DetectionEvent(obj.object_id, self.vehicle, t, reported)
+                    ev = DetectionEvent(obj.object_id, self.vehicle, reported)
                     self.detected[obj.object_id] = ev
                     events.append(ev)
             elif not inside:
@@ -283,7 +282,6 @@ def mission_step(state: MissionState, ev: WorldEvents) -> MissionState:
 
 @dataclass
 class EnvironmentalSample:
-    t: float
     position: np.ndarray
     temperature: float  # [deg C]
     turbidity: float  # [NTU]
@@ -310,7 +308,7 @@ class EnvironmentalSampler:
         temperature, turbidity, salinity = (
             base + (gx * x + gy * y) + n
             for (base, gx, gy), n in zip(WATER_FIELDS, noise))
-        return EnvironmentalSample(t, pos, temperature, max(0.0, turbidity),
+        return EnvironmentalSample(pos, temperature, max(0.0, turbidity),
                                    salinity)
 
 
@@ -499,7 +497,6 @@ def _covered_intervals(pts: np.ndarray, lengths: np.ndarray, half: float,
 
 
 def coverage_report(track: np.ndarray, swath: float, active_time: float,
-                    detections: int = 0, confirmations: int = 0,
                     breaks=()) -> dict:
     """Swept-area metrics for a ground track.
 
@@ -562,6 +559,4 @@ def coverage_report(track: np.ndarray, swath: float, active_time: float,
         "area_searched": area,  # [m^2]
         "area_per_hour": area * 3600.0 / active_time,  # [m^2/h]
         "distance_traveled": distance,  # [m]
-        "detections": detections,
-        "confirmations": confirmations,
     }

@@ -58,6 +58,9 @@ POSITIVE = "positive"
 # (1,100 m / 0.25 m)**2, about 19 M cells, and a swath below one cell is
 # finer than the grid resolves
 MAX_SWATH = 1000.0
+# the lawnmower is built whole before the first step: a 10 km side keeps it
+# at most 40,000 lanes at the narrowest swath
+MAX_AREA_SIDE = 10_000.0
 
 # Every number a scenario sets, one row per key: (section, key, default,
 # unit table, lower bound, upper bound). The section is the key's path in the
@@ -80,7 +83,6 @@ SCHEMA = (
     ("world.disturbances", "current_speed", 0.0, SPEED_UNITS, 0.0, None),
     ("world.disturbances", "current_direction", 0.0, ANGLE_UNITS, None, None),
     ("world.terrain", "extent", 1000.0, LENGTH_UNITS, POSITIVE, None),
-    ("world.terrain", "depth", None, LENGTH_UNITS, None, None),
     ("asv", "m11", 50.0, None, POSITIVE, None),
     ("asv", "m22", 60.0, None, POSITIVE, None),
     ("asv", "m33", 20.0, None, POSITIVE, None),
@@ -134,8 +136,8 @@ SCHEMA = (
     ("controllers", "arrival_radius", 2.0, LENGTH_UNITS, POSITIVE, None),
     ("mission.area", "x", 0.0, LENGTH_UNITS, None, None),
     ("mission.area", "y", 0.0, LENGTH_UNITS, None, None),
-    ("mission.area", "width", 100.0, LENGTH_UNITS, POSITIVE, None),
-    ("mission.area", "height", 100.0, LENGTH_UNITS, POSITIVE, None),
+    ("mission.area", "width", 100.0, LENGTH_UNITS, POSITIVE, MAX_AREA_SIDE),
+    ("mission.area", "height", 100.0, LENGTH_UNITS, POSITIVE, MAX_AREA_SIDE),
     ("mission:search", "swath", 10.0, LENGTH_UNITS, COVERAGE_CELL, MAX_SWATH),
     ("mission:search", "p_detect", 1.0, None, 0.0, 1.0),
     ("mission:search", "footprint", 5.0, LENGTH_UNITS, POSITIVE, None),
@@ -395,11 +397,10 @@ def _load_terrain_entry(sec: _Section, base_dir: Path) -> TerrainMap:
             raise _err(f"{sec.path}.terrain", str(exc)) from None
     uni = _Section(raw, f"{sec.path}.terrain")
     terrain = uni.string("uniform", choices=TERRAIN_CLASSES)
-    extent, depth = uni.numbers("world.terrain").values()
+    extent = uni.numbers("world.terrain")["extent"]
     origin = uni.point("origin", default=[-extent / 2.0, -extent / 2.0])
     uni.finish()
-    return TerrainMap.uniform(terrain, extent=extent, origin=tuple(origin),
-                              depth=depth)
+    return TerrainMap.uniform(terrain, extent=extent, origin=tuple(origin))
 
 
 def _load_world(sec: _Section, base_dir: Path):
@@ -512,6 +513,9 @@ def _load_controllers(sec: _Section, asv: AsvParams, dt: float):
             raise _err(f"{e.path}.q_psd", "expected six spectral densities")
         q_psd = tuple(_quantity(v, f"{e.path}.q_psd[{i}]")
                       for i, v in enumerate(q_raw))
+        for i, q in enumerate(q_psd):  # a negative one makes P indefinite
+            if q < 0.0:
+                raise _err(f"{e.path}.q_psd[{i}]", f"must be >= 0.0, got {q}")
     ekf = EkfParams(q_psd=q_psd, gps_sigma=sensors.gps_sigma,
                     compass_sigma=sensors.compass_sigma,
                     gyro_sigma=sensors.gyro_sigma,

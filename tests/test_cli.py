@@ -331,17 +331,36 @@ def test_overwide_swath_exits_1_with_field_path(swath, command, tmp_path,
     (("controllers", "ekf", "gate_sigma"), 1.0e300, "must be <= 1000.0"),
     (("tuv", "towline", "attach_x"), 1.0e300, "must be <= 100.0"),
     (("tuv", "towline", "attach_x"), -1.0e300, "must be >= -100.0"),
+    (("mission", "area", "width"), 1.0e12, "must be <= 10000.0"),
+    (("mission", "area", "height"), 1.0e12, "must be <= 10000.0"),
 ], ids=["gps_sigma", "compass_sigma", "gyro_sigma", "gate_sigma",
-        "attach_x-high", "attach_x-low"])
-def test_huge_sigma_or_tow_point_exits_1_with_field_path(keys, value, message,
-                                                         tmp_path, capsys):
+        "attach_x-high", "attach_x-low", "area_width", "area_height"])
+def test_huge_number_exits_1_with_field_path(keys, value, message, tmp_path,
+                                             capsys):
     # a sigma or gate of 1e300 once ended simulate in an OverflowError
     # traceback from the Kalman update (sigma ** 2), a tow point at +-1e300
-    # in a ValueError traceback from the tow coupling
+    # in a ValueError traceback from the tow coupling; a 1e12 m search area
+    # side once passed validate, and simulate built ceil(side / swath)
+    # lawnmower lanes before its first step
     text = _shipped_with("calm_search.yaml", keys, value)
     rc = _probe(tmp_path, "simulate", text)
     _assert_rejected(rc, capsys, tmp_path,
                      f"scenario.{'.'.join(keys)}: {message}, got {value}")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("index", [0, 5])
+def test_negative_q_psd_exits_1_with_field_path(index, command, tmp_path,
+                                                capsys):
+    # q_psd[0] = -1 once passed validate and ended simulate with exit 2, a
+    # SingularCovariance at a GPS update
+    q_psd = [1e-4, 1e-4, 1e-5, 0.05, 0.05, 0.01]
+    q_psd[index] = -1.0
+    text = _shipped_with("storm_loiter.yaml", ("controllers", "ekf", "q_psd"),
+                         q_psd)
+    _assert_rejected(_probe(tmp_path, command, text), capsys, tmp_path,
+                     f"scenario.controllers.ekf.q_psd[{index}]: "
+                     f"must be >= 0.0, got -1.0")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -179,7 +179,8 @@ def test_gust_matches_the_recursion_when_the_step_size_changes():
 
 def test_damping_opposes_body_velocity():
     coeffs = DampingCoeffs(d11=12.0, d22=35.0, d33=8.0)
-    w = damping_wrench(VehicleState3DOF(u=2.0, v=-0.5, r=0.1), coeffs)
+    w = damping_wrench(VehicleState3DOF(u=2.0, v=-0.5, r=0.1), coeffs,
+                       current_nav=(0.0, 0.0))
     assert (w.X, w.Y, w.N) == (-24.0, 17.5, -0.8)
 
 

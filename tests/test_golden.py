@@ -17,18 +17,20 @@ that routes them apart fails there by name.
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from coastsim.environment import load_terrain
 from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
 from coastsim.mission import coverage_report
-from coastsim.runner import emit_outputs, run_simulation
-from coastsim.scenario import load_scenario
+from coastsim.runner import COLUMNS, Simulation, emit_outputs, run_simulation
+from coastsim.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -52,13 +54,16 @@ GOLDEN = {
 }
 
 
+def _digests(log, out: Path) -> tuple:
+    written = emit_outputs(log, out)
+    return tuple(hashlib.sha256(Path(written[kind]).read_bytes()).hexdigest()
+                 for kind in ("states", "events", "metrics"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_digests(name, tmp_path):
     log = run_simulation(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
-    written = emit_outputs(log, tmp_path)
-    digests = tuple(hashlib.sha256(Path(written[kind]).read_bytes()).hexdigest()
-                    for kind in ("states", "events", "metrics"))
-    assert digests == GOLDEN[name]
+    assert _digests(log, tmp_path) == GOLDEN[name]
 
 
 # numpy's AVX-512 dispatch targets; disabling them runs numpy's ufuncs as on
@@ -87,6 +92,56 @@ def test_shipped_scenario_digests_on_avx2_only_dispatch():
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
 
 
+# Short runs built from a shipped scenario, each taking a path the shipped
+# runs do not. Each pins its digests whole and resumed from a Simulation
+# pickled halfway.
+
+def _pinned_run(tmp_path, name: str, changes: dict, digests: tuple):
+    tree = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+    for keys, value in changes.items():
+        node = tree
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+    scn = parse_scenario(tree, SCENARIO_DIR)
+    whole = Simulation(scn).run()
+    assert _digests(whole, tmp_path / "whole") == digests
+    sim = Simulation(scn)
+    while sim.step_count < len(whole.rows) // 2:
+        sim.step()
+    resumed = pickle.loads(pickle.dumps(sim)).run()
+    assert _digests(resumed, tmp_path / "resumed") == digests
+    return whole
+
+
+def _filled(log, column: str) -> int:
+    i = COLUMNS.index(column)
+    return sum(row[i] is not None for row in log.rows)
+
+
+def test_search_without_the_tow_sweeps_from_the_vessel(tmp_path):
+    log = _pinned_run(tmp_path, "calm_search",
+                      {("tuv", "enabled"): False, ("run", "duration"): 40}, (
+        "6d4d2dfc62b10e213dc9e0276f827f214ddcc3ff705d603f2fcc8fec22c0d1f1",
+        "6bcee2101535a0a2ed5e851d17ae1dbe6b20d95b0d6117432fec9c556502e29b",
+        "62a3e067f27d878cfc69d2ef9972e9b7807b657fb7b21466a55804da5e496565"))
+    phase = COLUMNS.index("phase")
+    assert sum(row[phase] == "wide_area_search" for row in log.rows) == 699
+    assert _filled(log, "tuv_x") == 0
+
+
+def test_narrow_gate_rejects_readings_of_every_sensor(tmp_path):
+    log = _pinned_run(tmp_path, "storm_loiter",
+                      {("controllers", "ekf", "gate_sigma"): 0.3,
+                       ("run", "duration"): 20}, (
+        "bbf3af6051a62610619ca54575defdbac53b4b08542b68e2c8db7b6dddcdd000",
+        "d47772c385a5baaab916280a5a6278f10687427a2c69893ace8c9118fd3e69ff",
+        "3fa9a6052d623faf2fc1b56500e6b015b71c15038a64a9005ead68386f069a67"))
+    # accepted of the 20 GPS, 200 compass and 200 gyro readings
+    assert [_filled(log, column) for column in
+            ("innov_gps_x", "innov_compass", "innov_gyro")] == [3, 25, 22]
+
+
 # A library-level crawler walk: body_advance over the cove toward fixed
 # waypoints (terrain looked up every step, sand and rock both crossed, turns
 # slewed at the rate limit), then the coverage report of its track. The
@@ -99,7 +154,7 @@ WALK_HEADING = 2.0  # [rad], far off the first bearing
 WALK_WAYPOINTS = ((-23.0, 11.0), (-22.0, 17.0), (-29.0, 16.0), (-28.0, 9.0))
 WALK_ARRIVAL = 1.0  # [m]
 WALK_SWATH = 1.0  # [m]
-WALK_DIGEST = "8dfe9e1485820b8fce0ea7439670e593a079f3eee25eeda6aaa33eb4ee6b1be0"
+WALK_DIGEST = "2444e0435351897c3951ec15ddd203f29415ef01b43531ad348f789f57648c51"
 
 
 def _crawler_walk_bytes() -> bytes:

@@ -291,12 +291,15 @@ def test_loiter_keys_rejected_for_search():
 
 # --- terrain -----------------------------------------------------------------
 
-def test_uniform_terrain_with_extent_and_depth():
+def test_uniform_terrain_with_extent_and_no_depth():
     scn = parse_scenario(minimal_tree(world={"terrain": {
-        "uniform": "rock", "extent": 200, "depth": 8.0}}))
-    terrain, depth = scn.terrain.terrain_at([0.0, 0.0])
-    assert terrain == "rock"
-    assert depth == 8.0
+        "uniform": "rock", "extent": 200}}))
+    assert scn.terrain.terrain_at([0.0, 0.0]) == ("rock", 6.0)
+    assert scn.terrain.terrain_at([99.9, -100.0])[0] == "rock"
+    with pytest.raises(ScenarioError, match=r"^scenario\.world\.terrain\.depth: "
+                                            r"unknown key"):
+        parse_scenario(minimal_tree(world={"terrain": {
+            "uniform": "rock", "extent": 200, "depth": 8.0}}))
 
 
 def test_terrain_file_resolved_relative_to_scenario(tmp_path):
