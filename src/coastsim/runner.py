@@ -24,6 +24,13 @@ the coverage report does not sweep the way from the spot where a search
 paused to the spot where it resumed; the search time is dt summed once per
 point of coverage_track (n * dt is another float).
 
+A run's rows are a RowStore and coverage_track an array of doubles (x, y in
+turn): both hold packed float64 values, not boxed Python floats. A row costs
+560 bytes there (69 cells and a presence word), where a list of its cells
+held about 1.5 kB. RunLog.rows is that store, a read-only sequence whose
+every row reads as a new list of plain values (float, int, str or None), as
+read_run gives them back.
+
 The loop relies on mission_step's invariants (tests/test_mission.py): a
 complete pattern leaves WIDE_AREA_SEARCH for good and DETAILED_INSPECTION
 holds a target. It steps under np.errstate(over/invalid/divide="raise"), so
@@ -39,12 +46,16 @@ GuidanceSetpoint built once.
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import io
 import itertools
 import json
 import math
+import operator
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,6 +101,121 @@ COLUMNS = (
     + ["phase", "innov_gps_x", "innov_gps_y", "innov_compass", "innov_gyro"]
 )
 
+# The kind of each cell: an int in INT_COLUMNS, a MissionPhase value in
+# "phase", a float in every other column. Each presence group's cells are
+# None together, the group's bit of the row's presence word clear: the run
+# has no towed body, the crawler is stowed, a sensor's reading was not
+# accepted. No other cell is ever None.
+INT_COLUMNS = ("hex_deployed", "hex_faults")
+PRESENCE_GROUPS = (
+    COLUMNS[COLUMNS.index("tuv_x"):COLUMNS.index("line_length") + 1],
+    ["hex_x", "hex_y", "hex_heading", *_JOINT_COLUMNS],
+    ["innov_gps_x", "innov_gps_y"],
+    ["innov_compass"],
+    ["innov_gyro"],
+)
+# each group's bit of the presence word, in PRESENCE_GROUPS order
+_TOW_BIT, _CRAWLER_BIT, _GPS_BIT, _COMPASS_BIT, _GYRO_BIT = (
+    1 << bit for bit in range(len(PRESENCE_GROUPS)))
+# what an absent group packs as
+_NO_TOW = (0.0,) * len(PRESENCE_GROUPS[0])
+_NO_JOINTS = (0.0,) * len(_JOINT_COLUMNS)
+_NO_GPS = (0.0, 0.0)
+
+_WIDTH = len(COLUMNS)
+# a row packed: its cells in COLUMNS order, then its presence word
+_PACKED = struct.Struct(f"={_WIDTH + 1}d")
+_PHASE = COLUMNS.index("phase")
+_PHASE_VALUES = tuple(phase.value for phase in MissionPhase)
+_PHASE_INDEX = {phase: i for i, phase in enumerate(MissionPhase)}
+_INTS = tuple(COLUMNS.index(name) for name in INT_COLUMNS)
+
+
+def _blank_runs(word: int) -> tuple:
+    """(slice, Nones) pairs that blank the cells of each group absent from
+    `word`, one pair per run of consecutive columns."""
+    runs = []
+    for i in sorted(COLUMNS.index(name)
+                    for bit, group in enumerate(PRESENCE_GROUPS)
+                    if not word >> bit & 1 for name in group):
+        if runs and runs[-1].stop == i:
+            runs[-1] = slice(runs[-1].start, i + 1)
+        else:
+            runs.append(slice(i, i + 1))
+    return tuple((run, (None,) * (run.stop - run.start)) for run in runs)
+
+
+_BLANKED = tuple(_blank_runs(word)
+                 for word in range(1 << len(PRESENCE_GROUPS)))
+
+
+def _unpacked(values: tuple) -> list:
+    """The row whose packed values are `values`."""
+    row = list(values[:_WIDTH])
+    for i in _INTS:
+        row[i] = int(row[i])
+    row[_PHASE] = _PHASE_VALUES[int(row[_PHASE])]
+    for run, cells in _BLANKED[int(values[_WIDTH])]:
+        row[run] = cells
+    return row
+
+
+class RowStore(Sequence):
+    """A run's rows, each packed as _WIDTH + 1 doubles in one bytearray.
+
+    A row costs 8 bytes a cell, 560 in all, where a list of boxed floats
+    cost about 1.5 kB. The int cells (exact as doubles up to 2**53) and the
+    phase (as its index in MissionPhase) pack as doubles; an absent group's
+    cells pack as 0.0 and read as None by the presence word, never by their
+    value, so a NaN cell stays a NaN. Read-only to all but the runner's
+    append: indexing (negative included) and iteration give each row as a
+    new list of plain values, the cells read_run gives back, and a store
+    equals any sequence of equal rows. An iterator reads the rows stored
+    when it was made.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    def append(self, values):
+        """Pack one row given as its _WIDTH + 1 packed values
+        (Simulation._append_row builds them)."""
+        packed = _PACKED.pack(*values)
+        try:
+            self._buf += packed
+        except BufferError:  # an iterator holds the buffer: it keeps that one
+            self._buf = self._buf + packed
+
+    def __len__(self) -> int:
+        return len(self._buf) // _PACKED.size
+
+    def __getitem__(self, index) -> list:
+        n = len(self)
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError("row index out of range")
+        return _unpacked(_PACKED.unpack_from(self._buf, (i % n) * _PACKED.size))
+
+    def __iter__(self):
+        return map(_unpacked, _PACKED.iter_unpack(self._buf))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<RowStore of {len(self)} rows>"
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Columns start to stop - 1 of every row as an (n, stop - start)
+        float64 array of its own, in C order: the packed values, so only
+        float columns read as their cells."""
+        packed = np.frombuffer(self._buf, dtype=np.float64)
+        return packed.reshape(-1, _WIDTH + 1)[:, start:stop].copy()
+
 
 def _wrench_sum(a: BodyWrench, b: BodyWrench, c: BodyWrench,
                 d: BodyWrench) -> BodyWrench:
@@ -128,10 +254,14 @@ def _tow_coupling(truth, x_a: float, tuv, line) -> tuple:
 
 @dataclass
 class RunLog:
-    """Everything a run produced: per-step rows, events, final metrics."""
+    """Everything a run produced: per-step rows, events, final metrics.
+
+    rows is a sequence of rows, each a list of cells: a Simulation's
+    RowStore, or the lists read_run parses.
+    """
 
     columns: list
-    rows: list = field(default_factory=list)
+    rows: Sequence = field(default_factory=list)
     events: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
@@ -191,10 +321,11 @@ class Simulation:
         # (setpoint, target as floats)
         self._setpoints: dict = {}
 
-        self.rows: list = []
+        self.rows = RowStore()
         self.events: list = []
-        self.coverage_track: list = []  # survey-platform positions during search
-        self.search_starts: list = []  # coverage_track index of each resumed search
+        # survey-platform positions during search, x and y in turn
+        self.coverage_track = array.array("d")
+        self.search_starts: list = []  # coverage_track point of each resumed search
         self.abort_reason = ""  # the first fault's; "" while none
 
     # -- construction helpers -------------------------------------------------
@@ -340,7 +471,7 @@ class Simulation:
                         target=after.value)
         scn = self.scn
         if after is MissionPhase.WIDE_AREA_SEARCH and self.coverage_track:
-            self.search_starts.append(len(self.coverage_track))
+            self.search_starts.append(len(self.coverage_track) // 2)
         if after is MissionPhase.DETAILED_INSPECTION:
             self.winch_cmd = scn.mission.inspection_standoff
             self._log_event(t, "winch_command", length=self.winch_cmd)
@@ -452,7 +583,7 @@ class Simulation:
         if self.mission_state.phase is MissionPhase.WIDE_AREA_SEARCH:
             platform = ((self.tuv[0], self.tuv[1]) if self.tuv is not None
                         else (self.truth.x, self.truth.y))
-            self.coverage_track.append(platform)
+            self.coverage_track.extend(platform)
             new_detections = self.sweep.sweep(platform, t)
             for ev in new_detections:
                 self._log_event(t, "detection", object_id=ev.object_id,
@@ -494,31 +625,42 @@ class Simulation:
 
     def _append_row(self, t, cmd_heading, speed_cmd, surge_cmd, yaw_cmd,
                     left, right, realized, disturbance, tension, innovations):
-        # every cell a plain Python value, the type read_run gives back and
-        # the one the writer's fast path takes; list() of one tuple sizes
-        # the row to its cells, where growing a list leaves spare slots
+        # the row's packed values (RowStore): each cell of its column's kind,
+        # the kind read_run gives back; an absent group's cells 0.0 and its
+        # presence bit clear
         truth = self.truth
+        word = 0
         if self.tuv is not None:
+            word |= _TOW_BIT
             tow = (*self.tuv, *tension, self.towline.unstretched_length)
         else:
-            tow = (None,) * 10
+            tow = _NO_TOW
         crawler = self.hexapod
         if crawler is not None:
+            word |= _CRAWLER_BIT
             hexapod = (1, *crawler.position.tolist(), crawler.heading,
                        self.hexapod_faults,
                        *[theta for cfg in crawler.legs
                          for theta in (cfg.theta1, cfg.theta2, cfg.theta3)])
         else:
-            hexapod = (0, None, None, None, self.hexapod_faults) + (None,) * 18
-        gps = innovations[GPS]
-        self.rows.append(list((
+            hexapod = (0, 0.0, 0.0, 0.0, self.hexapod_faults, *_NO_JOINTS)
+        gps, compass, gyro = (innovations[GPS], innovations[COMPASS],
+                              innovations[GYRO])  # a float or array, or None
+        if gps is not None:
+            word |= _GPS_BIT
+            gps = gps.tolist()
+        if compass is not None:
+            word |= _COMPASS_BIT
+        if gyro is not None:
+            word |= _GYRO_BIT
+        self.rows.append((
             t, truth.x, truth.y, truth.psi, truth.u, truth.v, truth.r,
             *self.est_x, *self.est_P.diagonal().tolist(),
             cmd_heading, speed_cmd, surge_cmd, yaw_cmd, left, right,
             *realized, *disturbance, *tow, *hexapod,
-            self.mission_state.phase.value,
-            *(gps.tolist() if gps is not None else (None, None)),
-            innovations[COMPASS], innovations[GYRO])))  # a float, or None
+            _PHASE_INDEX[self.mission_state.phase], *(gps or _NO_GPS),
+            0.0 if compass is None else compass,
+            0.0 if gyro is None else gyro, word))
 
     # -- driving ----------------------------------------------------------------
 
@@ -538,16 +680,16 @@ class Simulation:
         # grid is too large), and aborts the run like a step would
         report = None
         if self.coverage_track:  # only a search sweeps
+            points = len(self.coverage_track) // 2
             search_time = 0.0
-            for _ in self.coverage_track:
+            for _ in range(points):
                 search_time += scn.dt
             try:
                 # a search resumed in the last step holds no point yet
                 report = coverage_report(
-                    np.array(self.coverage_track), scn.mission.swath,
-                    active_time=search_time,
-                    breaks=[k for k in self.search_starts
-                            if k < len(self.coverage_track)])
+                    np.array(self.coverage_track).reshape(points, 2),
+                    scn.mission.swath, active_time=search_time,
+                    breaks=[k for k in self.search_starts if k < points])
             except SimulationFault as exc:
                 self._abort(exc)
         concluded = self.mission_state.phase is MissionPhase.CONCLUDED
@@ -572,9 +714,7 @@ class Simulation:
     def _metrics(self, concluded: bool, truncated: bool,
                  report: dict | None) -> dict:
         scn = self.scn
-        # truth_x, truth_y of each row
-        track = np.fromiter(((row[1], row[2]) for row in self.rows),
-                            dtype=(float, 2), count=len(self.rows))
+        track = self.rows.block(1, 3)  # truth_x, truth_y of each row
         distance = (float(np.sum(np.linalg.norm(np.diff(track, axis=0), axis=1)))
                     if len(track) > 1 else 0.0)
         detections = len(self.sweep.detected) if self.sweep is not None else 0

@@ -28,8 +28,9 @@ import yaml
 
 from coastsim.environment import load_terrain
 from coastsim.hexapod import HexapodParams, HexapodState, body_advance, stand_legs
-from coastsim.mission import coverage_report
-from coastsim.runner import COLUMNS, Simulation, emit_outputs, run_simulation
+from coastsim.mission import MissionPhase, coverage_report
+from coastsim.runner import (COLUMNS, INT_COLUMNS, PRESENCE_GROUPS, RowStore,
+                             Simulation, emit_outputs, run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -93,17 +94,44 @@ def test_shipped_scenario_digests_on_avx2_only_dispatch():
 
 
 # Short runs built from a shipped scenario, each taking a path the shipped
-# runs do not. Each pins its digests whole and resumed from a Simulation
-# pickled halfway.
+# runs do not: name -> (scenario, changes to its tree). Each test pins its
+# run's digests whole and resumed from a Simulation pickled halfway.
 
-def _pinned_run(tmp_path, name: str, changes: dict, digests: tuple):
-    tree = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+# a one-lane search on a 5 m line whose object the towed body finds on its
+# first pass: the crawler deploys at t = 29.55 s
+SHORT_SEARCH = {
+    ("tuv", "towline", "length"): 5.0,
+    ("mission", "area"): {"x": 0, "y": 0, "width": 20, "height": 10},
+    ("mission", "objects"): [{"id": "obj-1", "position": [5, 3],
+                              "class": "device"}],
+    ("mission", "deploy_time"): 1.0,
+}
+CORPUS = {
+    "search_without_tow": ("calm_search", {("tuv", "enabled"): False,
+                                           ("run", "duration"): 40}),
+    "narrow_gate": ("storm_loiter", {("controllers", "ekf", "gate_sigma"): 0.3,
+                                     ("run", "duration"): 20}),
+    "crawler_off_terrain": ("calm_search", {
+        **SHORT_SEARCH, ("run", "duration"): 40,
+        ("world", "terrain"): {"uniform": "sand", "extent": 10}}),
+    "crawler_halted": ("calm_search", {**SHORT_SEARCH, ("run", "duration"): 32,
+                                       ("hexapod", "stride"): 0.4}),
+}
+
+
+def _corpus_scenario(name: str):
+    scenario, changes = CORPUS[name]
+    tree = yaml.safe_load((SCENARIO_DIR / f"{scenario}.yaml").read_text())
     for keys, value in changes.items():
         node = tree
         for key in keys[:-1]:
             node = node.setdefault(key, {})
         node[keys[-1]] = value
-    scn = parse_scenario(tree, SCENARIO_DIR)
+    return parse_scenario(tree, SCENARIO_DIR)
+
+
+def _pinned_run(tmp_path, name: str, digests: tuple):
+    scn = _corpus_scenario(name)
     whole = Simulation(scn).run()
     assert _digests(whole, tmp_path / "whole") == digests
     sim = Simulation(scn)
@@ -120,8 +148,7 @@ def _filled(log, column: str) -> int:
 
 
 def test_search_without_the_tow_sweeps_from_the_vessel(tmp_path):
-    log = _pinned_run(tmp_path, "calm_search",
-                      {("tuv", "enabled"): False, ("run", "duration"): 40}, (
+    log = _pinned_run(tmp_path, "search_without_tow", (
         "6d4d2dfc62b10e213dc9e0276f827f214ddcc3ff705d603f2fcc8fec22c0d1f1",
         "6bcee2101535a0a2ed5e851d17ae1dbe6b20d95b0d6117432fec9c556502e29b",
         "62a3e067f27d878cfc69d2ef9972e9b7807b657fb7b21466a55804da5e496565"))
@@ -131,15 +158,115 @@ def test_search_without_the_tow_sweeps_from_the_vessel(tmp_path):
 
 
 def test_narrow_gate_rejects_readings_of_every_sensor(tmp_path):
-    log = _pinned_run(tmp_path, "storm_loiter",
-                      {("controllers", "ekf", "gate_sigma"): 0.3,
-                       ("run", "duration"): 20}, (
+    log = _pinned_run(tmp_path, "narrow_gate", (
         "bbf3af6051a62610619ca54575defdbac53b4b08542b68e2c8db7b6dddcdd000",
         "d47772c385a5baaab916280a5a6278f10687427a2c69893ace8c9118fd3e69ff",
         "3fa9a6052d623faf2fc1b56500e6b015b71c15038a64a9005ead68386f069a67"))
     # accepted of the 20 GPS, 200 compass and 200 gyro readings
     assert [_filled(log, column) for column in
             ("innov_gps_x", "innov_compass", "innov_gyro")] == [3, 25, 22]
+
+
+def test_crawler_deployed_off_the_terrain_aborts_with_a_partial_log(tmp_path):
+    log = _pinned_run(tmp_path, "crawler_off_terrain", (
+        "54e305577c5ac8f8b9c31361535ea185453d64a18ce076c86e98116cee457a95",
+        "2038affc51670eb92534ba7fdba480b5fabb633c732f60c9cd5b18be39ac7f77",
+        "ae15cf642448aa5447dbdc11161e558d7ab6c6b56d7c1a95a1e8cb9cc0d6fa6c"))
+    assert log.metrics["abort_reason"].startswith("OutOfBounds: ")
+    assert [e["event"] for e in log.events[-2:]] == ["abort", "run_end"]
+    assert len(log.rows) == log.metrics["steps"] == 592  # of 800
+    assert _filled(log, "hex_x") == 0
+
+
+def test_crawler_on_an_unwalkable_stride_halts_and_counts_faults(tmp_path):
+    log = _pinned_run(tmp_path, "crawler_halted", (
+        "9123e4a462b6e7825f8a6a96c8b6ec0e142fd91477d52464e57d84d856ba5528",
+        "d1fe4deb7759dc7970d05e2b9b99b35231aef4274c65defaa6f5c23f20c9680f",
+        "6550a30d2fb76e9eca9b885ea8ba0bd32b858340c92e647be2300e21e8061956"))
+    # halted on every deployed step; a row holds the count before its step
+    assert log.metrics["hexapod_faults"] == _filled(log, "hex_x") == 48
+    assert log.rows[-1][COLUMNS.index("hex_faults")] == 47
+    assert log.metrics["confirmations"] == 0
+
+
+# What RowStore relies on to give back the row the run logged. The runner
+# hands it each row's packed values: each present cell of its column's kind
+# (an int column's an int, phase its MissionPhase index, any other a float,
+# an accepted innovation finite), each absent group's cells 0.0, then the
+# presence word, whose tow bit follows tuv.enabled and crawler bit
+# hex_deployed. So None appears only where those rules put it.
+_PHASE_VALUES = [phase.value for phase in MissionPhase]
+
+
+def _absent(word: int) -> set:
+    return {name for bit, group in enumerate(PRESENCE_GROUPS)
+            if not word >> bit & 1 for name in group}
+
+
+def _premise_breaks(values, tow: bool) -> set:
+    """(column, what) for each premise one row's packed values break, in a
+    run with or without a towed body."""
+    if len(values) != len(COLUMNS) + 1:
+        return {("row", f"{len(values)} values")}
+    *cells, word = values
+    if type(word) is not int or not 0 <= word < 1 << len(PRESENCE_GROUPS):
+        return {("word", repr(word))}
+    absent, cell, found = _absent(word), dict(zip(COLUMNS, cells)), set()
+    for name, value in cell.items():
+        kind = int if name in INT_COLUMNS or name == "phase" else float
+        if type(value) is not kind:
+            found.add((name, type(value).__name__))
+        elif name in absent:
+            if value != 0.0:
+                found.add((name, "absent but not 0.0"))
+        elif name == "phase" and not 0 <= value < len(_PHASE_VALUES):
+            found.add((name, "not a MissionPhase index"))
+        elif name.startswith("innov_") and not math.isfinite(value):
+            found.add((name, "accepted but not finite"))
+    if ("tuv_x" in absent) is tow:
+        found.add(("tuv_x", "tow bit against tuv.enabled"))
+    if ("hex_x" in absent) is not (cell["hex_deployed"] == 0):
+        found.add(("hex_x", "crawler bit against hex_deployed"))
+    return found
+
+
+def _logged_row(values) -> list:
+    """The row packed values stand for: None in each absent group, phase
+    its MissionPhase value, any other cell as packed."""
+    *cells, word = values
+    absent = _absent(word)
+    return [None if name in absent else _PHASE_VALUES[value]
+            if name == "phase" else value
+            for name, value in zip(COLUMNS, cells)]
+
+
+class _CheckedRows(RowStore):
+    """A RowStore that notes each premise a row breaks and each row that
+    does not read back as the one logged, by type and repr per cell."""
+
+    __slots__ = ("tow", "breaks")
+
+    def __init__(self, tow: bool):
+        super().__init__()
+        self.tow, self.breaks = tow, set()
+
+    def append(self, values):
+        self.breaks |= _premise_breaks(values, self.tow)
+        super().append(values)
+        if [(type(v), repr(v)) for v in self[-1]] != [
+                (type(v), repr(v)) for v in _logged_row(values)]:
+            self.breaks.add(("row", "reads back changed"))
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), *CORPUS])
+def test_rows_keep_the_packing_premises(name):
+    scn = (load_scenario(SCENARIO_DIR / f"{name}.yaml") if name in GOLDEN
+           else _corpus_scenario(name))
+    sim = Simulation(scn)
+    sim.rows = rows = _CheckedRows(scn.tuv_enabled)
+    log = sim.run()
+    assert log.rows is rows and len(rows) == log.metrics["steps"] > 0
+    assert rows.breaks == set()
 
 
 # A library-level crawler walk: body_advance over the cove toward fixed

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import filecmp
+import gc
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +25,10 @@ from coastsim.asv import VehicleState3DOF
 from coastsim.core import (NonFiniteInput, rotate_body_to_nav,
                            rotate_nav_to_body, wrap_angle)
 from coastsim.environment import damping_wrench, disturbance_wrench
-from coastsim.mission import MissionPhase, mission_step
+from coastsim.mission import MissionPhase, coverage_report, mission_step
 from coastsim.nav import (SensorReading, _predict, ekf_predict, ekf_update,
                           initial_estimate)
-from coastsim.runner import (COLUMNS, RunLog, Simulation, _parse_row,
+from coastsim.runner import (COLUMNS, RowStore, RunLog, Simulation, _parse_row,
                              _tow_coupling, _wrench_sum, emit_outputs,
                              read_run, run_simulation)
 from coastsim.scenario import load_scenario, parse_scenario
@@ -399,6 +401,149 @@ def test_csv_header_matches_columns(tmp_path):
     emit_outputs(log, tmp_path)
     header = (tmp_path / "states.csv").read_text().splitlines()[0]
     assert header == ",".join(COLUMNS)
+
+
+# --- the row store ----------------------------------------------------------------
+
+def test_row_store_equals_the_rows_read_back(tmp_path):
+    log = run_simulation(parse_scenario(search_tree(duration=2.0)))
+    assert isinstance(log.rows, RowStore)
+    emit_outputs(log, tmp_path)
+    back = read_run(tmp_path)
+    assert isinstance(back.rows, list)
+    assert back == log and log == back
+    assert back.rows == log.rows and log.rows == back.rows
+    assert log.rows == tuple(back.rows) and list(log.rows) == back.rows
+    changed = [list(row) for row in back.rows]
+    changed[-1][COLUMNS.index("est_x")] += 1.0
+    assert log.rows != changed and changed != log.rows
+    assert log.rows != back.rows[:-1] and back.rows[:-1] != log.rows
+    assert log.rows != 5 and log.rows != [5]
+
+
+def test_an_empty_row_store_equals_the_empty_list():
+    log = run_simulation(parse_scenario(cruise_tree(duration=0.0)))
+    assert len(log.rows) == 0 and not log.rows
+    assert log.rows == [] and [] == log.rows and list(log.rows) == []
+    assert log.rows == RowStore()
+    with pytest.raises(IndexError):
+        log.rows[0]
+    with pytest.raises(IndexError):
+        log.rows[-1]
+
+
+def test_row_store_indexes_from_either_end():
+    rows = run_simulation(parse_scenario(cruise_tree(duration=0.1))).rows
+    listed = list(rows)
+    assert len(rows) == len(listed) == 10
+    for i in range(-10, 10):
+        assert rows[i] == listed[i]
+    assert rows[-1] == listed[9] and rows[-10] == listed[0]
+    assert rows[np.int64(-2)] == listed[8]
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(TypeError):
+        rows[1.0]
+
+
+def test_each_row_read_is_a_new_list():
+    rows = run_simulation(parse_scenario(cruise_tree(duration=0.1))).rows
+    first = rows[0]
+    assert first is not rows[0] and first == rows[0]
+    first[0] = "changed"
+    first.append(1.0)
+    for row in rows:
+        row.clear()
+    assert rows[0][0] == 0.0 and len(rows[0]) == len(COLUMNS)
+    assert all(len(row) == len(COLUMNS) for row in rows)
+
+
+def test_row_store_len_follows_the_steps():
+    sim = Simulation(parse_scenario(cruise_tree(duration=1.0)))
+    assert len(sim.rows) == 0
+    for k in range(1, 6):
+        sim.step()
+        assert len(sim.rows) == sim.step_count == k
+    rows = list(sim.rows)
+    sim.step()  # a step after reading appends to the same store
+    assert list(sim.rows)[:5] == rows and len(sim.rows) == 6
+    # an iterator reads the rows stored when it was made, across steps
+    reader = iter(sim.rows)
+    assert next(reader) == rows[0]
+    sim.step()
+    sim.step()
+    assert len(sim.rows) == 8 and len(list(reader)) == 5
+    assert list(sim.rows)[:5] == rows
+
+
+def test_row_store_keeps_a_nan_cell_a_nan():
+    # a None is read off the presence word, never off a cell's value
+    packed = []
+
+    class Kept(RowStore):
+        __slots__ = ()
+
+        def append(self, values):
+            packed.append(list(values))
+            super().append(values)
+    sim = Simulation(parse_scenario(cruise_tree(duration=0.01)))
+    sim.rows = Kept()
+    row = sim.run().rows[0]
+    values = packed[0]
+    for name in ("tuv_x", "hex_x"):  # the tow is on, the crawler stowed
+        values[COLUMNS.index(name)] = math.nan
+    rows = RowStore()
+    rows.append(values)
+    i, j = COLUMNS.index("tuv_x"), COLUMNS.index("hex_x")
+    assert math.isnan(rows[0][i]) and rows[0][j] is None
+    assert rows[0][:i] == row[:i] and rows[0][i + 1:] == row[i + 1:]
+
+
+def test_rows_retain_under_800_bytes_each():
+    # a row packs to 70 doubles (560 B); boxed floats in lists held about
+    # 1,470 B a row of calm_cruise
+    scn = dataclasses.replace(load_scenario(SCENARIO_DIR / "calm_cruise.yaml"),
+                              duration=20.0)
+    sim = Simulation(scn)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.run()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sim.rows) == 2000
+    assert retained / len(sim.rows) < 800
+
+
+def test_coverage_report_gets_the_survey_track_as_float_pairs(monkeypatch):
+    # the platform's position after each search step's integration is the
+    # next row's towed-body position; the search resumes after the
+    # inspection, a break in the track
+    calls = []
+
+    def spy(track, swath, active_time, breaks):
+        calls.append((track, breaks))
+        return coverage_report(track, swath, active_time=active_time,
+                               breaks=breaks)
+    monkeypatch.setattr(runner, "coverage_report", spy)
+    log = run_simulation(parse_scenario(search_tree()))
+    rows = list(log.rows)
+    i_x, i_y, i_phase = (COLUMNS.index(name)
+                         for name in ("tuv_x", "tuv_y", "phase"))
+    searching = [k for k, row in enumerate(rows)
+                 if row[i_phase] == "wide_area_search"]
+    expected = np.array([(rows[k + 1][i_x], rows[k + 1][i_y])
+                         for k in searching])
+    (track, breaks), = calls
+    assert track.dtype == np.float64 and track.flags.c_contiguous
+    assert track.shape == expected.shape and np.array_equal(track, expected)
+    resumed = [n for n in range(1, len(searching))
+               if searching[n] != searching[n - 1] + 1]
+    assert breaks == resumed and len(resumed) == 1
 
 
 # --- integration convergence ----------------------------------------------------
